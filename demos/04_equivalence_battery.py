@@ -21,7 +21,7 @@ def show(title, report):
     print(header)
     for w in report.witnesses:
         first, last = w.quantities[0][1], w.quantities[-1][1]
-        print(f"{w.condition_id:>3} {w.verdict:<10} {first:>12.4g} "
+        print(f"{w.id:>3} {w.verdict:<10} {first:>12.4g} "
               f"{last:>12.4g}  {w.statement}")
     print()
 

@@ -36,7 +36,7 @@ rep_h = fb.stable_sampling_verdict(cubic, fb.SamplingSet.constant(0.5), ladder)
 print(f"stable: {rep_h.stable}")
 print("interior lambda_min ladder:",
       ", ".join(f"{s}:{v:.2e}" for s, v in rep_h.item("e").quantities))
-print("item verdicts:", {it.item_id: it.verdict for it in rep_h.items})
+print("item verdicts:", {it.id: it.verdict for it in rep_h.items})
 
 print()
 print("== random jitter up to 0.2 keeps the cubic stable ==")

@@ -13,6 +13,9 @@ localization
     ladder-based localization evidence.
 rdual
     Riesz-dual sequences, their Grams, duality verdicts and decay transfer.
+ladder
+    Ladder verdict rules (uniformity across truncations, borderline band)
+    and the ``Witness`` record shared by battery and sampling reports.
 equivalence
     The ten-condition consistency battery over a truncation ladder, plus the
     harmonic-decay counterexample fixture.
@@ -23,9 +26,10 @@ cli
     JSON-config command line driver emitting reproducible reports.
 """
 
-from . import equivalence, errors, frames, linalg, localization, rdual, sampling
+__version__ = "0.1.0"
+
+from . import equivalence, errors, frames, ladder, linalg, localization, rdual, sampling
 from .equivalence import (
-    ConditionWitness,
     EquivalenceReport,
     coorbit_equivalence_check,
     counterexample_family,
@@ -48,6 +52,7 @@ from .frames import (
     riesz_bounds,
     synthesis,
 )
+from .ladder import Witness
 from .linalg import (
     GainBracket,
     SpectralDecomposition,
@@ -84,5 +89,3 @@ from .sampling import (
     shift_gram,
     stable_sampling_verdict,
 )
-
-__version__ = "0.1.0"

@@ -20,48 +20,21 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import equivalence, frames, linalg, localization, rdual, sampling
+from . import __version__, equivalence, frames, linalg, localization, rdual, sampling
+from .errors import FramebenchError, InsufficientDataError, LadderTooShortError
+from .ladder import LADDER_DECAY_FACTOR
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_NUMERICAL = 3
-EXIT_PRECONDITION = 4
-
-from .errors import (  # noqa: E402  (grouped here to keep the mapping local)
-    BadExponentError,
-    DimensionMismatchError,
-    FramebenchError,
-    GeneratorUnsuitableError,
-    InsufficientDataError,
-    LadderTooShortError,
-    NonHermitianError,
-    NonSquareError,
-    NotAFrameError,
-    NotPositiveDefiniteError,
-    NotRieszBasisError,
-    NotSeparatedError,
-    NumericalFailureError,
-    PerturbationViolationError,
-    PreconditionEvidenceError,
-    QuadratureFailureError,
-)
-
-_NUMERICAL = (NumericalFailureError, QuadratureFailureError)
-_PRECONDITION = (
-    BadExponentError, DimensionMismatchError, GeneratorUnsuitableError,
-    InsufficientDataError, LadderTooShortError, NonHermitianError,
-    NonSquareError, NotAFrameError, NotPositiveDefiniteError,
-    NotRieszBasisError, NotSeparatedError, PerturbationViolationError,
-    PreconditionEvidenceError,
-)
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Malformed configuration or unreadable input file."""
 
 
@@ -82,7 +55,7 @@ def _load_json(path: str) -> dict:
 def _meta(command: str, config: dict, seed, tol_frame: float) -> dict:
     return {
         "tool": "framebench",
-        "version": "0.1.0",
+        "version": __version__,
         "command": command,
         "seed": seed,
         "config_hash": hashlib.sha256(_canonical(config).encode()).hexdigest(),
@@ -92,16 +65,28 @@ def _meta(command: str, config: dict, seed, tol_frame: float) -> dict:
             "tol_calc": linalg.TOL_CALC,
             "tol_sing": linalg.TOL_SING,
             "tol_growth": localization.TOL_GROWTH,
-            "ladder_decay_factor": equivalence.LADDER_DECAY_FACTOR,
+            "ladder_decay_factor": LADDER_DECAY_FACTOR,
         },
     }
 
 
+def _write_text(path, text: str):
+    """Write ``text`` to ``path`` whole or not at all: a temp file in the same
+    directory is renamed over the target once it is complete."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(path: str, obj: dict):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
-        fh.write("\n")
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _load_family(config: dict, key: str) -> frames.VectorFamily:
@@ -129,7 +114,7 @@ def _ladder(config: dict, override) -> frames.TruncationLadder:
         raise InputError("no ladder given (config 'ladder' or --ladder)")
     try:
         return frames.TruncationLadder(tuple(int(s) for s in sizes))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, LadderTooShortError) as exc:
         raise InputError(f"bad ladder {sizes!r}: {exc}") from exc
 
 
@@ -249,10 +234,7 @@ def cmd_sampling(config, out, seed, tol_frame, ladder_override):
     payload = {"meta": _meta("sampling", config, seed, tol_frame)}
     payload.update(report.to_json())
     _write_json(out, payload)
-    csv_path = str(Path(out).with_suffix(".csv"))
-    Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(report.witness_csv())
+    _write_text(Path(out).with_suffix(".csv"), report.witness_csv())
 
 
 def cmd_fixtures(config, out, seed, tol_frame, ladder_override):
@@ -291,6 +273,18 @@ _COMMANDS = {
 }
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}")
+    return tol
+
+
+def _sizes(text: str) -> list:
+    return [int(tok) for tok in text.split(",") if tok]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framebench",
@@ -302,41 +296,27 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output file (directory for 'fixtures')")
     parser.add_argument("--seed", type=int, default=None, help="seed recorded "
                         "in the report and used by random generators")
-    parser.add_argument("--tol-frame", type=float, default=frames.TOL_FRAME,
+    parser.add_argument("--tol-frame", type=_tolerance, default=frames.TOL_FRAME,
                         help="lower-bound threshold for frame/Riesz verdicts")
-    parser.add_argument("--ladder", default=None,
+    parser.add_argument("--ladder", type=_sizes, default=None,
                         help="comma-separated sizes, overrides the config ladder")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    ladder_override = None
-    if args.ladder is not None:
-        try:
-            ladder_override = [int(tok) for tok in args.ladder.split(",") if tok]
-        except ValueError:
-            print(f"error: bad --ladder value {args.ladder!r}", file=sys.stderr)
-            return EXIT_INPUT
     try:
         config = _load_json(args.config)
         if not isinstance(config, dict):
             raise InputError("config root must be a JSON object")
         _COMMANDS[args.command](config, args.out, args.seed, args.tol_frame,
-                                ladder_override)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _NUMERICAL as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _PRECONDITION as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except FramebenchError as exc:  # anything else from the library
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as exc:
+                                args.ladder)
+    except FramebenchError as exc:
+        kind = ("precondition failure" if exc.exit_code == FramebenchError.exit_code
+                else "numerical failure")
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except ValueError as exc:  # InputError and malformed values in the config
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_OK

@@ -21,30 +21,23 @@ proxies:
 ====  ==========================================================  =========
 
 Closed ranges are meaningless at a single finite size (every range is
-closed), so the proxy is *uniformity across the ladder*: a gain witness
-fails when it decays by more than ``LADDER_DECAY_FACTOR`` from first to last
-size, a condition witness when it grows by more than that factor or trips
-the singular flag.  This interpretive decision is printed in every report.
+closed), so the proxy is *uniformity across the ladder*, decided by the
+rules of :mod:`framebench.ladder`.  This interpretive decision is printed in
+every report.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import frames, linalg, localization, rdual
 from .errors import PreconditionEvidenceError
 from .frames import TruncationLadder, VectorFamily
+from .ladder import LADDER_DECAY_FACTOR, Witness, verdicts_agree
 from .localization import LocalizationProfile
-
-#: A gain witness may shrink (a condition witness grow) by at most this
-#: factor from the first to the last ladder size.
-LADDER_DECAY_FACTOR = 4.0
-
-VERDICT_PASS = "pass"
-VERDICT_FAIL = "fail"
-VERDICT_BORDERLINE = "borderline"
 
 PROXY_DISCLAIMER = (
     "closed-range statements are vacuous at any single truncation; the "
@@ -67,51 +60,23 @@ _STATEMENTS = {
 }
 
 _GAIN_IDS = (1, 4, 5, 6, 7, 10)
-_CONDITION_IDS = (2, 3, 8, 9)
-
-
-@dataclass(frozen=True)
-class ConditionWitness:
-    """Per-condition ladder quantities and the trend verdict."""
-
-    condition_id: int
-    statement: str
-    proxy_note: str
-    quantities: Tuple[Tuple[int, float], ...]
-    verdict: str
-    kind: str  # "gain" or "condition"
-
-    def final(self) -> float:
-        return self.quantities[-1][1]
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.condition_id,
-            "quote": self.statement,
-            "proxy_note": self.proxy_note,
-            "quantities": [
-                [int(s), "singular" if math.isinf(v) else float(v)]
-                for s, v in self.quantities
-            ],
-            "verdict": self.verdict,
-        }
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
     """All ten witnesses, the cross-condition consistency flag, and notes."""
 
-    witnesses: Tuple[ConditionWitness, ...]
+    witnesses: Tuple[Witness, ...]
     consistent: bool
     coorbit_note: str
     ladder: Tuple[int, ...]
     seed: Optional[int] = None
 
-    def witness(self, condition_id: int) -> ConditionWitness:
+    def witness(self, condition_id: int) -> Witness:
         return self.witnesses[condition_id - 1]
 
     def verdicts(self) -> dict:
-        return {w.condition_id: w.verdict for w in self.witnesses}
+        return {w.id: w.verdict for w in self.witnesses}
 
     def to_json(self) -> dict:
         return {
@@ -123,66 +88,34 @@ class EquivalenceReport:
         }
 
 
-def _gain_verdict(values, tol) -> str:
-    final = values[-1]
-    if final < tol:
-        return VERDICT_FAIL
-    if final <= 10 * tol:
-        return VERDICT_BORDERLINE
-    if values[0] > final * LADDER_DECAY_FACTOR:
-        return VERDICT_FAIL
-    return VERDICT_PASS
-
-
-def _condition_verdict(values, tol) -> str:
-    # Mirror of the gain rule on the reciprocal condition number.
-    final = values[-1]
-    rcond = 0.0 if math.isinf(final) else 1.0 / final
-    if rcond < tol:
-        return VERDICT_FAIL
-    if rcond <= 10 * tol:
-        return VERDICT_BORDERLINE
-    if math.isinf(values[0]) or final > values[0] * LADDER_DECAY_FACTOR:
-        return VERDICT_FAIL
-    return VERDICT_PASS
-
-
-def _witness(cid, sizes, values, note, tol) -> ConditionWitness:
-    kind = "gain" if cid in _GAIN_IDS else "condition"
-    verdict = (_gain_verdict if kind == "gain" else _condition_verdict)(values, tol)
-    return ConditionWitness(
-        condition_id=cid,
-        statement=_STATEMENTS[cid],
-        proxy_note=note,
-        quantities=tuple((int(s), float(v)) for s, v in zip(sizes, values)),
-        verdict=verdict,
-        kind=kind,
-    )
-
-
-def _check_preconditions(family_gen, profile, ladder, tol):
+def _reference_steps(family_gen, profile, ladder, tol):
+    """Check the reference phi at every size, then its localization along
+    the ladder; return ``(psi, phi, spectrum of S_phi)`` per size."""
+    steps, norms = [], []
     for size in ladder:
-        _, phi = family_gen(size)
+        psi, phi = family_gen(size)
         if phi.member_count != phi.ambient_dim:
             raise PreconditionEvidenceError(
                 f"reference family at size {size} is not square"
             )
-        lower = frames.riesz_bounds(phi).lower
+        spectrum = frames.frame_spectrum(phi)
+        # Square phi: S_phi and the Gram of phi share their spectrum.
+        lower = max(float(spectrum.eigenvalues[0]), 0.0)
         if lower <= tol:
             raise PreconditionEvidenceError(
                 f"reference family at size {size} has lower Riesz bound "
                 f"{lower:.3e} <= {tol:.0e}"
             )
-    evidence = localization.mutual_localization(
-        lambda n: (family_gen(n)[1], family_gen(n)[1]), profile, ladder
-    )
+        steps.append((psi, phi, spectrum))
+        norms.append(profile.norm(frames.gram(phi)))
+    evidence = localization.decay_report(profile, ladder.sizes, norms)
     if evidence.verdict != localization.VERDICT_LOCALIZED:
         raise PreconditionEvidenceError(
             "reference family failed its localization evidence check: "
             f"ladder verdict {evidence.verdict!r}, norms "
             f"{[v for _, v in evidence.ladder_norms]}"
         )
-    return evidence
+    return steps
 
 
 def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
@@ -198,41 +131,41 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
     ``PreconditionEvidenceError`` is raised.  ``seed`` is only recorded (for
     reproducibility of randomly generated instances).
     """
-    _check_preconditions(family_gen, profile, ladder, tol)
-
     per_id = {cid: [] for cid in range(1, 11)}
-    inj4, inj6 = [], []
-    for size in ladder:
-        psi, phi = family_gen(size)
-        omega = rdual.rdual(psi, phi, tol=tol)
-        dual = frames.canonical_dual(phi, tol=tol)
+    for psi, phi, spectrum in _reference_steps(family_gen, profile, ladder, tol):
+        omega = rdual.companion(psi, phi, spectrum)
+        dual = spectrum.power(-1.0) @ phi.coeffs
 
         s_psi = frames.frame_operator(psi)
-        per_id[1].append(frames.frame_bounds(psi).lower)
+        lam = linalg.hermitian_eig(s_psi).eigenvalues
+        per_id[1].append(max(float(lam[0]), 0.0))
 
-        coord = dual.coeffs.conj().T @ s_psi @ phi.coeffs
-        per_id[2].append(linalg.condition_p(coord, 1))
-        per_id[3].append(linalg.condition_p(coord, math.inf))
+        coord = dual.conj().T @ s_psi @ phi.coeffs
+        cond1, cond_inf = linalg.condition_1_inf(coord, sla.svdvals(coord))
+        per_id[2].append(cond1)
+        per_id[3].append(cond_inf)
 
-        g_psi_phi = frames.cross_gram(psi, phi)
-        gain4 = linalg.smallest_gain(g_psi_phi, math.inf).upper
+        gain4 = linalg.gain_probe(frames.cross_gram(psi, phi), math.inf)
         per_id[4].append(gain4)
         per_id[5].append(gain4)
-        inj4.append(gain4 > tol)
 
-        g_dual_omega = frames.cross_gram(dual, omega)
-        gain6 = linalg.smallest_gain(g_dual_omega, math.inf).upper
+        gain6 = linalg.gain_probe(dual.conj().T @ omega.coeffs, math.inf)
         per_id[6].append(gain6)
         per_id[7].append(gain6)
-        inj6.append(gain6 > tol)
 
+        # The companion Gram is Hermitian PSD: its eigenvalues are its
+        # singular values, so one eigh gives witness 10 and the singular
+        # flag of witnesses 8 and 9.
         g_omega = frames.gram(omega)
-        per_id[8].append(linalg.condition_p(g_omega, 1))
-        per_id[9].append(linalg.condition_p(g_omega, math.inf))
-        per_id[10].append(frames.riesz_bounds(omega).lower)
+        lam = linalg.hermitian_eig(g_omega).eigenvalues
+        cond1, cond_inf = linalg.condition_1_inf(g_omega, lam)
+        per_id[8].append(cond1)
+        per_id[9].append(cond_inf)
+        per_id[10].append(max(float(lam[0]), 0.0))
 
-    def inj_note(flags):
-        return ("pointwise injectivity holds at every size; " if all(flags)
+    def inj_note(gains):
+        return ("pointwise injectivity holds at every size; "
+                if all(g > tol for g in gains)
                 else "pointwise injectivity already fails at some size; ")
 
     notes = {
@@ -240,13 +173,13 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
         2: "1-norm condition number of the frame operator conjugated into "
            "dual coordinates",
         3: "max-norm condition number of the same coordinate matrix",
-        4: inj_note(inj4) + "coordinate-probe upper bound on the smallest "
+        4: inj_note(per_id[4]) + "coordinate-probe upper bound on the smallest "
            "max-norm gain of the analysis coordinate matrix; uniformity across "
            "the ladder is the closed-range proxy",
         5: "duality-derived from condition 4: the adjoint of the 1-norm "
            "synthesis map is the max-norm analysis map, so the same "
            "quantities witness surjectivity",
-        6: inj_note(inj6) + "coordinate-probe upper bound on the smallest "
+        6: inj_note(per_id[6]) + "coordinate-probe upper bound on the smallest "
            "max-norm gain of the companion synthesis coordinate matrix; "
            "uniformity across the ladder is the closed-range proxy",
         7: "duality-derived from condition 6: the adjoint of the companion "
@@ -258,14 +191,14 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
     }
 
     witnesses = tuple(
-        _witness(cid, ladder.sizes, per_id[cid], notes[cid], tol)
+        Witness.from_ladder(cid, _STATEMENTS[cid], notes[cid], ladder.sizes,
+                            per_id[cid],
+                            "gain" if cid in _GAIN_IDS else "condition", tol)
         for cid in range(1, 11)
     )
-    decided = [w.verdict for w in witnesses if w.verdict != VERDICT_BORDERLINE]
-    consistent = len(set(decided)) <= 1
     return EquivalenceReport(
         witnesses=witnesses,
-        consistent=consistent,
+        consistent=verdicts_agree(w.verdict for w in witnesses),
         coorbit_note=PROXY_DISCLAIMER,
         ladder=ladder.sizes,
         seed=seed,

@@ -9,6 +9,8 @@ breakdowns apart.
 class FramebenchError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 4  # command-line exit status: precondition failure
+
 
 class NonSquareError(FramebenchError):
     """A square matrix was required."""
@@ -24,6 +26,8 @@ class NotPositiveDefiniteError(FramebenchError):
 
 class NumericalFailureError(FramebenchError):
     """An underlying dense solver failed to converge."""
+
+    exit_code = 3  # numerical failure
 
 
 class DimensionMismatchError(FramebenchError):
@@ -60,6 +64,8 @@ class NotSeparatedError(FramebenchError):
 
 class QuadratureFailureError(FramebenchError):
     """Adaptive quadrature could not reach the requested tolerance."""
+
+    exit_code = 3  # numerical failure
 
 
 class GeneratorUnsuitableError(FramebenchError):

@@ -17,7 +17,6 @@ truncation*: a lower bound above ``TOL_FRAME``.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import linalg
 from .errors import (
@@ -181,19 +180,19 @@ def riesz_bounds(psi: VectorFamily) -> FrameBounds:
     return FrameBounds(lower=max(float(w[0]), 0.0), upper=max(float(w[-1]), 0.0))
 
 
+def frame_spectrum(psi: VectorFamily) -> linalg.SpectralDecomposition:
+    """Eigendecomposition of the frame operator S: it gives the frame bounds,
+    the canonical dual S^-1 psi and every power S^alpha psi at once."""
+    return linalg.hermitian_eig(frame_operator(psi))
+
+
 def canonical_dual(psi: VectorFamily, tol: float = TOL_FRAME) -> VectorFamily:
     """Canonical dual family: columns are S^-1 applied to the members.
 
     Raises ``NotAFrameError`` when the lower frame bound is numerically zero
     at this truncation.
     """
-    s = frame_operator(psi)
-    w = linalg.hermitian_eig(s).eigenvalues
-    if w[0] <= tol:
-        raise NotAFrameError(
-            f"lower frame bound {max(float(w[0]), 0.0):.3e} <= {tol:.0e}"
-        )
-    dual = sla.solve(s, np.asarray(psi.coeffs), assume_a="her")
+    dual = power_transform(psi, -1.0, tol=tol).coeffs
     return VectorFamily(dual, label=f"dual({psi.label})" if psi.label else "dual")
 
 
@@ -204,15 +203,12 @@ def power_transform(phi: VectorFamily, alpha: float,
     alpha = -1/2 orthonormalizes a Riesz basis; alpha = -1 gives the
     canonical dual.
     """
-    s = frame_operator(phi)
-    w = linalg.hermitian_eig(s).eigenvalues
-    if w[0] <= tol:
-        raise NotAFrameError(
-            f"lower frame bound {max(float(w[0]), 0.0):.3e} <= {tol:.0e}"
-        )
-    p = linalg.matrix_power(s, alpha)
+    dec = frame_spectrum(phi)
+    lower = float(dec.eigenvalues[0])
+    if lower <= tol:
+        raise NotAFrameError(f"lower frame bound {max(lower, 0.0):.3e} <= {tol:.0e}")
     lab = f"S^{alpha:g}({phi.label})" if phi.label else f"S^{alpha:g}"
-    return VectorFamily(p @ phi.coeffs, label=lab)
+    return VectorFamily(dec.power(alpha) @ phi.coeffs, label=lab)
 
 
 def vector_pnorm(v, p) -> float:

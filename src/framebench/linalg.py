@@ -13,6 +13,7 @@ exactly the same order — the duality identity then holds bit for bit.
 
 from dataclasses import dataclass
 import math
+from typing import Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -77,6 +78,21 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
+    def power(self, alpha: float) -> np.ndarray:
+        """A^alpha = V diag(w**alpha) V^H of a positive definite matrix.
+
+        Raises ``NotPositiveDefiniteError`` when the smallest eigenvalue is
+        at or below ``TOL_PD`` — fractional powers need the spectrum
+        strictly inside the right half line.
+        """
+        w = self.eigenvalues
+        if w[0] <= TOL_PD:
+            raise NotPositiveDefiniteError(
+                f"smallest eigenvalue {w[0]:.3e} <= tol_pd = {TOL_PD:.0e}"
+            )
+        v = self.eigenvectors
+        return (v * np.power(w, alpha)) @ v.conj().T
+
 
 def hermitian_eig(a) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
@@ -95,21 +111,9 @@ def hermitian_eig(a) -> SpectralDecomposition:
 
 
 def matrix_power(a, alpha: float) -> np.ndarray:
-    """Fractional power A^alpha of a Hermitian positive definite matrix.
-
-    Computed spectrally as V diag(w**alpha) V^H.  Raises
-    ``NotPositiveDefiniteError`` when the smallest eigenvalue is at or below
-    ``TOL_PD`` — fractional powers need the spectrum strictly inside the
-    right half line.
-    """
-    dec = hermitian_eig(a)
-    w = dec.eigenvalues
-    if w[0] <= TOL_PD:
-        raise NotPositiveDefiniteError(
-            f"smallest eigenvalue {w[0]:.3e} <= tol_pd = {TOL_PD:.0e}"
-        )
-    v = dec.eigenvectors
-    return (v * np.power(w, alpha)) @ v.conj().T
+    """Fractional power A^alpha of a Hermitian positive definite matrix
+    (see ``SpectralDecomposition.power``)."""
+    return hermitian_eig(a).power(alpha)
 
 
 def _abs_sum(vec) -> float:
@@ -144,16 +148,28 @@ def condition_p(a, p) -> float:
     m = as_matrix(a)
     _require_square(m)
     sv = sla.svdvals(m)
-    smax, smin = float(sv[0]), float(sv[-1])
-    if smin <= TOL_SING * smax:
-        return math.inf
     if p == 2:
-        return smax / smin
+        return math.inf if sv[-1] <= TOL_SING * sv[0] else float(sv[0] / sv[-1])
+    return condition_1_inf(m, sv)[0 if p == 1 else 1]
+
+
+def condition_1_inf(a, singular_values) -> Tuple[float, float]:
+    """``condition_p`` for p = 1 and p = inf from one inverse of A.
+
+    ``singular_values`` are those of A in any order; a Hermitian matrix may
+    pass its eigenvalues, whose moduli are its singular values.
+    """
+    m = as_matrix(a)
+    _require_square(m)
+    sv = np.abs(np.asarray(singular_values, dtype=float))
+    if sv.min() <= TOL_SING * sv.max():
+        return math.inf, math.inf
     try:
         inv = sla.inv(m)
     except sla.LinAlgError as exc:
         raise NumericalFailureError(f"inversion failed: {exc}") from exc
-    return pnorm_operator(m, p) * pnorm_operator(inv, p)
+    return (pnorm_operator(m, 1) * pnorm_operator(inv, 1),
+            pnorm_operator(m, math.inf) * pnorm_operator(inv, math.inf))
 
 
 @dataclass(frozen=True)
@@ -169,13 +185,24 @@ class GainBracket:
     upper: float
 
 
+def gain_probe(a, p) -> float:
+    """Upper bound on the smallest p-norm gain, p in {1, inf}, from probing
+    with the coordinate unit vectors: min_j ||A e_j||_p."""
+    if p not in (1, math.inf):
+        raise ValueError(f"gain probe norm index must be 1 or inf, got {p!r}")
+    m = as_matrix(a)
+    if p == 1:
+        return min(_abs_sum(m[:, j]) for j in range(m.shape[1]))
+    return float(np.min(np.abs(m).max(axis=0)))
+
+
 def smallest_gain(a, p) -> GainBracket:
     """Bracket the smallest gain inf ||Ax||_p over unit-p-norm vectors x.
 
     p=2: exact, both ends equal sigma_min (0 when there are more columns
     than rows — the map then has a nullspace).  p in {1, inf}: the certified
-    lower bound is sigma_min / sqrt(rows*cols) and the upper bound comes
-    from probing with the coordinate unit vectors.
+    lower bound is sigma_min / sqrt(rows*cols) and the upper bound is
+    ``gain_probe``.
     """
     _check_norm_index(p)
     m = as_matrix(a)
@@ -186,10 +213,5 @@ def smallest_gain(a, p) -> GainBracket:
         smin = float(sla.svdvals(m)[-1])
     if p == 2:
         return GainBracket(lower=smin, upper=smin)
-    absm = np.abs(m)
-    if p == 1:
-        probe = min(_abs_sum(m[:, j]) for j in range(cols))
-    else:
-        probe = float(np.min(absm.max(axis=0)))
     lower = smin / math.sqrt(rows * cols)
-    return GainBracket(lower=lower, upper=probe)
+    return GainBracket(lower=lower, upper=gain_probe(m, p))

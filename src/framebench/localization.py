@@ -90,8 +90,10 @@ class WeightSpec:
         if form == "polynomial":
             return cls(form="polynomial", delta=float(obj.get("delta", 1.0)),
                        scale=float(obj.get("scale", 1.0)))
-        return cls(form="subexponential", rate=float(obj.get("rate", 0.0)),
-                   power=float(obj.get("power", 0.5)))
+        if form == "subexponential":
+            return cls(form="subexponential", rate=float(obj.get("rate", 0.0)),
+                       power=float(obj.get("power", 0.5)))
+        raise ValueError(f"unknown weight form {form!r}")
 
 
 @dataclass(frozen=True)

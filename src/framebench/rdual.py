@@ -35,7 +35,7 @@ from .localization import (
 )
 
 
-def _check_rdual_inputs(psi: VectorFamily, phi: VectorFamily, tol: float):
+def _check_index_sets(psi: VectorFamily, phi: VectorFamily):
     if psi.ambient_dim != phi.ambient_dim:
         raise DimensionMismatchError(
             f"ambient dims differ: {psi.ambient_dim} vs {phi.ambient_dim}"
@@ -45,16 +45,35 @@ def _check_rdual_inputs(psi: VectorFamily, phi: VectorFamily, tol: float):
             "families must share one index set: "
             f"{psi.member_count} vs {phi.member_count} members"
         )
+
+
+def _check_rdual_inputs(psi: VectorFamily, phi: VectorFamily,
+                        tol: float) -> linalg.SpectralDecomposition:
+    _check_index_sets(psi, phi)
     if phi.member_count != phi.ambient_dim:
         raise NotRieszBasisError(
             f"reference family is {phi.ambient_dim}x{phi.member_count}, "
             "a Riesz basis at this truncation must be square"
         )
-    lower = frames.riesz_bounds(phi).lower
+    spectrum = frames.frame_spectrum(phi)
+    # For a square family the frame operator and the Gram share their
+    # spectrum, so its smallest eigenvalue is the lower Riesz bound.
+    lower = max(float(spectrum.eigenvalues[0]), 0.0)
     if lower <= tol:
         raise NotRieszBasisError(
             f"reference lower Riesz bound {lower:.3e} <= {tol:.0e}"
         )
+    return spectrum
+
+
+def companion(psi: VectorFamily, phi: VectorFamily,
+              spectrum: linalg.SpectralDecomposition) -> VectorFamily:
+    """``rdual`` given ``frames.frame_spectrum(phi)`` of a checked reference."""
+    _check_index_sets(psi, phi)
+    gamma = spectrum.power(-0.5) @ phi.coeffs
+    omega = gamma @ frames.cross_gram(phi, psi).T
+    lab = f"rdual({psi.label})" if psi.label else "rdual"
+    return VectorFamily(omega, label=lab)
 
 
 def rdual(psi: VectorFamily, phi: VectorFamily,
@@ -65,11 +84,7 @@ def rdual(psi: VectorFamily, phi: VectorFamily,
     of the orthonormalized reference S_phi^{-1/2} phi.  Zero members of
     ``psi`` are allowed and simply produce zero columns.
     """
-    _check_rdual_inputs(psi, phi, tol)
-    gamma = frames.power_transform(phi, -0.5, tol=tol)
-    omega = gamma.coeffs @ frames.cross_gram(phi, psi).T
-    lab = f"rdual({psi.label})" if psi.label else "rdual"
-    return VectorFamily(omega, label=lab)
+    return companion(psi, phi, _check_rdual_inputs(psi, phi, tol))
 
 
 def rdual_gram(psi: VectorFamily, phi: VectorFamily,
@@ -166,14 +181,15 @@ def verify_rdual_localization(family_gen: FamilyPairGen,
     n_ref, n_dual, n_self, resid = [], [], [], []
     for size in ladder:
         psi, phi = family_gen(size)
-        omega = rdual(psi, phi, tol=tol)
-        dual = frames.canonical_dual(phi, tol=tol)
+        spectrum = _check_rdual_inputs(psi, phi, tol)
+        omega = companion(psi, phi, spectrum)
+        dual = spectrum.power(-1.0) @ phi.coeffs
         g_omega_phi = frames.cross_gram(omega, phi)
         n_ref.append(profile.norm(g_omega_phi))
-        n_dual.append(profile.norm(frames.cross_gram(omega, dual)))
+        n_dual.append(profile.norm(omega.coeffs.conj().T @ dual))
         n_self.append(profile.norm(frames.gram(omega)))
-        quarter = frames.power_transform(phi, -0.25, tol=tol)
-        factor = frames.cross_gram(psi, phi).T @ frames.gram(quarter)
+        quarter = spectrum.power(-0.25) @ phi.coeffs
+        factor = frames.cross_gram(psi, phi).T @ (quarter.conj().T @ quarter)
         resid.append((size, linalg.pnorm_operator(g_omega_phi - factor, 2)))
     return RdualLocalizationReport(
         omega_vs_reference=decay_report(profile, ladder.sizes, n_ref),

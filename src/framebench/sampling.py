@@ -29,16 +29,10 @@ from .errors import (
     QuadratureFailureError,
 )
 from .frames import TruncationLadder
+from .ladder import LADDER_DECAY_FACTOR, VERDICT_PASS, Witness, consensus, verdicts_agree
 
 QUAD_TOL = 1e-10
 SEP_MIN = 1e-6
-
-VERDICT_PASS = "pass"
-VERDICT_FAIL = "fail"
-VERDICT_BORDERLINE = "borderline"
-
-#: A witness may degrade by at most this factor from first to last window.
-LADDER_DECAY_FACTOR = 4.0
 
 
 def bspline_eval(degree: int, t):
@@ -349,33 +343,6 @@ def shift_gram(g: Generator, window: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SamplingItem:
-    """One stability item: ladder quantities and its verdict."""
-
-    item_id: str
-    statement: str
-    proxy_note: str
-    quantities: Tuple[Tuple[int, float], ...]
-    verdict: str
-    kind: str  # "gain" or "condition"
-
-    def final(self) -> float:
-        return self.quantities[-1][1]
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.item_id,
-            "quote": self.statement,
-            "proxy_note": self.proxy_note,
-            "quantities": [
-                [int(s), "singular" if math.isinf(v) else float(v)]
-                for s, v in self.quantities
-            ],
-            "verdict": self.verdict,
-        }
-
-
-@dataclass(frozen=True)
 class SamplingReport:
     """Stable-sampling verdict with per-item ladders.
 
@@ -385,7 +352,7 @@ class SamplingReport:
     in the 1-, max- and 2-norm.
     """
 
-    items: Tuple[SamplingItem, ...]
+    items: Tuple[Witness, ...]
     stable: bool
     consistent: bool
     ladder: Tuple[int, ...]
@@ -394,9 +361,9 @@ class SamplingReport:
     generator_continuous: bool
     note: str
 
-    def item(self, item_id: str) -> SamplingItem:
+    def item(self, item_id: str) -> Witness:
         for it in self.items:
-            if it.item_id == item_id:
+            if it.id == item_id:
                 return it
         raise KeyError(item_id)
 
@@ -414,7 +381,7 @@ class SamplingReport:
 
     def witness_csv(self) -> str:
         """CSV table (size, witness per item) for plotting."""
-        header = "size," + ",".join(f"item_{it.item_id}" for it in self.items)
+        header = "size," + ",".join(f"item_{it.id}" for it in self.items)
         lines = [header]
         for idx, size in enumerate(self.ladder):
             cells = [str(size)]
@@ -438,29 +405,6 @@ PROXY_DISCLAIMER = (
     f"more than a factor of {LADDER_DECAY_FACTOR:g} across the window ladder "
     "fails its uniformity proxy"
 )
-
-
-def _gain_verdict(values, tol) -> str:
-    final = values[-1]
-    if final < tol:
-        return VERDICT_FAIL
-    if final <= 10 * tol:
-        return VERDICT_BORDERLINE
-    if values[0] > final * LADDER_DECAY_FACTOR:
-        return VERDICT_FAIL
-    return VERDICT_PASS
-
-
-def _condition_verdict(values, tol) -> str:
-    final = values[-1]
-    rcond = 0.0 if math.isinf(final) else 1.0 / final
-    if rcond < tol:
-        return VERDICT_FAIL
-    if rcond <= 10 * tol:
-        return VERDICT_BORDERLINE
-    if math.isinf(values[0]) or final > values[0] * LADDER_DECAY_FACTOR:
-        return VERDICT_FAIL
-    return VERDICT_PASS
 
 
 def generator_suitability(g: Generator, probe_window: int = 64,
@@ -514,10 +458,13 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
         gi = gw[interior, interior]
         shift = shift_gram(g, size)[interior, interior]
 
+        # gi is Hermitian: the moduli of its eigenvalues are its singular
+        # values, so item (e)'s eigh also gives the singular flag of (c)/(d).
         lam = linalg.hermitian_eig(gi).eigenvalues
         q["e"].append(max(float(lam[0]), 0.0))
-        q["c"].append(linalg.condition_p(gi, 1))
-        q["d"].append(linalg.condition_p(gi, math.inf))
+        cond1, cond_inf = linalg.condition_1_inf(gi, lam)
+        q["c"].append(cond1)
+        q["d"].append(cond_inf)
 
         gen = sla.eigh(gi, shift, eigvals_only=True)
         lo, hi = max(float(gen[0]), 0.0), float(gen[-1])
@@ -531,38 +478,26 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
         "d": "interior max-norm condition number",
         "e": "interior smallest eigenvalue",
     }
-    items = {}
-    for key in ("a", "e"):
-        items[key] = SamplingItem(
-            item_id=key, statement=_ITEM_STATEMENTS[key], proxy_note=notes[key],
-            quantities=tuple((int(s), float(v)) for s, v in zip(ladder.sizes, q[key])),
-            verdict=_gain_verdict(q[key], tol), kind="gain",
-        )
-    for key in ("c", "d"):
-        items[key] = SamplingItem(
-            item_id=key, statement=_ITEM_STATEMENTS[key], proxy_note=notes[key],
-            quantities=tuple((int(s), float(v)) for s, v in zip(ladder.sizes, q[key])),
-            verdict=_condition_verdict(q[key], tol), kind="condition",
-        )
+    items = {
+        key: Witness.from_ladder(key, _ITEM_STATEMENTS[key], notes[key],
+                                 ladder.sizes, q[key],
+                                 "gain" if key in "ae" else "condition", tol)
+        for key in "acde"
+    }
 
-    computed = [items[k].verdict for k in ("a", "c", "d", "e")]
-    decided = [v for v in computed if v != VERDICT_BORDERLINE]
-    consistent = len(set(decided)) <= 1
-    consensus = decided[0] if decided and consistent else VERDICT_BORDERLINE
-    items["b"] = SamplingItem(
-        item_id="b", statement=_ITEM_STATEMENTS["b"],
+    computed = [items[k].verdict for k in "acde"]
+    items["b"] = Witness(
+        id="b", statement=_ITEM_STATEMENTS["b"],
         proxy_note="duality-derived: carries the consensus verdict of the "
                    "computed items and is never asserted independently",
         quantities=items["e"].quantities,
-        verdict=consensus, kind="gain",
+        verdict=consensus(computed), kind="gain",
     )
 
-    ordered = tuple(items[k] for k in ("a", "b", "c", "d", "e"))
-    stable = bool(decided) and all(v == VERDICT_PASS for v in computed)
     return SamplingReport(
-        items=ordered,
-        stable=stable,
-        consistent=consistent,
+        items=tuple(items[k] for k in "abcde"),
+        stable=all(v == VERDICT_PASS for v in computed),
+        consistent=verdicts_agree(computed),
         ladder=ladder.sizes,
         trim=trim,
         direct_bounds=tuple(bounds_ladder),

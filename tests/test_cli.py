@@ -1,13 +1,14 @@
 """CLI contract tests: configs in, reports out, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from framebench import equivalence, frames
+from framebench import cli, equivalence, frames
 from framebench.frames import VectorFamily
 
 
@@ -112,6 +113,33 @@ def test_bad_fixture_size_exits_2(tmp_path):
     write_json(cfg, {"sizes": [0]})
     res = run_cli("fixtures", "--config", str(cfg), "--out", str(tmp_path / "d"))
     assert res.returncode == 2
+
+
+JAFFARD = {"kind": "jaffard", "s": 2.0}
+
+
+@pytest.mark.parametrize("profile, extra", [
+    (JAFFARD, ["--ladder", ","]),
+    ({"kind": "schur", "weight": {"form": "gaussian"}}, []),
+    (JAFFARD, ["--tol-frame", "nan"]),
+    (JAFFARD, ["--tol-frame", "inf"]),
+    (JAFFARD, ["--tol-frame", "-1"]),
+], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative"])
+def test_bad_battery_input_exits_2_without_output(tmp_path, profile, extra):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"family": {"kind": "onb"}, "profile": profile,
+                     "ladder": [4, 8, 16]})
+    res = run_cli("battery", "--config", str(cfg),
+                  "--out", str(tmp_path / "x.json"), *extra)
+    assert res.returncode == 2, res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_unserializable_report_leaves_no_file(tmp_path):
+    out = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        cli._write_json(str(out), {"lower": math.nan})
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Battery tests: the three canonical generators, verdict rules, duality
 symmetry, borderline handling, and the coordinate-norm equivalence check."""
 
+from collections import Counter
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from framebench import equivalence, frames, linalg
+from framebench import equivalence, frames, linalg, rdual
 from framebench.equivalence import (
     coorbit_equivalence_check,
     counterexample_family,
@@ -65,6 +66,69 @@ def test_battery_perturbed_onb_neumann_bound():
     for _n, v in rep.witness(1).quantities:
         assert v >= (1 - eps) ** 2 - 1e-12
     assert rep.seed == 5
+
+
+# --------------------------------------------------------------------------
+# non-orthogonal reference: the shared factorizations against the plain path
+# --------------------------------------------------------------------------
+
+def toeplitz_pair(n, theta=0.7, seed=4):
+    """psi = (I + E) T over the Hermitian tridiagonal Toeplitz reference
+    T = I + 0.2 (e^{i theta} L + e^{-i theta} L^H), L the lower shift."""
+    off = np.full(n - 1, 0.2 * np.exp(1j * theta))
+    t = np.eye(n, dtype=complex) + np.diag(off, -1) + np.diag(off.conj(), 1)
+    psi, _ = perturbed_onb_family(n, 0.3, seed=seed)
+    return VectorFamily(psi.coeffs @ t), VectorFamily(t)
+
+
+def plain_witnesses(psi, phi):
+    """The ten witnesses at one size, each from its own per-function call."""
+    omega = rdual.rdual(psi, phi)
+    dual = frames.canonical_dual(phi)
+    coord = dual.coeffs.conj().T @ frames.frame_operator(psi) @ phi.coeffs
+    g_omega = frames.gram(omega)
+    gain4 = linalg.smallest_gain(frames.cross_gram(psi, phi), math.inf).upper
+    gain6 = linalg.smallest_gain(frames.cross_gram(dual, omega), math.inf).upper
+    return [frames.riesz_bounds(psi).lower,  # psi is square: same spectrum as S_psi
+            linalg.condition_p(coord, 1), linalg.condition_p(coord, math.inf),
+            gain4, gain4, gain6, gain6,
+            linalg.condition_p(g_omega, 1), linalg.condition_p(g_omega, math.inf),
+            frames.riesz_bounds(omega).lower]
+
+
+def test_battery_non_orthogonal_reference_matches_plain_path():
+    rep = run_battery(toeplitz_pair, PROFILE, LADDER)
+    assert rep.consistent
+    assert all(w.verdict == "pass" for w in rep.witnesses)
+    for idx, size in enumerate(LADDER.sizes):
+        expected = plain_witnesses(*toeplitz_pair(size))
+        got = [w.quantities[idx][1] for w in rep.witnesses]
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0), size
+    # the reference side is real work here: coordinate and companion
+    # condition numbers no longer coincide as they do over an ONB
+    assert rep.witness(2).quantities != rep.witness(8).quantities
+
+
+def test_battery_factorization_budget(monkeypatch):
+    ladder = TruncationLadder((8, 16, 32))
+    pairs = {n: toeplitz_pair(n) for n in ladder}
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    for name in ("eigh", "svdvals", "inv", "solve"):
+        monkeypatch.setattr(sla, name, counting(f"sla.{name}", getattr(sla, name)))
+    run_battery(counting("family_gen", pairs.__getitem__), PROFILE, ladder)
+    # per size: eigh of S_phi, S_psi and the companion Gram; one SVD and
+    # one inverse of the coordinate matrix; one inverse of the companion Gram
+    n = len(ladder.sizes)
+    assert counts == Counter({"family_gen": n, "eigh": 3 * n,
+                              "sla.svdvals": n, "sla.inv": 2 * n})
 
 
 # --------------------------------------------------------------------------

@@ -309,6 +309,20 @@ def test_verdict_direct_bounds_bracket_symbol_ratio():
     assert abs(final_hi - hi_limit) <= 2e-2 * hi_limit
 
 
+@pytest.mark.parametrize("x", [SamplingSet.seeded_uniform(0.2, seed=3),
+                               SamplingSet.constant(0.5)])
+def test_verdict_items_cde_match_plain_path(x):
+    ladder = TruncationLadder((32, 64, 128))
+    rep = stable_sampling_verdict(CUBIC, x, ladder)
+    for idx, size in enumerate(ladder.sizes):
+        interior = slice(rep.trim, size - rep.trim)
+        gi = autocorrelation_gram(CUBIC, x, size)[interior, interior]
+        expected = [linalg.condition_p(gi, 1), linalg.condition_p(gi, math.inf),
+                    max(float(linalg.hermitian_eig(gi).eigenvalues[0]), 0.0)]
+        got = [rep.item(k).quantities[idx][1] for k in "cde"]
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0), size
+
+
 def test_verdict_trim_guard():
     with pytest.raises(LadderTooShortError):
         stable_sampling_verdict(CUBIC, SamplingSet.constant(0.0),
