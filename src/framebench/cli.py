@@ -27,7 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, equivalence, frames, linalg, localization, rdual, sampling
-from .errors import FramebenchError, InsufficientDataError, LadderTooShortError
+from .errors import (
+    BadExponentError,
+    FramebenchError,
+    InsufficientDataError,
+    LadderTooShortError,
+)
 from .ladder import LADDER_DECAY_FACTOR
 
 EXIT_OK = 0
@@ -104,7 +109,7 @@ def _load_family(config: dict, key: str) -> frames.VectorFamily:
 def _profile(config: dict) -> localization.LocalizationProfile:
     try:
         return localization.LocalizationProfile.from_json(config.get("profile", {}))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, BadExponentError) as exc:
         raise InputError(f"bad localization profile: {exc}") from exc
 
 
@@ -151,7 +156,7 @@ def cmd_rdual(config, out, seed, tol_frame, ladder_override):
     psi = _load_family(config, "psi")
     phi = _load_family(config, "phi")
     omega = rdual.rdual(psi, phi, tol=tol_frame)
-    duality = rdual.verify_rdual_duality(psi, phi, tol=tol_frame)
+    duality = rdual.duality_verdict(psi, omega, tol_frame)
     gm = frames.gram(omega)
     report = {
         "meta": _meta("rdual", config, seed, tol_frame),

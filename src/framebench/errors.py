@@ -62,12 +62,6 @@ class NotSeparatedError(FramebenchError):
     """Two sampling points closer than the separation threshold."""
 
 
-class QuadratureFailureError(FramebenchError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-    exit_code = 3  # numerical failure
-
-
 class GeneratorUnsuitableError(FramebenchError):
     """Generator fails the decay or stable-shifts requirements."""
 

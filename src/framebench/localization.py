@@ -125,9 +125,10 @@ class LocalizationProfile:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LocalizationProfile":
-        if obj.get("kind") == "schur":
+        kind = obj.get("kind", "jaffard")
+        if kind == "schur":
             return cls(kind="schur", weight=WeightSpec.from_json(obj.get("weight", {})))
-        return cls(kind="jaffard", s=float(obj.get("s", 2.0)))
+        return cls(kind=kind, s=float(obj.get("s", 2.0)))
 
 
 @dataclass(frozen=True)

@@ -123,8 +123,14 @@ def verify_rdual_duality(psi: VectorFamily, phi: VectorFamily,
     signals borderline conditioning and is reported, not raised.  Runs whose
     lower bound falls inside [tol, 10 tol] are flagged borderline.
     """
+    return duality_verdict(psi, rdual(psi, phi, tol=tol), tol)
+
+
+def duality_verdict(psi: VectorFamily, omega: VectorFamily,
+                    tol: float) -> RdualDualityReport:
+    """``verify_rdual_duality`` given the companion ``omega`` of ``psi``."""
     frame_lower = frames.frame_bounds(psi).lower
-    riesz_lower = frames.riesz_bounds(rdual(psi, phi, tol=tol)).lower
+    riesz_lower = frames.riesz_bounds(omega).lower
     frame_verdict = frame_lower > tol
     riesz_verdict = riesz_lower > tol
     borderline = any(tol <= b <= 10 * tol for b in (frame_lower, riesz_lower))

@@ -17,7 +17,6 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg as sla
 
 from . import frames, linalg
@@ -26,12 +25,10 @@ from .errors import (
     LadderTooShortError,
     NotSeparatedError,
     PerturbationViolationError,
-    QuadratureFailureError,
 )
 from .frames import TruncationLadder
 from .ladder import LADDER_DECAY_FACTOR, VERDICT_PASS, Witness, consensus, verdicts_agree
 
-QUAD_TOL = 1e-10
 SEP_MIN = 1e-6
 
 
@@ -141,8 +138,11 @@ class Generator:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Generator":
-        if obj.get("kind", "bspline") == "bspline":
+        kind = obj.get("kind", "bspline")
+        if kind == "bspline":
             return cls(kind="bspline", degree=int(obj.get("degree", 3)))
+        if kind != "tabulated":
+            raise ValueError(f"unknown generator kind {kind!r}")
         payload = obj.get("grid", obj)  # nested form is canonical, flat accepted
         raw = np.asarray(payload["samples"])
         samples = (np.array([complex(re, im) for re, im in raw])
@@ -266,7 +266,9 @@ class SamplingSet:
             return cls.constant(float(obj.get("value", 0.0)))
         if kind == "seeded-uniform":
             return cls.seeded_uniform(float(obj["bound"]), int(obj.get("seed", 0)))
-        return cls.from_deltas(obj["deltas"], obj.get("bound"))
+        if kind == "explicit":
+            return cls.from_deltas(obj["deltas"], obj.get("bound"))
+        raise ValueError(f"unknown sampling rule {kind!r}")
 
 
 def sampling_matrix(g: Generator, x: SamplingSet, window: int) -> np.ndarray:
@@ -305,38 +307,25 @@ def shift_gram(g: Generator, window: int) -> np.ndarray:
 
     Entry (k, l) is the L2 inner product of the shifts by l and by k, a
     Hermitian Toeplitz matrix.  B-splines use the exact closed form;
-    tabulated generators go through adaptive quadrature at ``QUAD_TOL``.
+    tabulated generators are integrated exactly, cell by cell between the
+    merged breakpoints of the two linear interpolants.
     """
-    offsets = np.arange(window, dtype=float)
     if g.kind == "bspline":
-        row = _bspline_shift_row(g.degree, offsets)
+        row = _bspline_shift_row(g.degree, np.arange(window, dtype=float))
         return sla.toeplitz(row).astype(complex)
-    row = np.empty(window, dtype=complex)
+    grid = g._grid()
     radius = g.support_radius
-    for idx, off in enumerate(offsets):
-        if off > 2 * radius:
-            row[idx] = 0.0
-            continue
-        lo, hi = off - radius, radius
-        if hi <= lo:
-            row[idx] = 0.0
-            continue
-
-        def integrand_re(t, off=off):
-            return (generator_eval(g, t) * np.conj(generator_eval(g, t - off))).real
-
-        def integrand_im(t, off=off):
-            return (generator_eval(g, t) * np.conj(generator_eval(g, t - off))).imag
-
-        re, err_re = scipy.integrate.quad(integrand_re, lo, hi, epsabs=QUAD_TOL,
-                                          limit=200)
-        im, err_im = scipy.integrate.quad(integrand_im, lo, hi, epsabs=QUAD_TOL,
-                                          limit=200)
-        if max(err_re, err_im) > 100 * QUAD_TOL:
-            raise QuadratureFailureError(
-                f"quadrature error {max(err_re, err_im):.3e} at offset {off:g}"
-            )
-        row[idx] = re + 1j * im
+    row = np.zeros(window, dtype=complex)
+    for m in range(min(window, math.ceil(2 * radius))):
+        # On the overlap [m - R, R], g(t) and g(t - m) are both linear between
+        # consecutive merged breakpoints, so their product is a quadratic
+        # there and Simpson's rule integrates it exactly.
+        knots = np.union1d(grid, grid + m)
+        knots = knots[(knots >= m - radius) & (knots <= radius)]
+        pts = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2.0])
+        vals = generator_eval(g, pts) * np.conj(generator_eval(g, pts - m))
+        ends, mids = vals[:knots.size], vals[knots.size:]
+        row[m] = np.sum(np.diff(knots) / 6.0 * (ends[:-1] + 4.0 * mids + ends[1:]))
     # row[m] integrates g(t) conj(g(t - m)); entry (k, l) is row[k - l] on and
     # below the diagonal and conj(row)[l - k] above it.
     return sla.toeplitz(row, np.conj(row))

@@ -116,22 +116,35 @@ def test_bad_fixture_size_exits_2(tmp_path):
 
 
 JAFFARD = {"kind": "jaffard", "s": 2.0}
+BATTERY = {"family": {"kind": "onb"}, "profile": JAFFARD, "ladder": [4, 8, 16]}
+SAMPLING = {"generator": {"kind": "bspline", "degree": 3},
+            "delta_rule": {"kind": "constant", "value": 0.0}, "ladder": [32, 64]}
 
 
-@pytest.mark.parametrize("profile, extra", [
-    (JAFFARD, ["--ladder", ","]),
-    ({"kind": "schur", "weight": {"form": "gaussian"}}, []),
-    (JAFFARD, ["--tol-frame", "nan"]),
-    (JAFFARD, ["--tol-frame", "inf"]),
-    (JAFFARD, ["--tol-frame", "-1"]),
-], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative"])
-def test_bad_battery_input_exits_2_without_output(tmp_path, profile, extra):
+@pytest.mark.parametrize("command, config, extra, named", [
+    ("battery", BATTERY, ["--ladder", ","], "[]"),
+    ("battery", {**BATTERY, "profile": {"kind": "schur",
+                                        "weight": {"form": "gaussian"}}}, [], "'gaussian'"),
+    ("battery", BATTERY, ["--tol-frame", "nan"], "'nan'"),
+    ("battery", BATTERY, ["--tol-frame", "inf"], "'inf'"),
+    ("battery", BATTERY, ["--tol-frame", "-1"], "'-1'"),
+    ("battery", {**BATTERY, "profile": {"kind": "bogus"}}, [], "'bogus'"),
+    ("battery", {**BATTERY, "profile": {"kind": "jaffard", "s": 0.5}}, [], "0.5"),
+    ("battery", {**BATTERY, "profile": {"kind": "schur", "weight": {"delta": -1}}},
+     [], "-1.0"),
+    ("sampling", {**SAMPLING, "generator": {"kind": "wavelet"}}, [], "'wavelet'"),
+    ("sampling", {**SAMPLING, "delta_rule": {"kind": "poisson"}}, [], "'poisson'"),
+], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative",
+        "unknown-profile-kind", "jaffard-s-below-1", "schur-delta-negative",
+        "unknown-generator-kind", "unknown-delta-rule"])
+def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, extra,
+                                                  named):
     cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"family": {"kind": "onb"}, "profile": profile,
-                     "ladder": [4, 8, 16]})
-    res = run_cli("battery", "--config", str(cfg),
+    write_json(cfg, config)
+    res = run_cli(command, "--config", str(cfg),
                   "--out", str(tmp_path / "x.json"), *extra)
     assert res.returncode == 2, res.stderr
+    assert named in res.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 

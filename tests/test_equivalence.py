@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from framebench import equivalence, frames, linalg, rdual
+from framebench import cli, equivalence, frames, linalg, rdual
 from framebench.equivalence import (
     coorbit_equivalence_check,
     counterexample_family,
@@ -109,26 +109,44 @@ def test_battery_non_orthogonal_reference_matches_plain_path():
     assert rep.witness(2).quantities != rep.witness(8).quantities
 
 
+def counted(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def count_factorizations(monkeypatch):
+    """Counter of the dense factorizations made from here to the test's end."""
+    counts = Counter()
+    monkeypatch.setattr(np.linalg, "eigh", counted(counts, "eigh", np.linalg.eigh))
+    for name in ("eigh", "svdvals", "inv", "solve"):
+        monkeypatch.setattr(sla, name,
+                            counted(counts, f"sla.{name}", getattr(sla, name)))
+    return counts
+
+
 def test_battery_factorization_budget(monkeypatch):
     ladder = TruncationLadder((8, 16, 32))
     pairs = {n: toeplitz_pair(n) for n in ladder}
-    counts = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-    for name in ("eigh", "svdvals", "inv", "solve"):
-        monkeypatch.setattr(sla, name, counting(f"sla.{name}", getattr(sla, name)))
-    run_battery(counting("family_gen", pairs.__getitem__), PROFILE, ladder)
+    factorizations = count_factorizations(monkeypatch)
+    run_battery(counted(factorizations, "family_gen", pairs.__getitem__),
+                PROFILE, ladder)
     # per size: eigh of S_phi, S_psi and the companion Gram; one SVD and
     # one inverse of the coordinate matrix; one inverse of the companion Gram
     n = len(ladder.sizes)
-    assert counts == Counter({"family_gen": n, "eigh": 3 * n,
-                              "sla.svdvals": n, "sla.inv": 2 * n})
+    assert factorizations == Counter({"family_gen": n, "eigh": 3 * n,
+                                      "sla.svdvals": n, "sla.inv": 2 * n})
+
+
+def test_rdual_command_factorization_budget(monkeypatch, tmp_path):
+    psi, phi = toeplitz_pair(32)
+    factorizations = count_factorizations(monkeypatch)
+    cli.cmd_rdual({"psi": psi.to_json(), "phi": phi.to_json()},
+                  str(tmp_path / "rdual.json"), None, frames.TOL_FRAME, None)
+    # eigh of S_phi for the companion, of S_psi for the frame bound and of
+    # the companion Gram for the Riesz bound
+    assert factorizations == Counter({"eigh": 3})
 
 
 # --------------------------------------------------------------------------

@@ -5,12 +5,16 @@ exact piecewise-polynomial shift inner products, the Fourier-symbol minimum
 on a dense frequency grid, and the frame-coordinate Riesz-dual route.
 """
 
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from framebench import frames, linalg, sampling
+from framebench import cli, frames, linalg, sampling
 from framebench.errors import (
     GeneratorUnsuitableError,
     LadderTooShortError,
@@ -235,14 +239,50 @@ def test_shift_gram_hat_exact():
     assert np.allclose(np.diag(g, k=2), 0.0)
 
 
-def test_shift_gram_tabulated_quadrature_matches_closed_form():
+def test_shift_gram_tabulated_matches_closed_form():
     # the hat is reproduced exactly by linear interpolation on a half-integer
-    # grid, so the quadrature route must hit the closed form to QUAD_TOL
+    # grid, so the tabulated route must hit the closed form to rounding
     grid_vals = bspline_eval(1, (np.arange(9) - 4) * 0.5)
     tab = Generator(kind="tabulated", samples=grid_vals, step=0.5, decay_s=2.0)
-    g_quad = shift_gram(tab, 5)
+    g_tab = shift_gram(tab, 5)
     g_exact = shift_gram(HAT, 5)
-    assert np.allclose(g_quad, g_exact, atol=1e-9)
+    assert np.allclose(g_tab, g_exact, rtol=0.0, atol=1e-14)
+
+
+def test_shift_gram_tabulated_complex_matches_closed_form():
+    # g(t) = hat(t) + i hat(t - 1/2); the hat autocorrelation is the cubic
+    # B-spline B3, so row m is 2 B3(m) + i (B3(m - 1/2) - B3(m + 1/2))
+    x = (np.arange(13) - 6) * 0.5
+    samples = bspline_eval(1, x) + 1j * bspline_eval(1, x - 0.5)
+    tab = Generator(kind="tabulated", samples=samples, step=0.5, decay_s=2.0)
+    m = np.arange(8.0)
+    row = 2.0 * bspline_eval(3, m) + 1j * (bspline_eval(3, m - 0.5)
+                                           - bspline_eval(3, m + 0.5))
+    expected = sla.toeplitz(row, np.conj(row))
+    assert np.allclose(shift_gram(tab, 8), expected, rtol=0.0, atol=1e-14)
+
+
+def test_shift_gram_tabulated_cubic_converges_at_second_order():
+    # linear interpolation of the cubic B-spline is accurate to O(step^2),
+    # and the exact Gram of the interpolant inherits that rate
+    errors = []
+    for step in (0.2, 0.1, 0.05, 0.025):
+        n = int(round(4.0 / step)) + 1
+        grid = (np.arange(n) - n // 2) * step
+        tab = Generator(kind="tabulated", samples=bspline_eval(3, grid), step=step,
+                        decay_s=2.0)
+        errors.append(float(np.max(np.abs(shift_gram(tab, 8) - shift_gram(CUBIC, 8)))))
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    assert all(3.8 <= r <= 4.2 for r in ratios), (errors, ratios)
+    assert errors[-1] < 1e-4
+
+
+def test_import_does_not_load_scipy_integrate():
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import framebench, sys; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 def test_shift_gram_cubic_positive_definite():
@@ -321,6 +361,25 @@ def test_verdict_items_cde_match_plain_path(x):
                     max(float(linalg.hermitian_eig(gi).eigenvalues[0]), 0.0)]
         got = [rep.item(k).quantities[idx][1] for k in "cde"]
         assert np.allclose(got, expected, rtol=1e-12, atol=0.0), size
+
+
+def test_verdict_tabulated_decay_fixture_stable(tmp_path):
+    x = (np.arange(41) - 20) * 0.5
+    decay = Generator(kind="tabulated", samples=(1.0 + np.abs(x)) ** -3.0,
+                      step=0.5, decay_s=2.5)
+    ladder = TruncationLadder((32, 64, 128))
+    for seed in range(8):
+        rep = stable_sampling_verdict(decay, SamplingSet.seeded_uniform(0.2, seed=seed),
+                                      ladder)
+        assert rep.stable and rep.consistent, seed
+    cfg, out = tmp_path / "cfg.json", tmp_path / "rep.json"
+    cfg.write_text(json.dumps({
+        "generator": decay.to_json(),
+        "delta_rule": SamplingSet.seeded_uniform(0.2, seed=0).to_json(),
+        "ladder": list(ladder.sizes)}), encoding="utf-8")
+    assert cli.main(["sampling", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["stable"] is True and rep["consistent"] is True
 
 
 def test_verdict_trim_guard():
