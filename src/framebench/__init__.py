@@ -4,7 +4,8 @@ Submodules
 ----------
 linalg
     Dense complex kernels: Hermitian eigendecomposition, fractional matrix
-    powers, operator p-norms, condition numbers, smallest-gain brackets.
+    powers, row p-norms (``line_norms``) and the operator p-norms built on
+    them, condition numbers, smallest-gain brackets.
 frames
     Vector families against an ambient ONB, Gram matrices, frame/Riesz
     bounds, canonical duals, frame-operator powers, coordinate p-norms.

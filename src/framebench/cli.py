@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__, equivalence, frames, linalg, localization, rdual, sampling
 from .errors import (
     BadExponentError,
+    DimensionMismatchError,
     FramebenchError,
     InsufficientDataError,
     LadderTooShortError,
@@ -94,23 +95,33 @@ def _write_json(path: str, obj: dict):
     _write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
+def _section(what: str, entry, parse):
+    """``parse(entry)`` for one config section.  A section that is not
+    a JSON object, lacks a field or holds a bad value is an ``InputError``
+    that names the section."""
+    if not isinstance(entry, dict):
+        raise InputError(
+            f"bad {what}: expected a JSON object, got {type(entry).__name__}")
+    try:
+        return parse(entry)
+    except KeyError as exc:
+        raise InputError(f"bad {what}: missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, BadExponentError, DimensionMismatchError) as exc:
+        raise InputError(f"bad {what}: {exc}") from exc
+
+
 def _load_family(config: dict, key: str) -> frames.VectorFamily:
     if key not in config:
         raise InputError(f"config is missing the {key!r} entry")
     entry = config[key]
-    try:
-        if isinstance(entry, str):
-            return frames.VectorFamily.from_json(_load_json(entry))
-        return frames.VectorFamily.from_json(entry)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad family under {key!r}: {exc}") from exc
+    if isinstance(entry, str):
+        entry = _load_json(entry)
+    return _section(f"family under {key!r}", entry, frames.VectorFamily.from_json)
 
 
 def _profile(config: dict) -> localization.LocalizationProfile:
-    try:
-        return localization.LocalizationProfile.from_json(config.get("profile", {}))
-    except (TypeError, ValueError, BadExponentError) as exc:
-        raise InputError(f"bad localization profile: {exc}") from exc
+    return _section("localization profile", config.get("profile", {}),
+                    localization.LocalizationProfile.from_json)
 
 
 def _ladder(config: dict, override) -> frames.TruncationLadder:
@@ -170,8 +181,7 @@ def cmd_rdual(config, out, seed, tol_frame, ladder_override):
 _BATTERY_GENERATORS = ("onb", "counterexample", "perturbed-onb", "random")
 
 
-def _battery_generator(config: dict, seed):
-    entry = config.get("family", {})
+def _battery_generator(entry: dict, seed):
     kind = entry.get("kind", "onb")
     if kind == "onb":
         return lambda n: (frames.VectorFamily.onb(n, label="onb"),
@@ -192,13 +202,14 @@ def _battery_generator(config: dict, seed):
             return psi, frames.VectorFamily.onb(n, label="reference-onb")
 
         return gen
-    raise InputError(
+    raise ValueError(
         f"unknown battery family kind {kind!r}; pick one of {_BATTERY_GENERATORS}"
     )
 
 
 def cmd_battery(config, out, seed, tol_frame, ladder_override):
-    family_gen = _battery_generator(config, seed)
+    family_gen = _section("battery family", config.get("family", {}),
+                          lambda entry: _battery_generator(entry, seed))
     profile = _profile(config)
     ladder = _ladder(config, ladder_override)
     report = equivalence.run_battery(family_gen, profile, ladder,
@@ -208,31 +219,18 @@ def cmd_battery(config, out, seed, tol_frame, ladder_override):
     _write_json(out, payload)
 
 
-def _generator(config: dict) -> sampling.Generator:
-    try:
-        return sampling.Generator.from_json(config.get("generator", {}))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad generator config: {exc}") from exc
-
-
 def _sampling_set(config: dict) -> sampling.SamplingSet:
-    if "deltas" in config:
-        deltas = config["deltas"]
-        window = config.get("window")
-        if window is not None and len(deltas) != int(window):
-            raise InputError(
-                f"deltas cover {len(deltas)} points but window is {window}"
-            )
-        return sampling.SamplingSet.from_deltas(deltas, config.get("bound"))
-    rule = config.get("delta_rule", {"kind": "constant", "value": 0.0})
-    try:
-        return sampling.SamplingSet.from_json(rule)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad delta rule: {exc}") from exc
+    if "deltas" in config:  # shorthand for an explicit delta rule
+        rule = {"kind": "explicit", "deltas": config["deltas"],
+                "bound": config.get("bound")}
+    else:
+        rule = config.get("delta_rule", {"kind": "constant", "value": 0.0})
+    return _section("delta rule", rule, sampling.SamplingSet.from_json)
 
 
 def cmd_sampling(config, out, seed, tol_frame, ladder_override):
-    gen = _generator(config)
+    gen = _section("generator config", config.get("generator", {}),
+                   sampling.Generator.from_json)
     sset = _sampling_set(config)
     ladder = _ladder(config, ladder_override)
     report = sampling.stable_sampling_verdict(gen, sset, ladder, tol=tol_frame)

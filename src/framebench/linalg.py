@@ -5,10 +5,11 @@ and are pure: no shared state, safe to call concurrently.  Operator p-norms
 are restricted to p in {1, 2, inf}; those three are what every invertibility
 and gain diagnostic in the package needs.
 
-The 1-norm and the inf-norm are computed with an explicit per-column /
-per-row reduction over contiguous copies so that ``pnorm_operator(A, 1)``
-and ``pnorm_operator(A.conj().T, inf)`` add exactly the same floats in
-exactly the same order — the duality identity then holds bit for bit.
+Every sum of absolute values along a row or a column goes through one
+kernel, ``line_norms``: it reduces each row of a C-contiguous copy of |A|,
+and a column is a row of the transpose.  ``pnorm_operator(A, 1)`` and
+``pnorm_operator(A.conj().T, inf)`` therefore add exactly the same floats
+in exactly the same order, and the duality identity holds bit for bit.
 """
 
 from dataclasses import dataclass
@@ -116,10 +117,22 @@ def matrix_power(a, alpha: float) -> np.ndarray:
     return hermitian_eig(a).power(alpha)
 
 
-def _abs_sum(vec) -> float:
-    # Contiguous copy first: np.add.reduce then walks the same value sequence
-    # regardless of the strides of the slice it came from.
-    return float(np.add.reduce(np.abs(np.ascontiguousarray(vec))))
+def line_norms(a, p) -> np.ndarray:
+    """The p-norm of every row of a 2-D array, p in {1, 2, inf}.
+
+    |a| is written out C-contiguous before each row is reduced along the
+    last axis, so a row's additions happen in the same order whatever the
+    strides of ``a``; column norms are ``line_norms(a.T, p)``.
+    """
+    _check_norm_index(p)
+    m = np.abs(np.asarray(a), order="C")
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got shape {m.shape}")
+    if p == 1:
+        return np.add.reduce(m, axis=1)
+    if p == 2:
+        return np.sqrt(np.add.reduce(m * m, axis=1))
+    return np.max(m, axis=1, initial=0.0)  # an empty row has norm 0
 
 
 def pnorm_operator(a, p) -> float:
@@ -133,9 +146,7 @@ def pnorm_operator(a, p) -> float:
     m = as_matrix(a)
     if p == 2:
         return float(sla.svdvals(m)[0])
-    if p == 1:
-        return max(_abs_sum(m[:, j]) for j in range(m.shape[1]))
-    return max(_abs_sum(m[i, :]) for i in range(m.shape[0]))
+    return float(np.max(line_norms(m.T if p == 1 else m, 1)))
 
 
 def condition_p(a, p) -> float:
@@ -190,10 +201,7 @@ def gain_probe(a, p) -> float:
     with the coordinate unit vectors: min_j ||A e_j||_p."""
     if p not in (1, math.inf):
         raise ValueError(f"gain probe norm index must be 1 or inf, got {p!r}")
-    m = as_matrix(a)
-    if p == 1:
-        return min(_abs_sum(m[:, j]) for j in range(m.shape[1]))
-    return float(np.min(np.abs(m).max(axis=0)))
+    return float(np.min(line_norms(as_matrix(a).T, p)))
 
 
 def smallest_gain(a, p) -> GainBracket:

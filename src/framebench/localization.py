@@ -18,7 +18,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from . import frames
+from . import frames, linalg
 from .errors import BadExponentError, InsufficientDataError
 from .frames import TruncationLadder, VectorFamily
 
@@ -169,22 +169,16 @@ def jaffard_norm(a, s: float) -> float:
 def schur_norm(a, weight: WeightSpec) -> float:
     """Weighted Schur norm: max of weighted row-sum sup and column-sum sup.
 
-    Rows and columns are reduced with the same contiguous-slice summation the
-    operator 1-/inf-norms use, so with the constant weight 1 this equals
-    max(pnorm_operator(a, 1), pnorm_operator(a, inf)) bit for bit.
+    The weighted moduli are summed by ``linalg.line_norms``, the kernel
+    behind the operator 1-/inf-norms, so with the constant weight 1 this
+    equals max(pnorm_operator(a, 1), pnorm_operator(a, inf)) bit for bit.
     """
     m = np.abs(np.asarray(a, dtype=complex))
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
-    w = weight(np.subtract.outer(np.arange(m.shape[0]), np.arange(m.shape[1])))
-    mw = m * w
-
-    def slice_sum(vec):
-        return float(np.add.reduce(np.ascontiguousarray(vec)))
-
-    row_sup = max(slice_sum(mw[i, :]) for i in range(mw.shape[0]))
-    col_sup = max(slice_sum(mw[:, j]) for j in range(mw.shape[1]))
-    return max(row_sup, col_sup)
+    mw = m * weight(np.subtract.outer(np.arange(m.shape[0]), np.arange(m.shape[1])))
+    return float(max(np.max(linalg.line_norms(mw, 1)),
+                     np.max(linalg.line_norms(mw.T, 1))))
 
 
 def _ladder_verdict(norms) -> str:
@@ -246,17 +240,14 @@ def fit_decay_exponent(a) -> float:
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
     off = _offsets(*m.shape)
-    rs, ys = [], []
-    for r in range(1, int(off.max()) + 1 if off.size else 1):
-        vals = m[off == r]
-        if vals.size and vals.max() > 0:
-            rs.append(r)
-            ys.append(float(vals.max()))
-    if len(rs) < 3:
+    peaks = np.zeros(off.max(initial=0) + 1)
+    np.maximum.at(peaks, off.ravel(), m.ravel())  # flat indices: numpy's fast path
+    rs = np.flatnonzero(peaks[1:] > 0) + 1
+    if rs.size < 3:
         raise InsufficientDataError(
-            f"need >= 3 off-diagonal offsets with nonzero maxima, found {len(rs)}"
+            f"need >= 3 off-diagonal offsets with nonzero maxima, found {rs.size}"
         )
-    x = -np.log1p(np.asarray(rs, dtype=float))
-    y = np.log(np.asarray(ys, dtype=float))
+    x = -np.log1p(rs.astype(float))
+    y = np.log(peaks[rs])
     slope = float(np.polyfit(x, y, 1)[0])
     return float(np.clip(slope, -MAX_DECAY_EXPONENT, MAX_DECAY_EXPONENT))

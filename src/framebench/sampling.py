@@ -178,7 +178,8 @@ class SamplingSet:
     * ``constant``: delta_k = value for all k,
     * ``seeded-uniform``: delta_k uniform in [-bound, bound], derived
       deterministically from (seed, k) so windows nest,
-    * ``explicit``: a fixed array for a fixed window size.
+    * ``explicit``: a fixed array over the centered window of its length;
+      a shorter window takes the centered slice, so windows nest.
     """
 
     rule: str = "constant"
@@ -231,11 +232,12 @@ class SamplingSet:
                     -self.bound, self.bound)
                 for k in ints
             ])
-        if self.explicit.size != n:
+        if n > self.explicit.size:
             raise PerturbationViolationError(
                 f"explicit deltas cover {self.explicit.size} points, window wants {n}"
             )
-        return np.asarray(self.explicit)
+        start = self.explicit.size // 2 - n // 2
+        return self.explicit[start:start + n]
 
     def points(self, n: int) -> np.ndarray:
         """Validated sampling points over the centered window of length n."""

@@ -134,9 +134,23 @@ SAMPLING = {"generator": {"kind": "bspline", "degree": 3},
      [], "-1.0"),
     ("sampling", {**SAMPLING, "generator": {"kind": "wavelet"}}, [], "'wavelet'"),
     ("sampling", {**SAMPLING, "delta_rule": {"kind": "poisson"}}, [], "'poisson'"),
+    ("battery", {**BATTERY, "family": 5}, [], "bad battery family"),
+    ("battery", {**BATTERY, "family": {"kind": "perturbed-onb", "epsilon": []}}, [],
+     "bad battery family"),
+    ("battery", {**BATTERY, "profile": []}, [], "bad localization profile"),
+    ("sampling", {**SAMPLING, "generator": []}, [], "bad generator config"),
+    ("sampling", {**SAMPLING, "generator": {"kind": "tabulated"}}, [],
+     "missing field 'samples'"),
+    ("sampling", {**SAMPLING, "delta_rule": {"kind": "seeded-uniform"}}, [],
+     "missing field 'bound'"),
+    ("analyze", {"family": {"ambient_dim": 2, "member_count": 2, "coeffs": [[1, 0]]}},
+     [], "expected 2*2"),
 ], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative",
         "unknown-profile-kind", "jaffard-s-below-1", "schur-delta-negative",
-        "unknown-generator-kind", "unknown-delta-rule"])
+        "unknown-generator-kind", "unknown-delta-rule", "family-not-object",
+        "family-epsilon-list", "profile-not-object", "generator-not-object",
+        "tabulated-without-samples", "seeded-uniform-without-bound",
+        "family-coeffs-count"])
 def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, extra,
                                                   named):
     cfg = tmp_path / "cfg.json"
@@ -212,6 +226,16 @@ def test_sampling_cli_rejects_bad_generator(tmp_path):
                      "ladder": [16, 32]})
     res = run_cli("sampling", "--config", str(cfg), "--out", str(tmp_path / "x.json"))
     assert res.returncode == 4
+
+
+def test_sampling_cli_explicit_deltas_nest_over_ladder(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "samp.json"
+    deltas = (0.2 * np.sin(np.arange(64))).tolist()
+    write_json(cfg, {**SAMPLING, "deltas": deltas, "ladder": [32, 64]})
+    res = run_cli("sampling", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(out.read_text())["ladder"] == [32, 64]
 
 
 # --------------------------------------------------------------------------

@@ -102,6 +102,50 @@ def test_schur_unit_weight_equals_max_of_operator_norms(seed):
     assert lhs == rhs  # exact: identical slice summation
 
 
+LAYOUTS = ("C", "F", "transposed", "strided")
+
+
+def matrix_in_layout(seed, rows, cols, layout):
+    """rows x cols complex matrix with moduli spread over twelve decades,
+    stored C-contiguous, Fortran-contiguous, as a transposed view or as a
+    strided slice of a larger array."""
+    rng = np.random.default_rng(seed)
+    shape = {"transposed": (cols, rows), "strided": (2 * rows, 3 * cols)}.get(
+        layout, (rows, cols))
+    base = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            * 10.0 ** rng.uniform(-6, 6, shape))
+    if layout == "F":
+        return np.asfortranarray(base)
+    if layout == "transposed":
+        return base.T
+    if layout == "strided":
+        return base[::2, ::3]
+    return base
+
+
+def per_line_abs_sums(a):
+    """Row sums of |a|, each row copied contiguous and reduced on its own:
+    the per-line definition the 1/inf norms and the Schur norm are pinned to.
+    numpy only unrolls sums above 8 terms and splits them pairwise above 128,
+    so rows that long make any other summation order visible."""
+    return [float(np.add.reduce(np.abs(np.ascontiguousarray(row)))) for row in a]
+
+
+@given(st.builds(matrix_in_layout, st.integers(0, 2**31 - 1), st.integers(1, 300),
+                 st.integers(1, 300), st.sampled_from(LAYOUTS)))
+@settings(max_examples=40, deadline=None)
+def test_line_sums_bitwise_over_shapes_and_layouts(a):
+    cols, rows = per_line_abs_sums(a.T), per_line_abs_sums(a)
+    one, inf = linalg.pnorm_operator(a, 1), linalg.pnorm_operator(a, math.inf)
+    assert one == linalg.pnorm_operator(a.conj().T, math.inf)
+    assert schur_norm(a, UNIT_WEIGHT) == max(one, inf)
+    assert (one, inf) == (max(cols), max(rows))
+    assert linalg.gain_probe(a, 1) == min(cols)
+    w = WeightSpec(form="polynomial", delta=0.5)
+    mw = np.abs(a) * w(np.subtract.outer(np.arange(a.shape[0]), np.arange(a.shape[1])))
+    assert schur_norm(a, w) == max(per_line_abs_sums(mw) + per_line_abs_sums(mw.T))
+
+
 def test_norms_invariant_under_conjugation_and_modulus():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -221,3 +265,22 @@ def test_fit_cubic_bspline_shift_gram():
     fitted = fit_decay_exponent(g)
     assert fitted >= 3.0
     assert fitted <= localization.MAX_DECAY_EXPONENT
+
+
+def naive_decay_exponent(a):
+    m = np.abs(a)
+    off = np.abs(np.subtract.outer(np.arange(m.shape[0]), np.arange(m.shape[1])))
+    rs = [r for r in range(1, int(off.max()) + 1) if m[off == r].max() > 0]
+    ys = [m[off == r].max() for r in rs]
+    slope = np.polyfit(-np.log1p(np.asarray(rs, dtype=float)), np.log(ys), 1)[0]
+    return float(np.clip(slope, -localization.MAX_DECAY_EXPONENT,
+                         localization.MAX_DECAY_EXPONENT))
+
+
+def test_fit_matches_per_offset_loop_on_rectangular_complex():
+    rng = np.random.default_rng(11)
+    off = np.abs(np.subtract.outer(np.arange(37), np.arange(90)))
+    a = ((rng.standard_normal(off.shape) + 1j * rng.standard_normal(off.shape))
+         * (1.0 + off) ** -2.5 * (off <= 60))  # offsets 61..89 have no entries
+    assert fit_decay_exponent(a) == naive_decay_exponent(a)
+    assert fit_decay_exponent(a.T) == naive_decay_exponent(a.T)

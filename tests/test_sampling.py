@@ -168,12 +168,14 @@ def test_sampling_set_validation():
 
 
 def test_seeded_uniform_deltas_nest_across_windows():
-    s = SamplingSet.seeded_uniform(0.3, seed=7)
-    small, big = s.deltas(8), s.deltas(16)
-    ints_small, ints_big = s.window(8), s.window(16)
-    lookup = dict(zip(ints_big, big))
-    assert all(np.isclose(lookup[k], v) for k, v in zip(ints_small, small))
-    assert np.max(np.abs(big)) <= 0.3
+    explicit = SamplingSet.from_deltas(0.3 * np.sin(np.arange(16)), bound=0.3)
+    for s in (SamplingSet.seeded_uniform(0.3, seed=7), explicit):
+        for n in (7, 8):
+            small, big = s.deltas(n), s.deltas(16)
+            lookup = dict(zip(s.window(16), big))
+            assert all(np.isclose(lookup[k], v) for k, v in zip(s.window(n), small))
+        assert np.max(np.abs(big)) <= 0.3
+    assert np.array_equal(explicit.deltas(16), explicit.explicit)
 
 
 # --------------------------------------------------------------------------
