@@ -1,4 +1,4 @@
-"""Dense complex linear-algebra kernels shared by every other module.
+"""Complex linear-algebra kernels shared by every other module.
 
 All functions operate on plain ``numpy`` arrays (complex entries, row-major)
 and are pure: no shared state, safe to call concurrently.  Operator p-norms
@@ -10,6 +10,11 @@ kernel, ``line_norms``: it reduces each row of a C-contiguous copy of |A|,
 and a column is a row of the transpose.  ``pnorm_operator(A, 1)`` and
 ``pnorm_operator(A.conj().T, inf)`` therefore add exactly the same floats
 in exactly the same order, and the duality identity holds bit for bit.
+
+Hermitian band matrices (the sampling Grams) have their own kernels, which
+never form the dense matrix: ``band_norm``, ``band_min_eig`` and
+``band_condition``.  They use only LAPACK routines ``scipy.linalg`` already
+loads.
 """
 
 from dataclasses import dataclass
@@ -181,6 +186,90 @@ def condition_1_inf(a, singular_values) -> Tuple[float, float]:
         raise NumericalFailureError(f"inversion failed: {exc}") from exc
     return (pnorm_operator(m, 1) * pnorm_operator(inv, 1),
             pnorm_operator(m, math.inf) * pnorm_operator(inv, math.inf))
+
+
+# --------------------------------------------------------------------------
+# Hermitian band matrices
+#
+# A Hermitian matrix of bandwidth u is passed as its lower band in LAPACK
+# storage: an array ``ab`` of shape (u + 1, n) with ab[d, j] = A[j + d, j].
+# Entries past the last row (j + d >= n) are not part of the matrix and are
+# ignored.
+# --------------------------------------------------------------------------
+
+#: Columns of the identity solved for at once by ``band_condition``; bounds
+#: its working memory to two n x BAND_SOLVE_BLOCK arrays.
+BAND_SOLVE_BLOCK = 256
+
+
+def band_norm(ab) -> float:
+    """||A||_1 of a Hermitian band matrix, which equals ||A||_inf."""
+    mag = np.abs(np.asarray(ab))
+    n = mag.shape[1]
+    sums = mag[0].copy()
+    for d in range(1, mag.shape[0]):
+        sums[d:] += mag[d, :n - d]   # A[j + d, j] lies in row j + d
+        sums[:n - d] += mag[d, :n - d]  # and its mirror A[j, j + d] in row j
+    return float(np.max(sums))
+
+
+def band_min_eig(a, b=None) -> float:
+    """Smallest eigenvalue of the Hermitian band pencil (A, B), B = I if None.
+
+    B must be positive definite.  A - sigma B is positive definite exactly
+    when sigma lies below the smallest eigenvalue (Sylvester's law of
+    inertia), so the eigenvalue is bisected on whether a banded Cholesky
+    factorization of A - sigma B succeeds, until the midpoint of the bracket
+    equals one of its ends.  The bracket is +-2 ||A||_inf / lambda_min(B),
+    which holds every eigenvalue strictly inside (Gershgorin).  Returns the
+    smallest sigma found at which the factorization fails.  The largest
+    eigenvalue is ``-band_min_eig(-a, b)``.
+    """
+    a = np.asfortranarray(a)
+    if b is None:
+        b = np.zeros_like(a, order="F")
+        b[0] = 1.0
+        b_min = 1.0
+    else:
+        b = np.asfortranarray(b)
+        b_min = band_min_eig(b)
+        if b_min <= 0.0:
+            raise NotPositiveDefiniteError(
+                f"pencil needs a positive definite B, smallest eigenvalue {b_min:.3e}")
+    pbtrf, = sla.get_lapack_funcs(("pbtrf",), (a, b))
+    hi = 2.0 * band_norm(a) / b_min
+    lo = -hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if pbtrf(a - mid * b, lower=1, overwrite_ab=1)[1] == 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def band_condition(ab) -> float:
+    """||A||_1 ||A^-1||_1 of a Hermitian positive definite band matrix.
+
+    The inverse norm is exact: one banded Cholesky factorization, then
+    solves against ``BAND_SOLVE_BLOCK`` columns of the identity at a time.
+    ||A||_1 = ||A||_inf for Hermitian A, so this is also the max-norm
+    condition number.
+    """
+    try:
+        factor = sla.cholesky_banded(ab, lower=True)
+    except sla.LinAlgError as exc:
+        raise NumericalFailureError(f"banded Cholesky failed: {exc}") from exc
+    n = factor.shape[1]
+    inv_norm = 0.0
+    for start in range(0, n, BAND_SOLVE_BLOCK):
+        cols = np.arange(start, min(start + BAND_SOLVE_BLOCK, n))
+        rhs = np.zeros((n, cols.size), dtype=factor.dtype)
+        rhs[cols, cols - start] = 1.0
+        block = sla.cho_solve_banded((factor, True), rhs)
+        inv_norm = max(inv_norm, float(np.max(line_norms(block.T, 1))))
+    return band_norm(ab) * inv_norm
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from framebench import cli, equivalence, frames
+from framebench import cli, equivalence, frames, sampling
 from framebench.frames import VectorFamily
 
 
@@ -143,6 +143,7 @@ SAMPLING = {"generator": {"kind": "bspline", "degree": 3},
      "missing field 'samples'"),
     ("sampling", {**SAMPLING, "delta_rule": {"kind": "seeded-uniform"}}, [],
      "missing field 'bound'"),
+    ("sampling", {**SAMPLING, "deltas": 5}, [], "bad delta rule: explicit deltas must be 1-D"),
     ("analyze", {"family": {"ambient_dim": 2, "member_count": 2, "coeffs": [[1, 0]]}},
      [], "expected 2*2"),
 ], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative",
@@ -150,7 +151,7 @@ SAMPLING = {"generator": {"kind": "bspline", "degree": 3},
         "unknown-generator-kind", "unknown-delta-rule", "family-not-object",
         "family-epsilon-list", "profile-not-object", "generator-not-object",
         "tabulated-without-samples", "seeded-uniform-without-bound",
-        "family-coeffs-count"])
+        "deltas-scalar", "family-coeffs-count"])
 def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, extra,
                                                   named):
     cfg = tmp_path / "cfg.json"
@@ -236,6 +237,26 @@ def test_sampling_cli_explicit_deltas_nest_over_ladder(tmp_path):
     res = run_cli("sampling", "--config", str(cfg), "--out", str(out))
     assert res.returncode == 0, res.stderr
     assert json.loads(out.read_text())["ladder"] == [32, 64]
+
+
+def test_sampling_cli_short_explicit_deltas_fail_before_compute(tmp_path, monkeypatch,
+                                                               capsys):
+    calls = []
+    suitability = sampling.generator_suitability
+
+    def counted_suitability(*args, **kwargs):
+        calls.append(args)
+        return suitability(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "generator_suitability", counted_suitability)
+    cfg = tmp_path / "cfg.json"
+    deltas = (0.2 * np.sin(np.arange(64))).tolist()
+    write_json(cfg, {**SAMPLING, "deltas": deltas, "ladder": [32, 64, 128]})
+    assert cli.main(["sampling", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.json")]) == 4
+    assert "explicit deltas cover 64 points, window wants 128" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 # --------------------------------------------------------------------------

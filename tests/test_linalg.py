@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from framebench import linalg
@@ -16,6 +17,7 @@ from framebench.errors import (
     NonHermitianError,
     NonSquareError,
     NotPositiveDefiniteError,
+    NumericalFailureError,
 )
 
 
@@ -304,3 +306,47 @@ def test_norm_index_validation():
         linalg.pnorm_operator(np.eye(2), 3)
     with pytest.raises(ValueError):
         linalg.smallest_gain(np.eye(2), "fro")
+
+
+# --------------------------------------------------------------------------
+# Hermitian band kernels against the dense matrix
+# --------------------------------------------------------------------------
+
+def random_band(n, bandwidth, seed, shift):
+    """Lower band storage of a random complex Hermitian band matrix plus
+    ``shift`` times the identity, and the dense matrix it stores."""
+    rng = np.random.default_rng(seed)
+    ab = rng.standard_normal((bandwidth + 1, n)) + 1j * rng.standard_normal((bandwidth + 1, n))
+    ab[0] = ab[0].real + shift
+    dense = np.zeros((n, n), dtype=complex)
+    for d in range(bandwidth + 1):
+        j = np.arange(n - d)
+        dense[j + d, j] = ab[d, :n - d]
+        dense[j, j + d] = np.conj(ab[d, :n - d])
+    return ab, dense
+
+
+@pytest.mark.parametrize("n, bandwidth, seed", [(1, 0, 0), (9, 2, 1), (40, 3, 2),
+                                                (40, 6, 3)])
+def test_band_kernels_match_dense(monkeypatch, n, bandwidth, seed):
+    monkeypatch.setattr(linalg, "BAND_SOLVE_BLOCK", 7)  # several solve blocks
+    a_band, a = random_band(n, bandwidth, seed, shift=0.0)
+    b_band, b = random_band(n, bandwidth, seed + 100, shift=4.0 * (bandwidth + 1))
+    lam = np.linalg.eigvalsh(a)
+    gen = sla.eigh(a, b, eigvals_only=True)
+    scale = np.max(np.abs(lam))
+    assert abs(linalg.band_min_eig(a_band) - lam[0]) <= 1e-13 * scale
+    assert abs(-linalg.band_min_eig(-a_band) - lam[-1]) <= 1e-13 * scale
+    assert abs(linalg.band_min_eig(a_band, b_band) - gen[0]) <= 1e-13 * np.max(np.abs(gen))
+    assert abs(-linalg.band_min_eig(-a_band, b_band) - gen[-1]) <= 1e-13 * np.max(np.abs(gen))
+    assert linalg.band_norm(b_band) == pytest.approx(linalg.pnorm_operator(b, 1), rel=1e-14)
+    expected = linalg.condition_1_inf(b, np.linalg.eigvalsh(b))[0]
+    assert linalg.band_condition(b_band) == pytest.approx(expected, rel=1e-12)
+
+
+def test_band_kernels_reject_indefinite_matrices():
+    a_band, _ = random_band(12, 2, 5, shift=0.0)
+    with pytest.raises(NotPositiveDefiniteError):
+        linalg.band_min_eig(a_band, a_band)
+    with pytest.raises(NumericalFailureError):
+        linalg.band_condition(a_band)

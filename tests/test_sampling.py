@@ -2,7 +2,9 @@
 
 Oracles: repeated box convolution on a fine grid, stencil self-convolution,
 exact piecewise-polynomial shift inner products, the Fourier-symbol minimum
-on a dense frequency grid, and the frame-coordinate Riesz-dual route.
+on a dense frequency grid, the frame-coordinate Riesz-dual route, and the
+dense matrices ``autocorrelation_gram`` and ``shift_gram`` for the banded
+verdict.
 """
 
 import json
@@ -13,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from framebench import cli, frames, linalg, sampling
 from framebench.errors import (
@@ -22,6 +25,7 @@ from framebench.errors import (
     PerturbationViolationError,
 )
 from framebench.frames import TruncationLadder, VectorFamily
+from framebench.ladder import Witness
 from framebench.rdual import rdual_gram
 from framebench.sampling import (
     Generator,
@@ -363,6 +367,96 @@ def test_verdict_items_cde_match_plain_path(x):
                     max(float(linalg.hermitian_eig(gi).eigenvalues[0]), 0.0)]
         got = [rep.item(k).quantities[idx][1] for k in "cde"]
         assert np.allclose(got, expected, rtol=1e-12, atol=0.0), size
+
+
+def dense_witnesses(g, x, ladder, trim):
+    """Per size (item a lo, item a hi, c, d, e) from the dense matrices."""
+    out = []
+    for size in ladder.sizes:
+        interior = slice(trim, size - trim)
+        gi = autocorrelation_gram(g, x, size)[interior, interior]
+        shift = shift_gram(g, size)[interior, interior]
+        lam = linalg.hermitian_eig(gi).eigenvalues
+        cond1, cond_inf = linalg.condition_1_inf(gi, lam)
+        gen = sla.eigh(gi, shift, eigvals_only=True)
+        out.append((max(float(gen[0]), 0.0), float(gen[-1]), cond1, cond_inf,
+                    max(float(lam[0]), 0.0)))
+    return out
+
+
+_HALF9 = (np.arange(9) - 4) * 0.5
+_HALF13 = (np.arange(13) - 6) * 0.5
+_HALF41 = (np.arange(41) - 20) * 0.5
+ORACLE_GENERATORS = {
+    **{f"bspline-{d}": Generator(kind="bspline", degree=d) for d in range(4)},
+    "tabulated-hat": Generator(kind="tabulated", samples=bspline_eval(1, _HALF9),
+                               step=0.5, decay_s=2.0),
+    # support radius 10: on the 24-window the Gram's bandwidth exceeds the
+    # interior, so the band is clamped
+    "tabulated-decay": Generator(kind="tabulated", samples=(1.0 + np.abs(_HALF41)) ** -3.0,
+                                 step=0.5, decay_s=2.5),
+    "tabulated-complex": Generator(kind="tabulated",
+                                   samples=bspline_eval(1, _HALF13)
+                                   + 1j * bspline_eval(1, _HALF13 - 0.5),
+                                   step=0.5, decay_s=2.0),
+}
+ORACLE_LADDER = TruncationLadder((24, 40, 64))
+
+delta_rules = st.one_of(
+    st.sampled_from([SamplingSet.constant(0.0), SamplingSet.constant(0.5)]),
+    st.builds(SamplingSet.seeded_uniform, st.floats(0.0, 0.45),
+              st.integers(0, 2**31 - 1)),
+    st.builds(lambda bound, seed: SamplingSet.from_deltas(
+        np.random.default_rng(seed).uniform(-bound, bound, 64)),
+        st.floats(0.0, 0.45), st.integers(0, 2**31 - 1)),
+)
+
+
+@given(st.sampled_from(sorted(ORACLE_GENERATORS)), delta_rules)
+@settings(max_examples=40, deadline=None)
+def test_banded_verdict_matches_dense_oracle(name, x):
+    g = ORACLE_GENERATORS[name]
+    rep = stable_sampling_verdict(g, x, ORACLE_LADDER)
+    expected = dense_witnesses(g, x, ORACLE_LADDER, rep.trim)
+    for idx, (size, lo, hi) in enumerate(rep.direct_bounds):
+        got = (lo, hi) + tuple(rep.item(k).quantities[idx][1] for k in "cde")
+        # equal infinities pass: the singular flag must agree exactly
+        assert np.allclose(got, expected[idx], rtol=1e-10, atol=0.0), (size, got)
+    for k, col in zip("acde", (0, 2, 3, 4)):
+        values = [w[col] for w in expected]
+        kind = "gain" if k in "ae" else "condition"
+        oracle = Witness.from_ladder(k, "", "", ORACLE_LADDER.sizes, values, kind,
+                                     frames.TOL_FRAME)
+        assert rep.item(k).verdict == oracle.verdict, k
+
+
+def test_verdict_budget_no_dense_work(monkeypatch):
+    # per call: the points are drawn once, for the largest window; nothing
+    # is factorized densely; the generator is evaluated only inside the
+    # band |l - k| <= ceil(radius + C) of P, not at all n^2 pairs
+    calls = []
+
+    def recorded(name, fn, amount=lambda *args: 1):
+        def wrapper(*args, **kwargs):
+            calls.append((name, amount(*args)))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((np.linalg, "eigh"), (sla, "eigh"), (sla, "inv"),
+                        (sla, "svdvals")):
+        monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
+    monkeypatch.setattr(sampling, "generator_eval",
+                        recorded("points", sampling.generator_eval,
+                                 lambda g, t: np.size(t)))
+    monkeypatch.setattr(SamplingSet, "points",
+                        recorded("draw", SamplingSet.points, lambda x, n: n))
+    ladder = TruncationLadder((128, 256, 512))
+    x = SamplingSet.seeded_uniform(0.2, seed=0)
+    assert stable_sampling_verdict(CUBIC, x, ladder).stable
+    width = math.ceil(CUBIC.support_radius + x.bound)
+    assert [c for c in calls if c[0] != "points"] == [("draw", 512)]
+    evaluated = sum(n for name, n in calls if name == "points")
+    assert evaluated <= sum(n * (2 * width + 1) for n in ladder.sizes)
 
 
 def test_verdict_tabulated_decay_fixture_stable(tmp_path):
