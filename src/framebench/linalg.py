@@ -116,6 +116,18 @@ def hermitian_eig(a) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
+def hermitian_eigvals(a) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
+
+    The input is checked and symmetrized as in ``hermitian_eig``.
+    """
+    m = _require_hermitian(as_matrix(a))
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in LAPACK
+        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
+
+
 def matrix_power(a, alpha: float) -> np.ndarray:
     """Fractional power A^alpha of a Hermitian positive definite matrix
     (see ``SpectralDecomposition.power``)."""
@@ -154,6 +166,16 @@ def pnorm_operator(a, p) -> float:
     return float(np.max(line_norms(m.T if p == 1 else m, 1)))
 
 
+def is_singular(singular_values) -> bool:
+    """The singular flag: sigma_min <= TOL_SING * sigma_max.
+
+    ``singular_values`` may come in any order; a Hermitian matrix may pass
+    its eigenvalues, whose moduli are its singular values.
+    """
+    sv = np.abs(np.asarray(singular_values, dtype=float))
+    return bool(sv.min() <= TOL_SING * sv.max())
+
+
 def condition_p(a, p) -> float:
     """Condition number ||A||_p * ||A^-1||_p, or ``math.inf`` as singular flag.
 
@@ -165,27 +187,38 @@ def condition_p(a, p) -> float:
     _require_square(m)
     sv = sla.svdvals(m)
     if p == 2:
-        return math.inf if sv[-1] <= TOL_SING * sv[0] else float(sv[0] / sv[-1])
+        return math.inf if is_singular(sv) else float(sv[0] / sv[-1])
     return condition_1_inf(m, sv)[0 if p == 1 else 1]
 
 
 def condition_1_inf(a, singular_values) -> Tuple[float, float]:
     """``condition_p`` for p = 1 and p = inf from one inverse of A.
 
-    ``singular_values`` are those of A in any order; a Hermitian matrix may
-    pass its eigenvalues, whose moduli are its singular values.
+    ``singular_values`` give the singular flag (see ``is_singular``); off
+    the flag, A is inverted by LU and ``condition_1_inf_from_inverse`` does
+    the rest.
     """
     m = as_matrix(a)
     _require_square(m)
-    sv = np.abs(np.asarray(singular_values, dtype=float))
-    if sv.min() <= TOL_SING * sv.max():
+    if is_singular(singular_values):
         return math.inf, math.inf
     try:
         inv = sla.inv(m)
     except sla.LinAlgError as exc:
         raise NumericalFailureError(f"inversion failed: {exc}") from exc
-    return (pnorm_operator(m, 1) * pnorm_operator(inv, 1),
-            pnorm_operator(m, math.inf) * pnorm_operator(inv, math.inf))
+    return condition_1_inf_from_inverse(m, inv)
+
+
+def condition_1_inf_from_inverse(a, inverse) -> Tuple[float, float]:
+    """||A||_1 ||A^-1||_1 and ||A||_inf ||A^-1||_inf given A^-1.
+
+    For callers that already hold the inverse in closed form (the battery
+    builds it from an eigendecomposition); the singular flag is theirs to
+    raise.
+    """
+    m = as_matrix(a)
+    return (pnorm_operator(m, 1) * pnorm_operator(inverse, 1),
+            pnorm_operator(m, math.inf) * pnorm_operator(inverse, math.inf))
 
 
 # --------------------------------------------------------------------------

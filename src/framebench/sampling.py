@@ -84,7 +84,9 @@ class Generator:
             if self.samples is None:
                 raise GeneratorUnsuitableError("tabulated generator needs samples")
             s = np.array(self.samples, dtype=complex)
-            if s.ndim != 1 or s.size < 5:
+            if s.ndim != 1:
+                raise ValueError("tabulated samples must be 1-D")
+            if s.size < 5:
                 raise GeneratorUnsuitableError("need a 1-D grid of >= 5 samples")
             if not np.all(np.isfinite(s)):
                 raise GeneratorUnsuitableError("samples must be finite")
@@ -187,29 +189,36 @@ class SamplingSet:
     * ``seeded-uniform``: delta_k uniform in [-bound, bound], derived
       deterministically from (seed, k) so windows nest,
     * ``explicit``: a fixed array over the centered window of its length;
-      a shorter window takes the centered slice, so windows nest.
+      a shorter window takes the centered slice, so windows nest.  An
+      absent ``bound`` (None) defaults to max |delta|; a stated bound is
+      kept, so a bound of 0 rejects nonzero deltas when the points are
+      drawn.
+
+    A stated bound that is negative or not finite is a ``ValueError``.
     """
 
     rule: str = "constant"
     value: float = 0.0
-    bound: float = 0.0
+    bound: Optional[float] = None
     seed: int = 0
     explicit: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if self.bound is not None and not 0.0 <= self.bound < math.inf:
+            raise ValueError(f"delta bound must be a finite number >= 0, got {self.bound}")
         if self.rule == "constant":
             object.__setattr__(self, "bound", abs(self.value))
         elif self.rule == "seeded-uniform":
-            if self.bound < 0:
-                raise PerturbationViolationError(f"bound must be >= 0, got {self.bound}")
+            if self.bound is None:
+                raise ValueError("the seeded-uniform rule needs a bound")
         elif self.rule == "explicit":
             d = np.array(self.explicit, dtype=float)
             if d.ndim != 1:
                 raise ValueError("explicit deltas must be 1-D")
             d.flags.writeable = False
             object.__setattr__(self, "explicit", d)
-            bound = self.bound if self.bound > 0 else (float(np.max(np.abs(d))) if d.size else 0.0)
-            object.__setattr__(self, "bound", bound)
+            if self.bound is None:
+                object.__setattr__(self, "bound", float(np.max(np.abs(d))) if d.size else 0.0)
         else:
             raise PerturbationViolationError(f"unknown sampling rule {self.rule!r}")
 
@@ -224,7 +233,7 @@ class SamplingSet:
     @classmethod
     def from_deltas(cls, deltas, bound: Optional[float] = None) -> "SamplingSet":
         return cls(rule="explicit", explicit=np.asarray(deltas, dtype=float),
-                   bound=0.0 if bound is None else float(bound))
+                   bound=None if bound is None else float(bound))
 
     def window(self, n: int) -> np.ndarray:
         """Centered integer window of length n."""

@@ -144,6 +144,12 @@ SAMPLING = {"generator": {"kind": "bspline", "degree": 3},
     ("sampling", {**SAMPLING, "delta_rule": {"kind": "seeded-uniform"}}, [],
      "missing field 'bound'"),
     ("sampling", {**SAMPLING, "deltas": 5}, [], "bad delta rule: explicit deltas must be 1-D"),
+    ("sampling", {**SAMPLING, "deltas": [0.1] * 64, "bound": -0.1}, [],
+     "bad delta rule: delta bound must be a finite number >= 0, got -0.1"),
+    ("sampling", {**SAMPLING, "delta_rule": {"kind": "seeded-uniform", "bound": -0.1}},
+     [], "bad delta rule: delta bound must be a finite number >= 0, got -0.1"),
+    ("sampling", {**SAMPLING, "generator": {"kind": "tabulated", "samples": 5}}, [],
+     "bad generator config: tabulated samples must be 1-D"),
     ("analyze", {"family": {"ambient_dim": 2, "member_count": 2, "coeffs": [[1, 0]]}},
      [], "expected 2*2"),
 ], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative",
@@ -151,7 +157,9 @@ SAMPLING = {"generator": {"kind": "bspline", "degree": 3},
         "unknown-generator-kind", "unknown-delta-rule", "family-not-object",
         "family-epsilon-list", "profile-not-object", "generator-not-object",
         "tabulated-without-samples", "seeded-uniform-without-bound",
-        "deltas-scalar", "family-coeffs-count"])
+        "deltas-scalar", "deltas-negative-bound", "seeded-uniform-negative-bound",
+        "tabulated-samples-scalar",
+        "family-coeffs-count"])
 def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, extra,
                                                   named):
     cfg = tmp_path / "cfg.json"
@@ -256,6 +264,16 @@ def test_sampling_cli_short_explicit_deltas_fail_before_compute(tmp_path, monkey
                      "--out", str(tmp_path / "x.json")]) == 4
     assert "explicit deltas cover 64 points, window wants 128" in capsys.readouterr().err
     assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_sampling_cli_zero_bound_rejects_nonzero_deltas(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    deltas = (0.3 * np.sin(np.arange(64))).tolist()
+    write_json(cfg, {**SAMPLING, "deltas": deltas, "bound": 0.0})
+    res = run_cli("sampling", "--config", str(cfg), "--out", str(tmp_path / "x.json"))
+    assert res.returncode == 4, res.stderr
+    assert "exceeds bound 0.000e+00" in res.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 

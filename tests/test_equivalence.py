@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from framebench import cli, equivalence, frames, linalg, rdual
 from framebench.equivalence import (
@@ -15,8 +16,13 @@ from framebench.equivalence import (
     perturbed_onb_family,
     run_battery,
 )
-from framebench.errors import NotAFrameError, PreconditionEvidenceError
+from framebench.errors import (
+    DimensionMismatchError,
+    NotAFrameError,
+    PreconditionEvidenceError,
+)
 from framebench.frames import TruncationLadder, VectorFamily
+from framebench.ladder import Witness
 from framebench.localization import LocalizationProfile
 
 PROFILE = LocalizationProfile(kind="jaffard", s=2.0)
@@ -72,12 +78,12 @@ def test_battery_perturbed_onb_neumann_bound():
 # non-orthogonal reference: the shared factorizations against the plain path
 # --------------------------------------------------------------------------
 
-def toeplitz_pair(n, theta=0.7, seed=4):
+def toeplitz_pair(n, theta=0.7, seed=4, epsilon=0.3):
     """psi = (I + E) T over the Hermitian tridiagonal Toeplitz reference
     T = I + 0.2 (e^{i theta} L + e^{-i theta} L^H), L the lower shift."""
     off = np.full(n - 1, 0.2 * np.exp(1j * theta))
     t = np.eye(n, dtype=complex) + np.diag(off, -1) + np.diag(off.conj(), 1)
-    psi, _ = perturbed_onb_family(n, 0.3, seed=seed)
+    psi, _ = perturbed_onb_family(n, epsilon, seed=seed)
     return VectorFamily(psi.coeffs @ t), VectorFamily(t)
 
 
@@ -109,6 +115,59 @@ def test_battery_non_orthogonal_reference_matches_plain_path():
     assert rep.witness(2).quantities != rep.witness(8).quantities
 
 
+@given(st.floats(0.0, 2 * math.pi, exclude_max=True),
+       st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+       st.integers(0, 2**31 - 1), st.integers(4, 48))
+@settings(max_examples=30, deadline=None)
+def test_battery_closed_forms_match_plain_path(theta, epsilon, seed, n):
+    ladder = TruncationLadder((n, 2 * n))
+    pairs = {size: toeplitz_pair(size, theta, seed, epsilon) for size in ladder}
+    rep = run_battery(pairs.__getitem__, PROFILE, ladder)
+    plain = np.array([plain_witnesses(*pairs[size]) for size in ladder]).T
+    for w, expected in zip(rep.witnesses, plain):
+        got = [v for _, v in w.quantities]
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0), w.id
+        assert w.verdict == Witness.from_ladder(
+            w.id, "", "", ladder.sizes, expected, w.kind, frames.TOL_FRAME).verdict
+
+
+def relative_error(got, expected):
+    return np.linalg.norm(got - expected) / np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("fixture", ["toeplitz", "counterexample"])
+def test_battery_closed_form_identities(fixture, n):
+    psi, phi = toeplitz_pair(n)
+    if fixture == "counterexample":
+        psi, phi = counterexample_family(n, reference=phi)
+    ref_inv = frames.canonical_dual(phi).coeffs.conj().T
+    assert relative_error(ref_inv @ phi.coeffs, np.eye(n)) <= 1e-12
+    s_psi = frames.frame_operator(psi)
+    lam, u = np.linalg.eigh(s_psi)
+    left, right = ref_inv @ u, u.conj().T @ phi.coeffs
+    # the companion Gram without the companion
+    b = frames.cross_gram(psi, phi)
+    g_omega = (b.conj().T @ b).conj()
+    assert relative_error(g_omega, frames.gram(rdual.rdual(psi, phi))) <= 1e-12
+    # both inverses from the spectrum of S_psi
+    coord = ref_inv @ s_psi @ phi.coeffs
+    assert relative_error((left * lam) @ right, coord) <= 1e-12
+    assert relative_error((left / lam) @ right, np.linalg.inv(coord)) <= 1e-12
+    assert relative_error(((left / lam) @ left.conj().T).conj(),
+                          np.linalg.inv(g_omega)) <= 1e-12
+
+
+def test_battery_member_count_mismatch_raises():
+    def gen(n):
+        psi, phi = toeplitz_pair(n)
+        extra = np.ones((n, 1), dtype=complex)
+        return VectorFamily(np.hstack([psi.coeffs, extra])), phi
+
+    with pytest.raises(DimensionMismatchError):
+        run_battery(gen, PROFILE, LADDER)
+
+
 def counted(counts, name, fn):
     def wrapper(*args, **kwargs):
         counts[name] += 1
@@ -119,8 +178,10 @@ def counted(counts, name, fn):
 def count_factorizations(monkeypatch):
     """Counter of the dense factorizations made from here to the test's end."""
     counts = Counter()
-    monkeypatch.setattr(np.linalg, "eigh", counted(counts, "eigh", np.linalg.eigh))
-    for name in ("eigh", "svdvals", "inv", "solve"):
+    for name in ("eigh", "eigvalsh", "svd", "inv"):
+        monkeypatch.setattr(np.linalg, name,
+                            counted(counts, name, getattr(np.linalg, name)))
+    for name in ("eigh", "svd", "svdvals", "inv", "solve"):
         monkeypatch.setattr(sla, name,
                             counted(counts, f"sla.{name}", getattr(sla, name)))
     return counts
@@ -132,11 +193,13 @@ def test_battery_factorization_budget(monkeypatch):
     factorizations = count_factorizations(monkeypatch)
     run_battery(counted(factorizations, "family_gen", pairs.__getitem__),
                 PROFILE, ladder)
-    # per size: eigh of S_phi, S_psi and the companion Gram; one SVD and
-    # one inverse of the coordinate matrix; one inverse of the companion Gram
+    # per size, three Hermitian eigensolves: eigh of S_phi (the reference
+    # check, the dual phi^-1 and S_phi^-1/2) and of S_psi (witness 1, and
+    # Lambda^-1 for both inverses); the eigenvalues of the companion Gram
+    # (witness 10 and the singular flag of 8 and 9).  No SVD, no inverse.
     n = len(ladder.sizes)
-    assert factorizations == Counter({"family_gen": n, "eigh": 3 * n,
-                                      "sla.svdvals": n, "sla.inv": 2 * n})
+    assert factorizations == Counter({"family_gen": n, "eigh": 2 * n,
+                                      "eigvalsh": n})
 
 
 def test_rdual_command_factorization_budget(monkeypatch, tmp_path):

@@ -114,6 +114,17 @@ def test_tabulated_decay_claim_enforced():
     Generator(kind="tabulated", samples=fast, step=0.5, decay_s=2.5)
 
 
+def test_tabulated_samples_shape():
+    # a malformed grid is an input error; a well-formed one that is too
+    # short is an unsuitable generator
+    with pytest.raises(ValueError, match="must be 1-D"):
+        Generator(kind="tabulated", samples=5.0)
+    with pytest.raises(ValueError, match="must be 1-D"):
+        Generator(kind="tabulated", samples=np.ones((5, 5)))
+    with pytest.raises(GeneratorUnsuitableError, match=">= 5 samples"):
+        Generator(kind="tabulated", samples=np.ones(4))
+
+
 # --------------------------------------------------------------------------
 # sampling matrix
 # --------------------------------------------------------------------------
@@ -169,6 +180,15 @@ def test_sampling_set_validation():
         SamplingSet.from_deltas([0.5, -0.5, 0.0]).points(3)
     with pytest.raises(PerturbationViolationError):
         SamplingSet.from_deltas([0.1, 0.1]).points(5)  # wrong window length
+    # only an absent bound defaults to max |delta|
+    assert SamplingSet.from_deltas([0.0, -0.3, 0.1]).bound == 0.3
+    assert SamplingSet.from_deltas([0.0, 0.0, 0.0], bound=0.0).points(3).tolist() == [
+        -1.0, 0.0, 1.0]
+    with pytest.raises(PerturbationViolationError):
+        SamplingSet.from_deltas([0.0, 0.3, 0.0], bound=0.0).points(3)
+    for bad in (-0.3, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SamplingSet.from_deltas([0.0, 0.3, 0.0], bound=bad)
 
 
 def test_seeded_uniform_deltas_nest_across_windows():
