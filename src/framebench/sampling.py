@@ -511,7 +511,7 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
         q["e"].append(max(lam_min, 0.0))
         # G is positive semidefinite, so its singular values are its
         # eigenvalues and the singular flag compares the extremal two.
-        if lam_min <= linalg.TOL_SING * -linalg.band_min_eig(-gi):
+        if linalg.is_singular((max(lam_min, 0.0), -linalg.band_min_eig(-gi))):
             cond = math.inf
         else:
             cond = linalg.band_condition(gi)

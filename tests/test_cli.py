@@ -135,6 +135,8 @@ SAMPLING = {"generator": {"kind": "bspline", "degree": 3},
     ("sampling", {**SAMPLING, "generator": {"kind": "wavelet"}}, [], "'wavelet'"),
     ("sampling", {**SAMPLING, "delta_rule": {"kind": "poisson"}}, [], "'poisson'"),
     ("battery", {**BATTERY, "family": 5}, [], "bad battery family"),
+    ("battery", {**BATTERY, "family": {"kind": "random"}}, [],
+     "unknown battery family kind 'random'"),
     ("battery", {**BATTERY, "family": {"kind": "perturbed-onb", "epsilon": []}}, [],
      "bad battery family"),
     ("battery", {**BATTERY, "profile": []}, [], "bad localization profile"),
@@ -155,6 +157,7 @@ SAMPLING = {"generator": {"kind": "bspline", "degree": 3},
 ], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative",
         "unknown-profile-kind", "jaffard-s-below-1", "schur-delta-negative",
         "unknown-generator-kind", "unknown-delta-rule", "family-not-object",
+        "family-kind-random",
         "family-epsilon-list", "profile-not-object", "generator-not-object",
         "tabulated-without-samples", "seeded-uniform-without-bound",
         "deltas-scalar", "deltas-negative-bound", "seeded-uniform-negative-bound",
@@ -168,6 +171,17 @@ def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, ext
                   "--out", str(tmp_path / "x.json"), *extra)
     assert res.returncode == 2, res.stderr
     assert named in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("sizes, named", [(5, "5"), ([None], "[None]")],
+                         ids=["sizes-scalar", "sizes-null"])
+def test_bad_fixture_input_exits_2_without_output(tmp_path, sizes, named):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"sizes": sizes})
+    res = run_cli("fixtures", "--config", str(cfg), "--out", str(tmp_path / "d"))
+    assert res.returncode == 2, res.stderr
+    assert f"bad fixture sizes {named}" in res.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 

@@ -19,6 +19,7 @@ from framebench.equivalence import (
 from framebench.errors import (
     DimensionMismatchError,
     NotAFrameError,
+    NotRieszBasisError,
     PreconditionEvidenceError,
 )
 from framebench.frames import TruncationLadder, VectorFamily
@@ -93,8 +94,8 @@ def plain_witnesses(psi, phi):
     dual = frames.canonical_dual(phi)
     coord = dual.coeffs.conj().T @ frames.frame_operator(psi) @ phi.coeffs
     g_omega = frames.gram(omega)
-    gain4 = linalg.smallest_gain(frames.cross_gram(psi, phi), math.inf).upper
-    gain6 = linalg.smallest_gain(frames.cross_gram(dual, omega), math.inf).upper
+    gain4 = linalg.gain_probe(frames.cross_gram(psi, phi), math.inf)
+    gain6 = linalg.gain_probe(frames.cross_gram(dual, omega), math.inf)
     return [frames.riesz_bounds(psi).lower,  # psi is square: same spectrum as S_psi
             linalg.condition_p(coord, 1), linalg.condition_p(coord, math.inf),
             gain4, gain4, gain6, gain6,
@@ -189,16 +190,16 @@ def count_factorizations(monkeypatch):
 
 def test_battery_factorization_budget(monkeypatch):
     ladder = TruncationLadder((8, 16, 32))
-    pairs = {n: toeplitz_pair(n) for n in ladder}
     factorizations = count_factorizations(monkeypatch)
-    run_battery(counted(factorizations, "family_gen", pairs.__getitem__),
+    run_battery(counted(factorizations, "family_gen", toeplitz_pair),
                 PROFILE, ladder)
-    # per size, three Hermitian eigensolves: eigh of S_phi (the reference
-    # check, the dual phi^-1 and S_phi^-1/2) and of S_psi (witness 1, and
-    # Lambda^-1 for both inverses); the eigenvalues of the companion Gram
-    # (witness 10 and the singular flag of 8 and 9).  No SVD, no inverse.
+    # per size, the fixture's 2-norm rescale (one numpy SVD) and three
+    # Hermitian eigensolves: eigh of S_phi (the reference check, the dual
+    # phi^-1 and S_phi^-1/2) and of S_psi (witness 1, and Lambda^-1 for both
+    # inverses); the eigenvalues of the companion Gram (witness 10 and the
+    # singular flag of 8 and 9).  No inverse, and no dense scipy.linalg call.
     n = len(ladder.sizes)
-    assert factorizations == Counter({"family_gen": n, "eigh": 2 * n,
+    assert factorizations == Counter({"family_gen": n, "svd": n, "eigh": 2 * n,
                                       "eigvalsh": n})
 
 
@@ -254,6 +255,13 @@ def test_battery_precondition_riesz():
 
     with pytest.raises(PreconditionEvidenceError):
         run_battery(gen, PROFILE, LADDER)
+
+    def non_square(n):
+        return VectorFamily(np.eye(n, n - 1)), VectorFamily(np.eye(n, n - 1))
+
+    with pytest.raises(PreconditionEvidenceError) as info:
+        run_battery(non_square, PROFILE, LADDER)
+    assert isinstance(info.value, NotRieszBasisError)
 
 
 def test_battery_precondition_localization():
