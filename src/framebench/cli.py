@@ -124,13 +124,23 @@ def _profile(config: dict) -> localization.LocalizationProfile:
                     localization.LocalizationProfile.from_json)
 
 
+def _int_sizes(what: str, sizes) -> list:
+    """``sizes`` itself if it is a list of integers.  Anything else, a string
+    or a list holding a float or a bool included, is an ``InputError`` that
+    names ``what``: no value is rounded or coerced to a size."""
+    if not (isinstance(sizes, list) and all(
+            isinstance(s, int) and not isinstance(s, bool) for s in sizes)):
+        raise InputError(f"bad {what} {sizes!r}: expected a list of integers")
+    return sizes
+
+
 def _ladder(config: dict, override) -> frames.TruncationLadder:
     sizes = override if override is not None else config.get("ladder")
     if sizes is None:
         raise InputError("no ladder given (config 'ladder' or --ladder)")
     try:
-        return frames.TruncationLadder(tuple(int(s) for s in sizes))
-    except (TypeError, ValueError, LadderTooShortError) as exc:
+        return frames.TruncationLadder(tuple(_int_sizes("ladder", sizes)))
+    except LadderTooShortError as exc:
         raise InputError(f"bad ladder {sizes!r}: {exc}") from exc
 
 
@@ -219,6 +229,9 @@ def _sampling_set(config: dict) -> sampling.SamplingSet:
 
 
 def cmd_sampling(config, out, seed, tol_frame, ladder_override):
+    if Path(out).suffix == ".csv":  # the witness CSV goes next to the report
+        raise InputError(f"--out {out!r} is the witness CSV's own path; "
+                         "give the JSON report's path")
     gen = _section("generator config", config.get("generator", {}),
                    sampling.Generator.from_json)
     sset = _sampling_set(config)
@@ -236,10 +249,7 @@ def cmd_fixtures(config, out, seed, tol_frame, ladder_override):
         sizes = list(ladder_override)
     if not sizes:
         raise InputError("fixtures config needs a nonempty 'sizes' list")
-    try:
-        sizes = [int(s) for s in sizes]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad fixture sizes {sizes!r}: {exc}") from exc
+    sizes = _int_sizes("fixture sizes", sizes)
     if any(s < 1 for s in sizes):
         raise InputError(f"fixture sizes must be >= 1, got {sizes}")
     outdir = Path(out)

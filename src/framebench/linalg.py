@@ -13,15 +13,23 @@ in exactly the same order, and the duality identity holds bit for bit.
 
 Hermitian band matrices (the sampling Grams) have their own kernels, which
 never form the dense matrix: ``band_norm``, ``band_min_eig`` and
-``band_condition``.  They use only LAPACK routines ``scipy.linalg`` already
-loads.
+``band_condition``.  The last two call banded LAPACK (``pbtrf``,
+``cholesky_banded``, ``cho_solve_banded``) through ``scipy.linalg``.
 
 One LAPACK for dense work: every dense factorization (eigensolves, SVD,
-inverse) goes through ``numpy.linalg``, and ``scipy.linalg`` serves only the
-band kernels.  numpy and scipy each bundle their own OpenBLAS build, and
-switching from one to the other between calls is slow: on a 256 x 256
-complex matrix, a numpy ``eigh`` followed by a numpy SVD takes about 55 ms,
-but 145 ms when the SVD is scipy's ``svdvals`` (2-core Xeon VM).
+inverse) goes through ``numpy.linalg``.  numpy and scipy each bundle their
+own OpenBLAS build, and switching from one to the other between calls is
+slow: on a 256 x 256 complex matrix, a numpy ``eigh`` followed by a numpy
+SVD takes about 55 ms, but 145 ms when the SVD is scipy's ``svdvals``
+(2-core Xeon VM).
+
+scipy.linalg is loaded on the first band-kernel call and nowhere else.
+Importing it takes about 170 ms of the 260 ms that ``import
+framebench.cli`` would take with it (it pulls in ``numpy.testing``,
+``numpy.f2py`` and ``unittest``; ``python -X importtime``, 2-core VM), a
+cost every CLI command but ``sampling`` would pay for nothing.  The band kernels import it in their
+own bodies and look up each routine on the module object, so a patched
+``scipy.linalg`` attribute is seen by every call.
 """
 
 from dataclasses import dataclass
@@ -29,7 +37,6 @@ import math
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     NonSquareError,
@@ -271,6 +278,8 @@ def band_min_eig(a, b=None) -> float:
         if b_min <= 0.0:
             raise NotPositiveDefiniteError(
                 f"pencil needs a positive definite B, smallest eigenvalue {b_min:.3e}")
+    import scipy.linalg as sla
+
     pbtrf, = sla.get_lapack_funcs(("pbtrf",), (a, b))
     hi = 2.0 * band_norm(a) / b_min
     lo = -hi
@@ -292,6 +301,8 @@ def band_condition(ab) -> float:
     ||A||_1 = ||A||_inf for Hermitian A, so this is also the max-norm
     condition number.
     """
+    import scipy.linalg as sla
+
     try:
         factor = sla.cholesky_banded(ab, lower=True)
     except sla.LinAlgError as exc:

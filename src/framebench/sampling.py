@@ -17,7 +17,9 @@ their bands and takes every witness from the banded Hermitian kernels of
 ``linalg``: each bisection step costs n times the squared bandwidth and
 the exact inverse norm n^2 times the bandwidth.  ``sampling_matrix``,
 ``autocorrelation_gram`` and ``shift_gram`` are the dense constructions of
-the same matrices, kept for demonstrations and as the test oracle.
+the same matrices, kept for demonstrations and as the test oracle; they are
+numpy only.  The verdict is the one path that loads ``scipy.linalg``, through
+the band kernels on their first call (see ``linalg``).
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,6 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import frames, linalg
 from .errors import (
@@ -349,7 +350,8 @@ def shift_gram(g: Generator, window: int) -> np.ndarray:
     row = _shift_row(g, window)
     # row[m] integrates g(t) conj(g(t - m)); entry (k, l) is row[k - l] on and
     # below the diagonal and conj(row)[l - k] above it.
-    return sla.toeplitz(row, np.conj(row)).astype(complex)
+    lag = np.subtract.outer(np.arange(window), np.arange(window))
+    return np.where(lag >= 0, row[lag], np.conj(row)[-lag]).astype(complex)
 
 
 def _shift_band(g: Generator, size: int, rows: int) -> np.ndarray:

@@ -154,6 +154,12 @@ SAMPLING = {"generator": {"kind": "bspline", "degree": 3},
      "bad generator config: tabulated samples must be 1-D"),
     ("analyze", {"family": {"ambient_dim": 2, "member_count": 2, "coeffs": [[1, 0]]}},
      [], "expected 2*2"),
+    ("battery", {**BATTERY, "ladder": [8, 16.9, 32]}, [],
+     "bad ladder [8, 16.9, 32]: expected a list of integers"),
+    ("battery", {**BATTERY, "ladder": [True, 8, 16]}, [],
+     "bad ladder [True, 8, 16]: expected a list of integers"),
+    ("sampling", {**SAMPLING, "ladder": "3264"}, [],
+     "bad ladder '3264': expected a list of integers"),
 ], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative",
         "unknown-profile-kind", "jaffard-s-below-1", "schur-delta-negative",
         "unknown-generator-kind", "unknown-delta-rule", "family-not-object",
@@ -162,7 +168,7 @@ SAMPLING = {"generator": {"kind": "bspline", "degree": 3},
         "tabulated-without-samples", "seeded-uniform-without-bound",
         "deltas-scalar", "deltas-negative-bound", "seeded-uniform-negative-bound",
         "tabulated-samples-scalar",
-        "family-coeffs-count"])
+        "family-coeffs-count", "ladder-float", "ladder-bool", "ladder-string"])
 def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, extra,
                                                   named):
     cfg = tmp_path / "cfg.json"
@@ -174,8 +180,10 @@ def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, ext
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-@pytest.mark.parametrize("sizes, named", [(5, "5"), ([None], "[None]")],
-                         ids=["sizes-scalar", "sizes-null"])
+@pytest.mark.parametrize("sizes, named", [
+    (5, "5"), ([None], "[None]"), ("16", "'16'"), ([8, 16.7], "[8, 16.7]"),
+    ([True, 8], "[True, 8]"),
+], ids=["sizes-scalar", "sizes-null", "sizes-string", "sizes-float", "sizes-bool"])
 def test_bad_fixture_input_exits_2_without_output(tmp_path, sizes, named):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {"sizes": sizes})
@@ -277,6 +285,26 @@ def test_sampling_cli_short_explicit_deltas_fail_before_compute(tmp_path, monkey
     assert cli.main(["sampling", "--config", str(cfg),
                      "--out", str(tmp_path / "x.json")]) == 4
     assert "explicit deltas cover 64 points, window wants 128" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_sampling_cli_csv_out_exits_2_before_compute(tmp_path, monkeypatch, capsys):
+    # the witness CSV is written to --out with a .csv suffix, so a .csv --out
+    # would have it overwrite the JSON report
+    calls = []
+    verdict = sampling.stable_sampling_verdict
+
+    def counted_verdict(*args, **kwargs):
+        calls.append(args)
+        return verdict(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "stable_sampling_verdict", counted_verdict)
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, SAMPLING)
+    assert cli.main(["sampling", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+    assert "witness CSV" in capsys.readouterr().err
     assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 

@@ -288,6 +288,17 @@ def test_shift_gram_tabulated_complex_matches_closed_form():
     assert np.allclose(shift_gram(tab, 8), expected, rtol=0.0, atol=1e-14)
 
 
+def test_shift_gram_matches_scipy_toeplitz_bitwise():
+    # the numpy construction must copy row[k - l] and conj(row)[l - k] exactly
+    x = (np.arange(13) - 6) * 0.5
+    samples = bspline_eval(1, x) + 1j * bspline_eval(1, x - 0.5)
+    tab = Generator(kind="tabulated", samples=samples, step=0.5, decay_s=2.0)
+    for g in (CUBIC, tab):
+        row = sampling._shift_row(g, 9)
+        expected = sla.toeplitz(row, np.conj(row)).astype(complex)
+        assert np.array_equal(shift_gram(g, 9), expected)
+
+
 def test_shift_gram_tabulated_cubic_converges_at_second_order():
     # linear interpolation of the cubic B-spline is accurate to O(step^2),
     # and the exact Gram of the interpolant inherits that rate
