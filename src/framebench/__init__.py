@@ -23,13 +23,16 @@ equivalence
 sampling
     Shift-invariant spaces: B-spline and tabulated generators, perturbed
     integer sampling sets, autocorrelation Grams and stable-sampling verdicts.
+fields
+    The one rule for numeric config fields and dataclass numbers.
 cli
     JSON-config command line driver emitting reproducible reports.
 """
 
 __version__ = "0.1.0"
 
-from . import equivalence, errors, frames, ladder, linalg, localization, rdual, sampling
+from . import (equivalence, errors, fields, frames, ladder, linalg, localization, rdual,
+               sampling)
 from .equivalence import (
     EquivalenceReport,
     coorbit_equivalence_check,

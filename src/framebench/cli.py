@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, equivalence, frames, linalg, localization, rdual, sampling
+from . import (__version__, equivalence, fields, frames, linalg, localization, rdual,
+               sampling)
 from .errors import (
     BadExponentError,
     DimensionMismatchError,
@@ -127,9 +128,9 @@ def _profile(config: dict) -> localization.LocalizationProfile:
 def _int_sizes(what: str, sizes) -> list:
     """``sizes`` itself if it is a list of integers.  Anything else, a string
     or a list holding a float or a bool included, is an ``InputError`` that
-    names ``what``: no value is rounded or coerced to a size."""
-    if not (isinstance(sizes, list) and all(
-            isinstance(s, int) and not isinstance(s, bool) for s in sizes)):
+    names ``what``: no value is rounded or coerced to a size (the rule of
+    ``fields``, which every other numeric config field follows)."""
+    if not (isinstance(sizes, list) and all(fields.is_integer(s) for s in sizes)):
         raise InputError(f"bad {what} {sizes!r}: expected a list of integers")
     return sizes
 
@@ -199,8 +200,8 @@ def _battery_generator(entry: dict, seed):
     if kind == "counterexample":
         return equivalence.counterexample_family
     if kind == "perturbed-onb":
-        eps = float(entry.get("epsilon", 0.3))
-        s = int(entry.get("seed", seed or 0))
+        eps = fields.json_number(entry, "epsilon", 0.3)
+        s = fields.json_number(entry, "seed", seed or 0, integer=True, minimum=0)
         return lambda n: equivalence.perturbed_onb_family(n, epsilon=eps, seed=s)
     raise ValueError(
         f"unknown battery family kind {kind!r}; pick one of {_BATTERY_GENERATORS}"

@@ -1,0 +1,65 @@
+"""The one rule for numeric fields of JSON configs and of the dataclasses
+built from them.
+
+A number is an int or a float, never a bool or a string, and it is never
+rounded: an integer field takes only an integer, and a seed only a
+non-negative one.  A real field must also be finite; JSON's ``NaN``,
+``Infinity`` and overflowing literals such as ``1e400`` parse to
+non-finite floats.  An array field (tabulated samples, explicit deltas)
+holds numbers only, all finite.  Every violation is a ``ValueError`` that
+names the field, raised before any compute; the CLI adds the config
+section and exits 2.
+"""
+
+import math
+import numbers
+
+import numpy as np
+
+_REQUIRED = object()
+
+
+def is_integer(value) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_finite(field: str, value):
+    """``value`` if it is a finite real number, else a ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{field!r} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{field!r} must be finite, got {value}")
+    return value
+
+
+def require_integer(field: str, value, minimum=None):
+    """``value`` if it is an integer (not a bool) and at least ``minimum``,
+    else a ``ValueError``."""
+    if not is_integer(value):
+        raise ValueError(f"{field!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{field!r} must be >= {minimum}, got {value}")
+    return value
+
+
+def require_numbers(field: str, values) -> np.ndarray:
+    """``values`` as an array if every entry is a finite int, float or
+    complex number (no bool, no string), else a ``ValueError``."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iufc":
+        raise ValueError(f"{field!r} must hold numbers only, not bools or strings")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{field!r} must be finite")
+    return arr
+
+
+def json_number(obj: dict, field: str, default=_REQUIRED, integer: bool = False,
+                minimum=None):
+    """``obj[field]`` checked as a number: a finite float, or with ``integer``
+    an int of at least ``minimum``.  An absent field takes ``default`` (which
+    is checked too); without a default it is a ``KeyError``."""
+    value = obj[field] if default is _REQUIRED else obj.get(field, default)
+    if integer:
+        return require_integer(field, value, minimum)
+    return float(require_finite(field, value))

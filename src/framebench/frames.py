@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import fields, linalg
 from .errors import (
     DimensionMismatchError,
     LadderTooShortError,
@@ -77,8 +77,8 @@ class VectorFamily:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VectorFamily":
-        n = int(obj["ambient_dim"])
-        m = int(obj["member_count"])
+        n = fields.json_number(obj, "ambient_dim", integer=True)
+        m = fields.json_number(obj, "member_count", integer=True)
         pairs = obj["coeffs"]
         if len(pairs) != n * m:
             raise DimensionMismatchError(

@@ -119,6 +119,9 @@ JAFFARD = {"kind": "jaffard", "s": 2.0}
 BATTERY = {"family": {"kind": "onb"}, "profile": JAFFARD, "ladder": [4, 8, 16]}
 SAMPLING = {"generator": {"kind": "bspline", "degree": 3},
             "delta_rule": {"kind": "constant", "value": 0.0}, "ladder": [32, 64]}
+SEEDED = {"kind": "seeded-uniform", "bound": 0.2, "seed": 0}
+HAT_TABLE = {"kind": "tabulated", "samples": [0.0, 0.5, 1.0, 0.5, 0.0], "step": 0.5,
+             "decay_s": 2.0}
 
 
 @pytest.mark.parametrize("command, config, extra, named", [
@@ -160,6 +163,48 @@ SAMPLING = {"generator": {"kind": "bspline", "degree": 3},
      "bad ladder [True, 8, 16]: expected a list of integers"),
     ("sampling", {**SAMPLING, "ladder": "3264"}, [],
      "bad ladder '3264': expected a list of integers"),
+    # non-finite numbers (json.dumps writes inf as Infinity, which parses
+    # back to the same float as an overflowing literal such as 1e400)
+    ("sampling", {**SAMPLING, "delta_rule": {"kind": "constant", "value": math.inf}},
+     [], "bad delta rule: 'value' must be finite, got inf"),
+    ("sampling", {**SAMPLING, "delta_rule": {"kind": "constant", "value": math.nan}},
+     [], "bad delta rule: 'value' must be finite, got nan"),
+    ("sampling", {**SAMPLING, "generator": {**HAT_TABLE, "decay_s": math.inf}}, [],
+     "bad generator config: 'decay_s' must be finite, got inf"),
+    ("sampling", {**SAMPLING, "generator": {**HAT_TABLE, "step": math.nan}}, [],
+     "bad generator config: 'step' must be finite, got nan"),
+    ("battery", {**BATTERY, "profile": {"kind": "jaffard", "s": math.nan}}, [],
+     "bad localization profile: 's' must be finite, got nan"),
+    ("battery", {**BATTERY, "profile": {"kind": "jaffard", "s": math.inf}}, [],
+     "bad localization profile: 's' must be finite, got inf"),
+    ("battery", {**BATTERY, "profile": {"kind": "schur", "weight": {"delta": math.inf}}},
+     [], "bad localization profile: 'delta' must be finite, got inf"),
+    ("battery", {**BATTERY, "profile": {"kind": "schur", "weight": {
+        "form": "subexponential", "rate": math.nan}}},
+     [], "bad localization profile: 'rate' must be finite, got nan"),
+    # numbers are never rounded or parsed from strings
+    ("sampling", {**SAMPLING, "generator": {"kind": "bspline", "degree": 2.9}}, [],
+     "bad generator config: 'degree' must be an integer, got 2.9"),
+    ("sampling", {**SAMPLING, "delta_rule": {**SEEDED, "seed": 1.7}}, [],
+     "bad delta rule: 'seed' must be an integer, got 1.7"),
+    ("sampling", {**SAMPLING, "delta_rule": {**SEEDED, "seed": True}}, [],
+     "bad delta rule: 'seed' must be an integer, got True"),
+    ("sampling", {**SAMPLING, "delta_rule": {**SEEDED, "seed": -1}}, [],
+     "bad delta rule: 'seed' must be >= 0, got -1"),
+    ("battery", {**BATTERY, "family": {"kind": "perturbed-onb", "seed": 2.5}}, [],
+     "bad battery family: 'seed' must be an integer, got 2.5"),
+    ("sampling", {**SAMPLING, "delta_rule": {**SEEDED, "bound": "0.2"}}, [],
+     "bad delta rule: 'bound' must be a number, got '0.2'"),
+    ("sampling", {**SAMPLING, "delta_rule": {"kind": "constant", "value": "0.5"}}, [],
+     "bad delta rule: 'value' must be a number, got '0.5'"),
+    ("battery", {**BATTERY, "family": {"kind": "perturbed-onb", "epsilon": "0.3"}}, [],
+     "bad battery family: 'epsilon' must be a number, got '0.3'"),
+    ("sampling", {**SAMPLING, "generator": {**HAT_TABLE, "samples": [0, math.nan, 1, 0, 0]}},
+     [], "bad generator config: 'samples' must be finite"),
+    ("sampling", {**SAMPLING, "generator": {**HAT_TABLE, "samples": ["0", "1", "0", "0", "0"]}},
+     [], "bad generator config: 'samples' must hold numbers only"),
+    ("sampling", {**SAMPLING, "deltas": ["0.1"] * 64}, [],
+     "bad delta rule: 'deltas' must hold numbers only"),
 ], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative",
         "unknown-profile-kind", "jaffard-s-below-1", "schur-delta-negative",
         "unknown-generator-kind", "unknown-delta-rule", "family-not-object",
@@ -168,7 +213,13 @@ SAMPLING = {"generator": {"kind": "bspline", "degree": 3},
         "tabulated-without-samples", "seeded-uniform-without-bound",
         "deltas-scalar", "deltas-negative-bound", "seeded-uniform-negative-bound",
         "tabulated-samples-scalar",
-        "family-coeffs-count", "ladder-float", "ladder-bool", "ladder-string"])
+        "family-coeffs-count", "ladder-float", "ladder-bool", "ladder-string",
+        "constant-value-inf", "constant-value-nan", "tabulated-decay-inf",
+        "tabulated-step-nan", "jaffard-s-nan", "jaffard-s-inf", "schur-delta-inf",
+        "schur-rate-nan", "degree-float", "delta-seed-float", "delta-seed-bool",
+        "delta-seed-negative", "perturbed-onb-seed-float", "bound-string",
+        "value-string", "epsilon-string", "samples-nan", "samples-strings",
+        "deltas-strings"])
 def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, extra,
                                                   named):
     cfg = tmp_path / "cfg.json"

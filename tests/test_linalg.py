@@ -326,10 +326,14 @@ def random_band(n, bandwidth, seed, shift):
     return ab, dense
 
 
-@pytest.mark.parametrize("n, bandwidth, seed", [(1, 0, 0), (9, 2, 1), (40, 3, 2),
-                                                (40, 6, 3)])
-def test_band_kernels_match_dense(monkeypatch, n, bandwidth, seed):
-    monkeypatch.setattr(linalg, "BAND_SOLVE_BLOCK", 7)  # several solve blocks
+@pytest.mark.parametrize("n, bandwidth, seed, block", [
+    # BAND_SOLVE_BLOCK 7 (several trailing blocks), 1 (one column per solve)
+    # and n + 1 (one block for all)
+    pytest.param(n, bandwidth, seed, block, id=f"{n}-{bandwidth}-{seed}{suffix}")
+    for n, bandwidth, seed in [(1, 0, 0), (9, 2, 1), (40, 3, 2), (40, 6, 3)]
+    for block, suffix in [(7, ""), (1, "-block-1"), (n + 1, "-block-n+1")]])
+def test_band_kernels_match_dense(monkeypatch, n, bandwidth, seed, block):
+    monkeypatch.setattr(linalg, "BAND_SOLVE_BLOCK", block)
     a_band, a = random_band(n, bandwidth, seed, shift=0.0)
     b_band, b = random_band(n, bandwidth, seed + 100, shift=4.0 * (bandwidth + 1))
     lam = np.linalg.eigvalsh(a)
@@ -337,8 +341,12 @@ def test_band_kernels_match_dense(monkeypatch, n, bandwidth, seed):
     scale = np.max(np.abs(lam))
     assert abs(linalg.band_min_eig(a_band) - lam[0]) <= 1e-13 * scale
     assert abs(-linalg.band_min_eig(-a_band) - lam[-1]) <= 1e-13 * scale
-    assert abs(linalg.band_min_eig(a_band, b_band) - gen[0]) <= 1e-13 * np.max(np.abs(gen))
-    assert abs(-linalg.band_min_eig(-a_band, b_band) - gen[-1]) <= 1e-13 * np.max(np.abs(gen))
+    # any positive lower bound on lambda_min(B) brackets the pencil
+    b_low = 0.5 * float(np.linalg.eigvalsh(b)[0])
+    gen_scale = np.max(np.abs(gen))
+    for b_min in (None, b_low):
+        assert abs(linalg.band_min_eig(a_band, b_band, b_min) - gen[0]) <= 1e-13 * gen_scale
+        assert abs(-linalg.band_min_eig(-a_band, b_band, b_min) - gen[-1]) <= 1e-13 * gen_scale
     assert linalg.band_norm(b_band) == pytest.approx(linalg.pnorm_operator(b, 1), rel=1e-14)
     expected = linalg.condition_p(b, 1)
     assert linalg.band_condition(b_band) == pytest.approx(expected, rel=1e-12)
@@ -348,5 +356,9 @@ def test_band_kernels_reject_indefinite_matrices():
     a_band, _ = random_band(12, 2, 5, shift=0.0)
     with pytest.raises(NotPositiveDefiniteError):
         linalg.band_min_eig(a_band, a_band)
+    b_band, _ = random_band(12, 2, 6, shift=20.0)
+    for bad_bound in (0.0, -1.0):  # a lower bound for B must be positive
+        with pytest.raises(NotPositiveDefiniteError):
+            linalg.band_min_eig(a_band, b_band, bad_bound)
     with pytest.raises(NumericalFailureError):
         linalg.band_condition(a_band)

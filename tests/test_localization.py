@@ -197,6 +197,21 @@ def test_weight_validation():
     assert np.all(w(np.arange(10)) >= 1.0)
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: LocalizationProfile(kind="jaffard", s=math.nan), "'s'"),
+    (lambda: LocalizationProfile(kind="jaffard", s=math.inf), "'s'"),
+    (lambda: WeightSpec(form="polynomial", delta=math.inf), "'delta'"),
+    (lambda: WeightSpec(form="polynomial", scale=math.nan), "'scale'"),
+    (lambda: WeightSpec(form="subexponential", rate=math.nan), "'rate'"),
+    (lambda: WeightSpec(form="subexponential", power=-math.inf), "'power'"),
+])
+def test_profile_rejects_non_finite_numbers(build, field):
+    # a non-finite exponent or weight parameter is malformed input, not a
+    # norm that comes out nan
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        build()
+
+
 # --------------------------------------------------------------------------
 # mutual localization ladders
 # --------------------------------------------------------------------------

@@ -191,6 +191,25 @@ def test_sampling_set_validation():
             SamplingSet.from_deltas([0.0, 0.3, 0.0], bound=bad)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SamplingSet.constant(math.inf), "'value' must be finite"),
+    (lambda: SamplingSet.constant(math.nan), "'value' must be finite"),
+    (lambda: SamplingSet.seeded_uniform(0.2, seed=-1), "'seed' must be >= 0"),
+    (lambda: SamplingSet.seeded_uniform(0.2, seed=1.7), "'seed' must be an integer"),
+    (lambda: SamplingSet.seeded_uniform(0.2, seed=True), "'seed' must be an integer"),
+    (lambda: SamplingSet.from_deltas([0.0, math.nan]), "'deltas' must be finite"),
+    (lambda: Generator(kind="bspline", degree=2.9), "'degree' must be an integer"),
+    (lambda: Generator(kind="tabulated", samples=bspline_eval(1, np.arange(-3.0, 4.0)),
+                       step=math.nan), "'step' must be finite"),
+    (lambda: Generator(kind="tabulated", samples=bspline_eval(1, np.arange(-3.0, 4.0)),
+                       decay_s=math.inf), "'decay_s' must be finite"),
+])
+def test_sampling_dataclasses_reject_bad_numbers(build, message):
+    # checked at construction, before any point is drawn or evaluated
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_seeded_uniform_deltas_nest_across_windows():
     explicit = SamplingSet.from_deltas(0.3 * np.sin(np.arange(16)), bound=0.3)
     for s in (SamplingSet.seeded_uniform(0.3, seed=7), explicit):
@@ -461,33 +480,76 @@ def test_banded_verdict_matches_dense_oracle(name, x):
         assert rep.item(k).verdict == oracle.verdict, k
 
 
+def recorded(calls, name, fn, amount=lambda *args, **kwargs: 1):
+    """``fn`` wrapped to append ``(name, amount(*args, **kwargs))`` to
+    ``calls`` on every call: the one counter of the sampling budget tests."""
+    def wrapper(*args, **kwargs):
+        calls.append((name, amount(*args, **kwargs)))
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+BUDGET_LADDER = TruncationLadder((128, 256, 512))
+BUDGET_SET = SamplingSet.seeded_uniform(0.2, seed=0)
+
+
 def test_verdict_budget_no_dense_work(monkeypatch):
     # per call: the points are drawn once, for the largest window; nothing
     # is factorized densely; the generator is evaluated only inside the
     # band |l - k| <= ceil(radius + C) of P, not at all n^2 pairs
     calls = []
-
-    def recorded(name, fn, amount=lambda *args: 1):
-        def wrapper(*args, **kwargs):
-            calls.append((name, amount(*args)))
-            return fn(*args, **kwargs)
-        return wrapper
-
     for owner, name in ((np.linalg, "eigh"), (np.linalg, "svd"), (np.linalg, "inv"),
                         (sla, "eigh"), (sla, "inv"), (sla, "svdvals")):
-        monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
+        monkeypatch.setattr(owner, name, recorded(calls, name, getattr(owner, name)))
     monkeypatch.setattr(sampling, "generator_eval",
-                        recorded("points", sampling.generator_eval,
+                        recorded(calls, "points", sampling.generator_eval,
                                  lambda g, t: np.size(t)))
     monkeypatch.setattr(SamplingSet, "points",
-                        recorded("draw", SamplingSet.points, lambda x, n: n))
-    ladder = TruncationLadder((128, 256, 512))
-    x = SamplingSet.seeded_uniform(0.2, seed=0)
-    assert stable_sampling_verdict(CUBIC, x, ladder).stable
-    width = math.ceil(CUBIC.support_radius + x.bound)
+                        recorded(calls, "draw", SamplingSet.points, lambda x, n: n))
+    assert stable_sampling_verdict(CUBIC, BUDGET_SET, BUDGET_LADDER).stable
+    width = math.ceil(CUBIC.support_radius + BUDGET_SET.bound)
     assert [c for c in calls if c[0] != "points"] == [("draw", 512)]
     evaluated = sum(n for name, n in calls if name == "points")
-    assert evaluated <= sum(n * (2 * width + 1) for n in ladder.sizes)
+    assert evaluated <= sum(n * (2 * width + 1) for n in BUDGET_LADDER.sizes)
+
+
+def test_verdict_band_work_budget(monkeypatch):
+    # per call: 11 bisections, 3 for lambda_min(G), 6 for the pencil ends,
+    # 1 for the shift Gram (once, by interlacing) and 1 in
+    # generator_suitability; lambda_max(G) is not needed off the singular
+    # threshold.  The inverse norms solve only the trailing rows of each
+    # block of at most BAND_SOLVE_BLOCK identity columns.
+    calls = []
+    monkeypatch.setattr(linalg, "band_min_eig",
+                        recorded(calls, "band_min_eig", linalg.band_min_eig))
+    lapack_funcs = sla.get_lapack_funcs
+
+    def recorded_lapack_funcs(names, *args, **kwargs):
+        return tuple(recorded(calls, name, fn, lambda ab, rhs, **kw: rhs.shape)
+                     if name == "pbtrs" else fn
+                     for name, fn in zip(names, lapack_funcs(names, *args, **kwargs)))
+
+    monkeypatch.setattr(sla, "get_lapack_funcs", recorded_lapack_funcs)
+    rep = stable_sampling_verdict(CUBIC, BUDGET_SET, BUDGET_LADDER)
+    assert rep.stable
+    assert sum(name == "band_min_eig" for name, _ in calls) == 11
+    solves = [shape for name, shape in calls if name == "pbtrs"]
+    assert max(cols for _rows, cols in solves) <= linalg.BAND_SOLVE_BLOCK
+    block = linalg.BAND_SOLVE_BLOCK
+    expected = sum((n - s) * min(block, n - s)
+                   for n in (size - 2 * rep.trim for size in BUDGET_LADDER.sizes)
+                   for s in range(0, n, block))
+    assert sum(rows * cols for rows, cols in solves) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 1])
+def test_seeded_uniform_delta_stream_unchanged(seed):
+    # delta_k is the first uniform draw of default_rng((seed, k mod 2^32))
+    for n in (1, 2, 7, 512):
+        x = SamplingSet.seeded_uniform(0.2, seed)
+        expected = [np.random.default_rng((seed, int(k) & 0xFFFFFFFF)).uniform(-0.2, 0.2)
+                    for k in x.window(n)]
+        assert np.array_equal(x.deltas(n), expected), n
 
 
 def test_verdict_tabulated_decay_fixture_stable(tmp_path):
