@@ -79,12 +79,12 @@ class VectorFamily:
     def from_json(cls, obj: dict) -> "VectorFamily":
         n = fields.json_number(obj, "ambient_dim", integer=True)
         m = fields.json_number(obj, "member_count", integer=True)
-        pairs = obj["coeffs"]
-        if len(pairs) != n * m:
+        pairs = fields.require_numbers("coeffs", obj["coeffs"])
+        if pairs.shape != (n * m, 2):
             raise DimensionMismatchError(
-                f"coeffs has {len(pairs)} entries, expected {n}*{m}"
+                f"coeffs has shape {pairs.shape}, expected {n}*{m} [re, im] pairs"
             )
-        flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        flat = np.ascontiguousarray(pairs, dtype=float).view(complex)
         return cls(coeffs=flat.reshape(n, m), label=str(obj.get("label", "")))
 
     @classmethod

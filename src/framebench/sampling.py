@@ -20,6 +20,11 @@ the exact inverse norm n^2 / 2 times the bandwidth.  ``sampling_matrix``,
 the same matrices, kept for demonstrations and as the test oracle; they are
 numpy only.  The verdict is the one path that loads ``scipy.linalg``, through
 the band kernels on their first call (see ``linalg``).
+
+Seeded-uniform deltas follow numpy's stream: delta_k is the first
+``default_rng((seed, k mod 2^32)).uniform(-bound, bound)`` draw.  The whole
+window is drawn in one vectorized pass over numpy's seeding and PCG64
+arithmetic, bit for bit, with no generator built per point.
 """
 
 from dataclasses import dataclass
@@ -180,6 +185,105 @@ def generator_eval(g: Generator, t):
     return out if out.shape else complex(out)
 
 
+# numpy's SeedSequence and PCG64 constants (numpy.random.bit_generator and
+# pcg64.h); the seeded-uniform stream is defined by them.
+_M32 = 0xFFFFFFFF
+_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
+_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# Seeding from state 0 takes two LCG steps (srandom) and the first output one
+# more, so the state it outputs is s M^2 + (2 i + 1)(M^2 + M + 1) mod 2^128
+# for the seed words s and i: s _PCG_MULT_S + i _PCG_MULT_I + _PCG_ADD.
+_PCG_ADD = (_PCG_MULT ** 2 + _PCG_MULT + 1) % 2**128
+_PCG_MULT_S = _PCG_MULT ** 2 % 2**128
+_PCG_MULT_I = 2 * _PCG_ADD % 2**128
+
+
+def _limbs(k: int) -> list:
+    """The four 32-bit limbs of a 128-bit integer, least significant first."""
+    return [(k >> 32 * r) & _M32 for r in range(4)]
+
+
+def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
+    """Column of SeedSequence hash constants h_0 = init, h_{j+1} = h_j mult
+    (mod 2^32), j < count + 1."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _M32)
+    return np.array(h, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of each row of ``values`` with its consecutive
+    constant pair (h_j, h_{j+1})."""
+    v = (values ^ h[:-1]) * h[1:]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _SEED_MIX_L * x - _SEED_MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _mul_add_128(acc: np.ndarray, limbs: np.ndarray, k: int) -> None:
+    """acc += limbs * k for a 128-bit constant k, in 32-bit limbs (rows,
+    least significant first) held in uint64 so that no partial sum
+    overflows; ``acc`` has a fifth row for the carries out of the top limb,
+    which mod 2^128 drops."""
+    for b, kb in enumerate(_limbs(k)):
+        p = limbs[:4 - b] * kb
+        acc[b:4] += p & _M32
+        acc[b + 1:] += p >> 32
+
+
+def _seeded_uniform_draw(seed: int, keys: np.ndarray, bound: float) -> np.ndarray:
+    """The first ``default_rng((seed, k)).uniform(-bound, bound)`` draw for
+    each uint32 key k, bit for bit, in one vectorized pass.
+
+    The three stages are numpy's: SeedSequence (``mix_entropy`` over a pool
+    of 4 words, then ``generate_state(4, uint64)``), PCG64 seeding and one
+    XSL-RR output with the 128-bit products split into 32-bit limbs, and
+    ``Generator.uniform``, low + (high - low) (next_uint64 >> 11) 2^-53.
+    All arithmetic stays on arrays, where unsigned overflow wraps silently;
+    on numpy scalars it warns.  The uint64 words of ``generate_state`` are
+    read as a little-endian host lays them out.  The tests keep the
+    per-point ``default_rng`` draw as the oracle.
+    """
+    n = keys.size
+    # entropy: the seed's little-endian 32-bit words (at least one), then k
+    words = [(seed >> shift) & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.empty((len(words) + 1, n), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = keys
+    h = _hash_chain(_SEED_INIT_A, _SEED_MULT_A, 16 + 4 * max(len(entropy) - 4, 0))
+    pool = np.zeros((4, n), dtype=np.uint32)  # missing entropy words hash as 0
+    pool[:len(entropy)] = entropy[:4]
+    pool = _hashmix(pool, h[:5])
+    j = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[j:j + 4]))
+        j += 3
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, h[j:j + 5]))
+        j += 4
+    state = _hashmix(np.tile(pool, (2, 1)),
+                     _hash_chain(_SEED_INIT_B, _SEED_MULT_B, 8)).astype(np.uint64)
+    # as uint64 words, state is (s_hi, s_lo, i_hi, i_lo)
+    acc = np.zeros((5, n), dtype=np.uint64)
+    acc[:4] = np.array(_limbs(_PCG_ADD), dtype=np.uint64)[:, None]
+    _mul_add_128(acc, state[[2, 3, 0, 1]], _PCG_MULT_S)
+    _mul_add_128(acc, state[[6, 7, 4, 5]], _PCG_MULT_I)
+    for r in range(3):
+        acc[r + 1] += acc[r] >> 32
+    x = acc[:4] & _M32
+    out = ((x[3] << 32) | x[2]) ^ ((x[1] << 32) | x[0])
+    rot = x[3] >> 26
+    out = (out >> rot) | (out << ((64 - rot) & 63))
+    return -bound + (bound - -bound) * ((out >> 11) * 2.0 ** -53)
+
+
 @dataclass(frozen=True)
 class SamplingSet:
     """Perturbed integer sampling points x_k = k + delta_k with |delta_k| <= C.
@@ -188,17 +292,20 @@ class SamplingSet:
     consistent (nested) deltas:
 
     * ``constant``: delta_k = value for all k,
-    * ``seeded-uniform``: delta_k uniform in [-bound, bound], derived
-      deterministically from (seed, k) so windows nest,
+    * ``seeded-uniform``: delta_k uniform in [-bound, bound], the first
+      ``default_rng((seed, k mod 2^32)).uniform(-bound, bound)`` draw for
+      the centered index k, so windows nest; the window is drawn in one
+      vectorized pass,
     * ``explicit``: a fixed array over the centered window of its length;
       a shorter window takes the centered slice, so windows nest.  An
       absent ``bound`` (None) defaults to max |delta|; a stated bound is
       kept, so a bound of 0 rejects nonzero deltas when the points are
       drawn.
 
-    A stated bound that is negative or not finite, a value or an explicit
-    delta that is not finite, and a seed that is not a non-negative integer
-    are each a ``ValueError``.
+    A stated bound that is negative or not a finite number, a value or an
+    explicit delta that is not a finite number (a bool or a string is not
+    one), and a seed that is not a non-negative integer are each a
+    ``ValueError``; a bound and a value are stored as floats.
     """
 
     rule: str = "constant"
@@ -208,10 +315,14 @@ class SamplingSet:
     explicit: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.bound is not None and not 0.0 <= self.bound < math.inf:
-            raise ValueError(f"delta bound must be a finite number >= 0, got {self.bound}")
+        if self.bound is not None:
+            bound = float(fields.require_finite("bound", self.bound))
+            if bound < 0.0:
+                raise ValueError(f"delta bound must be a finite number >= 0, got {bound}")
+            object.__setattr__(self, "bound", bound)
         if self.rule == "constant":
-            value = fields.require_finite("value", self.value)
+            value = float(fields.require_finite("value", self.value))
+            object.__setattr__(self, "value", value)
             object.__setattr__(self, "bound", abs(value))
         elif self.rule == "seeded-uniform":
             if self.bound is None:
@@ -231,16 +342,15 @@ class SamplingSet:
 
     @classmethod
     def constant(cls, value: float) -> "SamplingSet":
-        return cls(rule="constant", value=float(value))
+        return cls(rule="constant", value=value)
 
     @classmethod
     def seeded_uniform(cls, bound: float, seed: int = 0) -> "SamplingSet":
-        return cls(rule="seeded-uniform", bound=float(bound), seed=seed)
+        return cls(rule="seeded-uniform", bound=bound, seed=seed)
 
     @classmethod
     def from_deltas(cls, deltas, bound: Optional[float] = None) -> "SamplingSet":
-        return cls(rule="explicit", explicit=deltas,
-                   bound=None if bound is None else float(bound))
+        return cls(rule="explicit", explicit=deltas, bound=bound)
 
     def window(self, n: int) -> np.ndarray:
         """Centered integer window of length n."""
@@ -250,16 +360,8 @@ class SamplingSet:
         if self.rule == "constant":
             return np.full(n, self.value)
         if self.rule == "seeded-uniform":
-            # delta_k comes from default_rng((seed, k mod 2^32)), whose entropy
-            # is the seed's little-endian 32-bit words (at least one) and then
-            # k mod 2^32; as a uint32 array it draws the same stream faster.
-            words = [(self.seed >> shift) & 0xFFFFFFFF
-                     for shift in range(0, max(self.seed.bit_length(), 1), 32)]
-            entropy = np.empty((n, len(words) + 1), dtype=np.uint32)
-            entropy[:, :-1] = words
-            entropy[:, -1] = self.window(n) & 0xFFFFFFFF
-            return np.array([np.random.default_rng(e).uniform(-self.bound, self.bound)
-                             for e in entropy])
+            keys = (self.window(n) & _M32).astype(np.uint32)
+            return _seeded_uniform_draw(self.seed, keys, self.bound)
         if n > self.explicit.size:
             raise PerturbationViolationError(
                 f"explicit deltas cover {self.explicit.size} points, window wants {n}"

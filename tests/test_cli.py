@@ -231,6 +231,21 @@ def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, ext
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "rdual"])
+@pytest.mark.parametrize("coeffs", [[[True, False]], [["1", "0"]]], ids=["bool", "string"])
+def test_family_file_with_non_number_coeffs_exits_2(tmp_path, command, coeffs):
+    # coefficients are never coerced: true/false are not 1/0
+    fam = tmp_path / "fam.json"
+    write_json(fam, {"ambient_dim": 1, "member_count": 1, "coeffs": coeffs})
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"family": str(fam)} if command == "analyze"
+               else {"psi": str(fam), "phi": str(fam)})
+    res = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "x.json"))
+    assert res.returncode == 2, res.stderr
+    assert "'coeffs' must hold numbers only" in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "fam.json"]
+
+
 @pytest.mark.parametrize("sizes, named", [
     (5, "5"), ([None], "[None]"), ("16", "'16'"), ([8, 16.7], "[8, 16.7]"),
     ([True, 8], "[True, 8]"),

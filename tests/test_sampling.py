@@ -198,6 +198,11 @@ def test_sampling_set_validation():
     (lambda: SamplingSet.seeded_uniform(0.2, seed=1.7), "'seed' must be an integer"),
     (lambda: SamplingSet.seeded_uniform(0.2, seed=True), "'seed' must be an integer"),
     (lambda: SamplingSet.from_deltas([0.0, math.nan]), "'deltas' must be finite"),
+    # numbers are never parsed from strings or taken from bools
+    (lambda: SamplingSet.seeded_uniform("0.2", 1), "'bound' must be a number"),
+    (lambda: SamplingSet.constant("0.5"), "'value' must be a number"),
+    (lambda: SamplingSet.from_deltas([0.1] * 4, bound=True), "'bound' must be a number"),
+    (lambda: SamplingSet(rule="seeded-uniform", bound="0.2"), "'bound' must be a number"),
     (lambda: Generator(kind="bspline", degree=2.9), "'degree' must be an integer"),
     (lambda: Generator(kind="tabulated", samples=bspline_eval(1, np.arange(-3.0, 4.0)),
                        step=math.nan), "'step' must be finite"),
@@ -542,14 +547,41 @@ def test_verdict_band_work_budget(monkeypatch):
     assert sum(rows * cols for rows, cols in solves) == expected
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 1])
+def per_point_deltas(x: SamplingSet, n: int) -> list:
+    """The seeded-uniform stream drawn one generator per point: delta_k is
+    the first uniform draw of default_rng((seed, k mod 2^32)).  The oracle
+    of the vectorized draw."""
+    return [np.random.default_rng((x.seed, int(k) & 0xFFFFFFFF)).uniform(-x.bound, x.bound)
+            for k in x.window(n)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**64 + 1,
+                                  2**128 + 3, 2**200 + 12345])
 def test_seeded_uniform_delta_stream_unchanged(seed):
-    # delta_k is the first uniform draw of default_rng((seed, k mod 2^32))
+    # seeds of more than 3 words give more than 4 entropy words, which
+    # SeedSequence mixes into its pool after the first four
     for n in (1, 2, 7, 512):
         x = SamplingSet.seeded_uniform(0.2, seed)
-        expected = [np.random.default_rng((seed, int(k) & 0xFFFFFFFF)).uniform(-0.2, 0.2)
-                    for k in x.window(n)]
-        assert np.array_equal(x.deltas(n), expected), n
+        assert np.array_equal(x.deltas(n), per_point_deltas(x, n)), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**256 - 1), n=st.integers(1, 1100),
+       bound=st.sampled_from([0.0, 5e-324, 0.2, 0.49]))
+def test_seeded_uniform_draw_matches_per_point_generators(seed, n, bound):
+    x = SamplingSet.seeded_uniform(bound, seed)
+    assert np.array_equal(x.deltas(n), per_point_deltas(x, n))
+
+
+def test_verdict_builds_no_per_point_generator(monkeypatch):
+    # the seeded-uniform draw is one vectorized pass: no numpy generator,
+    # seed sequence or bit generator is built, per point or at all
+    calls = []
+    for name in ("default_rng", "SeedSequence", "PCG64"):
+        monkeypatch.setattr(np.random, name,
+                            recorded(calls, name, getattr(np.random, name)))
+    assert stable_sampling_verdict(CUBIC, BUDGET_SET, BUDGET_LADDER).stable
+    assert calls == []
 
 
 def test_verdict_tabulated_decay_fixture_stable(tmp_path):
