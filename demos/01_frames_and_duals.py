@@ -45,10 +45,11 @@ print("Gram of S^-1/2 phi == identity:",
 
 print()
 print("== coordinate p-norms against the dual ==")
+coord_f = fb.analysis(dual, f)
 for p in (1, 2, math.inf):
-    print(f"  p={p}: coordinate norm of f = {fb.coorbit_norm(phi, f, p):.4f}"
-          f"   (plain p-norm of f = {fb.frames.vector_pnorm(f, p):.4f})")
-ratio = fb.coorbit_norm(phi, f, 2) / np.linalg.norm(f)
+    print(f"  p={p}: coordinate norm of f = {np.linalg.norm(coord_f, p):.4f}"
+          f"   (plain p-norm of f = {np.linalg.norm(f, p):.4f})")
+ratio = np.linalg.norm(coord_f) / np.linalg.norm(f)
 print(f"2-norm ratio {ratio:.4f} lies inside "
       f"[1/sqrt(B), 1/sqrt(A)] = [{1/math.sqrt(bounds.upper):.4f}, "
       f"{1/math.sqrt(bounds.lower):.4f}]")
@@ -56,6 +57,7 @@ print(f"2-norm ratio {ratio:.4f} lies inside "
 print()
 print("== conditioning of an operator in dual coordinates ==")
 t = np.diag(np.linspace(1.0, 3.0, n))
+coord = dual.coeffs.conj().T @ t @ phi.coeffs
 for p in (1, 2, math.inf):
     print(f"  condition of diag(1..3) on p={p} coordinates: "
-          f"{fb.coorbit_condition(phi, t, p):.3f}")
+          f"{fb.condition_p(coord, p):.3f}")

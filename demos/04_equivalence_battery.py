@@ -40,11 +40,3 @@ show("harmonic-decay counterexample (all ten fail together)",
 print("note printed with every report:")
 print(" ", fb.run_battery(fb.counterexample_family, profile,
                           ladder).coorbit_note)
-
-print()
-print("== coordinate-norm equivalence bracket for an equivalent pair ==")
-psi, phi = fb.perturbed_onb_family(16, epsilon=0.3, seed=7)
-for p in (1, 2):
-    br = fb.coorbit_equivalence_check(psi, phi, p, sample_count=200, seed=1)
-    print(f"  p={p}: ratio bracket [{br.lower:.4f}, {br.upper:.4f}] "
-          f"over {br.sample_count} samples")

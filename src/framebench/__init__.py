@@ -8,12 +8,12 @@ linalg
     them, condition numbers, gain probes, Hermitian band kernels.
 frames
     Vector families against an ambient ONB, Gram matrices, frame/Riesz
-    bounds, canonical duals, frame-operator powers, coordinate p-norms.
+    bounds, canonical duals, frame-operator powers.
 localization
     Off-diagonal decay norms (polynomial sup norm, weighted Schur norm) and
     ladder-based localization evidence.
 rdual
-    Riesz-dual sequences, their Grams, duality verdicts and decay transfer.
+    Riesz-dual sequences, their Grams and duality verdicts.
 ladder
     Ladder verdict rules (uniformity across truncations, borderline band)
     and the ``Witness`` record shared by battery and sampling reports.
@@ -35,7 +35,6 @@ from . import (equivalence, errors, fields, frames, ladder, linalg, localization
                sampling)
 from .equivalence import (
     EquivalenceReport,
-    coorbit_equivalence_check,
     counterexample_family,
     perturbed_onb_family,
     run_battery,
@@ -46,8 +45,6 @@ from .frames import (
     VectorFamily,
     analysis,
     canonical_dual,
-    coorbit_condition,
-    coorbit_norm,
     cross_gram,
     frame_bounds,
     frame_operator,
@@ -75,11 +72,7 @@ from .localization import (
 )
 # The rdual *function* is reached through its module (framebench.rdual.rdual):
 # re-exporting it here would shadow the submodule name.
-from .rdual import (
-    rdual_gram,
-    verify_rdual_duality,
-    verify_rdual_localization,
-)
+from .rdual import rdual_gram, verify_rdual_duality
 from .sampling import (
     Generator,
     SamplingReport,

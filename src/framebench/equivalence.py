@@ -215,45 +215,6 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
     )
 
 
-@dataclass(frozen=True)
-class RatioBracket:
-    """Min/max of a norm ratio over a random sample."""
-
-    lower: float
-    upper: float
-    sample_count: int
-
-    def to_json(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper,
-                "sample_count": self.sample_count}
-
-
-def coorbit_equivalence_check(psi: VectorFamily, phi: VectorFamily, p,
-                              sample_count: int = 100,
-                              seed: int = 0) -> RatioBracket:
-    """Bracket the coordinate-norm ratio of two frames over random vectors.
-
-    For each of ``sample_count`` seeded complex Gaussian vectors f, the ratio
-    of the dual-coordinate p-norms of f under psi and phi is recorded; the
-    returned bracket is the (min, max).  Both families must pass the frame
-    check (``NotAFrameError`` otherwise).  A bracket well inside (0, inf)
-    whose width is stable across truncations is the norm-equivalence
-    evidence.
-    """
-    dual_psi = frames.canonical_dual(psi)
-    dual_phi = frames.canonical_dual(phi)
-    rng = np.random.default_rng(seed)
-    n = psi.ambient_dim
-    ratios = []
-    for _ in range(int(sample_count)):
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        num = frames.vector_pnorm(dual_psi.coeffs.conj().T @ f, p)
-        den = frames.vector_pnorm(dual_phi.coeffs.conj().T @ f, p)
-        ratios.append(num / den)
-    return RatioBracket(lower=float(min(ratios)), upper=float(max(ratios)),
-                        sample_count=int(sample_count))
-
-
 # ---------------------------------------------------------------------------
 # Counterexample fixture: harmonically shrinking members over a Riesz basis.
 # At truncation N the lower frame bound is exactly 1/N^2 and the companion

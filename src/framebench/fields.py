@@ -43,15 +43,33 @@ def require_integer(field: str, value, minimum=None):
     return value
 
 
+def _holds_bool(values) -> bool:
+    # numpy infers a numeric dtype for a list that mixes bools with numbers,
+    # so nested lists are walked; a numeric ndarray cannot hold a bool.
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_bool, values))
+    return isinstance(values, (bool, np.bool_))
+
+
 def require_numbers(field: str, values) -> np.ndarray:
     """``values`` as an array if every entry is a finite int, float or
     complex number (no bool, no string), else a ``ValueError``."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iufc":
+    if _holds_bool(values) or arr.dtype.kind not in "iufc":
         raise ValueError(f"{field!r} must hold numbers only, not bools or strings")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{field!r} must be finite")
     return arr
+
+
+def require_pairs(field: str, values) -> np.ndarray:
+    """``values``, a list of ``[re, im]`` number pairs, as a 1-D complex
+    array, else a ``ValueError`` that names the field."""
+    pairs = require_numbers(field, values)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"{field!r} must be a list of [re, im] pairs, "
+                         f"got shape {pairs.shape}")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1)
 
 
 def json_number(obj: dict, field: str, default=_REQUIRED, integer: bool = False,

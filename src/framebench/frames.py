@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields, linalg
-from .errors import (
-    DimensionMismatchError,
-    LadderTooShortError,
-    NonSquareError,
-    NotAFrameError,
-)
+from .errors import DimensionMismatchError, LadderTooShortError, NotAFrameError
 
 #: Lower bounds at or below this are reported as numerically zero.
 TOL_FRAME = 1e-10
@@ -79,12 +74,11 @@ class VectorFamily:
     def from_json(cls, obj: dict) -> "VectorFamily":
         n = fields.json_number(obj, "ambient_dim", integer=True)
         m = fields.json_number(obj, "member_count", integer=True)
-        pairs = fields.require_numbers("coeffs", obj["coeffs"])
-        if pairs.shape != (n * m, 2):
+        flat = fields.require_pairs("coeffs", obj["coeffs"])
+        if flat.size != n * m:
             raise DimensionMismatchError(
-                f"coeffs has shape {pairs.shape}, expected {n}*{m} [re, im] pairs"
+                f"coeffs holds {flat.size} [re, im] pairs, expected {n}*{m}"
             )
-        flat = np.ascontiguousarray(pairs, dtype=float).view(complex)
         return cls(coeffs=flat.reshape(n, m), label=str(obj.get("label", "")))
 
     @classmethod
@@ -209,39 +203,3 @@ def power_transform(phi: VectorFamily, alpha: float,
         raise NotAFrameError(f"lower frame bound {max(lower, 0.0):.3e} <= {tol:.0e}")
     lab = f"S^{alpha:g}({phi.label})" if phi.label else f"S^{alpha:g}"
     return VectorFamily(dec.power(alpha) @ phi.coeffs, label=lab)
-
-
-def vector_pnorm(v, p) -> float:
-    """p-norm of a vector, p in {1, 2, inf}: the one-row ``linalg.line_norms``."""
-    return float(linalg.line_norms(np.asarray(v, dtype=complex).reshape(1, -1), p)[0])
-
-
-def coorbit_norm(phi: VectorFamily, f, p) -> float:
-    """Coordinate p-norm of f against the canonical dual of ``phi``.
-
-    This is the finite-truncation stand-in for the coefficient-space norm a
-    localized frame induces; for an ONB it reduces to the plain p-norm of
-    the coordinates.
-    """
-    return vector_pnorm(analysis(canonical_dual(phi), f), p)
-
-
-def coorbit_condition(phi: VectorFamily, t, p) -> float:
-    """Condition number of an operator in dual-coordinate representation.
-
-    The N x N matrix ``t`` is conjugated into the coordinates induced by
-    ``phi`` (analysis with the canonical dual, synthesis with ``phi``) and
-    measured with ``condition_p``.  Requires a square family so that the
-    coordinate map is invertible.  Returns ``math.inf`` as the singular flag.
-    """
-    tm = linalg.as_matrix(t)
-    linalg._require_square(tm)
-    if tm.shape[0] != phi.ambient_dim:
-        raise DimensionMismatchError(
-            f"operator is {tm.shape[0]}x{tm.shape[1]}, ambient dim is {phi.ambient_dim}"
-        )
-    if phi.member_count != phi.ambient_dim:
-        raise NonSquareError("coordinate representation needs a square (basis) family")
-    dual = canonical_dual(phi)
-    coord = dual.coeffs.conj().T @ tm @ phi.coeffs
-    return linalg.condition_p(coord, p)

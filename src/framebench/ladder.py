@@ -20,11 +20,16 @@ VERDICT_FAIL = "fail"
 VERDICT_BORDERLINE = "borderline"
 
 
+def in_borderline_band(value, tol) -> bool:
+    """True for a lower bound or gain in the borderline band [tol, 10 tol]."""
+    return tol <= value <= 10 * tol
+
+
 def _gain_verdict(values, tol) -> str:
     final = values[-1]
     if final < tol:
         return VERDICT_FAIL
-    if final <= 10 * tol:
+    if in_borderline_band(final, tol):
         return VERDICT_BORDERLINE
     if values[0] > final * LADDER_DECAY_FACTOR:
         return VERDICT_FAIL
@@ -37,7 +42,7 @@ def _condition_verdict(values, tol) -> str:
     rcond = 0.0 if math.isinf(final) else 1.0 / final
     if rcond < tol:
         return VERDICT_FAIL
-    if rcond <= 10 * tol:
+    if in_borderline_band(rcond, tol):
         return VERDICT_BORDERLINE
     if math.isinf(values[0]) or final > values[0] * LADDER_DECAY_FACTOR:
         return VERDICT_FAIL

@@ -15,24 +15,16 @@ factors exactly as  G(omega, phi) = G(psi, phi)^T . G(S^{-1/4} phi)  (plain
 transpose; for real families this coincides with the adjoint form, and decay
 norms cannot tell the two apart since they are conjugation-invariant), so
 localization of psi against phi propagates to omega.
-``verify_rdual_localization`` checks both the decay ladders and that
-factorization residual at every size.
 """
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from . import frames, linalg
 from .errors import DimensionMismatchError, NotRieszBasisError
-from .frames import TruncationLadder, VectorFamily
-from .localization import (
-    DecayReport,
-    FamilyPairGen,
-    LocalizationProfile,
-    decay_report,
-)
+from .frames import VectorFamily
+from .ladder import in_borderline_band
 
 
 def _check_index_sets(psi: VectorFamily, phi: VectorFamily):
@@ -133,7 +125,7 @@ def duality_verdict(psi: VectorFamily, omega: VectorFamily,
     riesz_lower = frames.riesz_bounds(omega).lower
     frame_verdict = frame_lower > tol
     riesz_verdict = riesz_lower > tol
-    borderline = any(tol <= b <= 10 * tol for b in (frame_lower, riesz_lower))
+    borderline = any(in_borderline_band(b, tol) for b in (frame_lower, riesz_lower))
     return RdualDualityReport(
         frame_lower=frame_lower,
         riesz_lower=riesz_lower,
@@ -141,66 +133,4 @@ def duality_verdict(psi: VectorFamily, omega: VectorFamily,
         riesz_verdict=riesz_verdict,
         agree=frame_verdict == riesz_verdict,
         borderline=borderline,
-    )
-
-
-@dataclass(frozen=True)
-class RdualLocalizationReport:
-    """Decay ladders for the dual companion plus factorization residuals."""
-
-    omega_vs_reference: DecayReport
-    omega_vs_reference_dual: DecayReport
-    omega_vs_omega: DecayReport
-    factorization_residuals: Tuple[Tuple[int, float], ...]
-    factorization_ok: bool
-
-    def all_localized(self) -> bool:
-        return all(
-            r.verdict == "localized"
-            for r in (self.omega_vs_reference, self.omega_vs_reference_dual,
-                      self.omega_vs_omega)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "omega_vs_reference": self.omega_vs_reference.to_json(),
-            "omega_vs_reference_dual": self.omega_vs_reference_dual.to_json(),
-            "omega_vs_omega": self.omega_vs_omega.to_json(),
-            "factorization_residuals": [
-                [int(s), float(r)] for s, r in self.factorization_residuals
-            ],
-            "factorization_ok": self.factorization_ok,
-        }
-
-
-def verify_rdual_localization(family_gen: FamilyPairGen,
-                              profile: LocalizationProfile,
-                              ladder: TruncationLadder,
-                              tol: float = frames.TOL_FRAME) -> RdualLocalizationReport:
-    """Decay evidence for the dual companion along a ladder.
-
-    At every size this builds omega from ``family_gen(size)`` and records the
-    profile norms of G(omega, phi), G(omega, dual phi) and G(omega), together
-    with the residual of the factorization
-    G(omega, phi) = G(psi, phi)^T . G(S^{-1/4} phi).
-    """
-    n_ref, n_dual, n_self, resid = [], [], [], []
-    for size in ladder:
-        psi, phi = family_gen(size)
-        spectrum = _check_rdual_inputs(psi, phi, tol)
-        omega = companion(psi, phi, spectrum)
-        dual = spectrum.power(-1.0) @ phi.coeffs
-        g_omega_phi = frames.cross_gram(omega, phi)
-        n_ref.append(profile.norm(g_omega_phi))
-        n_dual.append(profile.norm(omega.coeffs.conj().T @ dual))
-        n_self.append(profile.norm(frames.gram(omega)))
-        quarter = spectrum.power(-0.25) @ phi.coeffs
-        factor = frames.cross_gram(psi, phi).T @ (quarter.conj().T @ quarter)
-        resid.append((size, linalg.pnorm_operator(g_omega_phi - factor, 2)))
-    return RdualLocalizationReport(
-        omega_vs_reference=decay_report(profile, ladder.sizes, n_ref),
-        omega_vs_reference_dual=decay_report(profile, ladder.sizes, n_dual),
-        omega_vs_omega=decay_report(profile, ladder.sizes, n_self),
-        factorization_residuals=tuple(resid),
-        factorization_ok=all(r <= linalg.TOL_CALC for _, r in resid),
     )

@@ -161,9 +161,9 @@ class Generator:
         if kind != "tabulated":
             raise ValueError(f"unknown generator kind {kind!r}")
         payload = obj.get("grid", obj)  # nested form is canonical, flat accepted
-        raw = fields.require_numbers("samples", payload["samples"])
-        samples = (np.array([complex(re, im) for re, im in raw])
-                   if raw.ndim == 2 else raw.astype(complex))
+        samples = fields.require_numbers("samples", payload["samples"])
+        if samples.ndim == 2:  # [re, im] pairs; a flat list holds real samples
+            samples = fields.require_pairs("samples", samples)
         return cls(kind="tabulated", samples=samples,
                    step=fields.json_number(payload, "step", 1.0),
                    decay_s=fields.json_number(payload, "decay_s", 2.0))

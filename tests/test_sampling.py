@@ -202,6 +202,11 @@ def test_sampling_set_validation():
     (lambda: SamplingSet.seeded_uniform("0.2", 1), "'bound' must be a number"),
     (lambda: SamplingSet.constant("0.5"), "'value' must be a number"),
     (lambda: SamplingSet.from_deltas([0.1] * 4, bound=True), "'bound' must be a number"),
+    (lambda: SamplingSet.from_deltas([True, 0.1, 0.0]), "'deltas' must hold numbers only"),
+    (lambda: Generator(kind="tabulated", samples=[0.0, 0.5, True, 0.5, 0.0]),
+     "'samples' must hold numbers only"),
+    (lambda: Generator.from_json({"kind": "tabulated", "samples": [[0.5, 0.0]] * 4
+                                  + [[True, 0.0]]}), "'samples' must hold numbers only"),
     (lambda: SamplingSet(rule="seeded-uniform", bound="0.2"), "'bound' must be a number"),
     (lambda: Generator(kind="bspline", degree=2.9), "'degree' must be an integer"),
     (lambda: Generator(kind="tabulated", samples=bspline_eval(1, np.arange(-3.0, 4.0)),
