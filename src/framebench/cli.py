@@ -200,8 +200,8 @@ def _battery_generator(entry: dict, seed):
     if kind == "counterexample":
         return equivalence.counterexample_family
     if kind == "perturbed-onb":
-        eps = fields.json_number(entry, "epsilon", 0.3)
-        s = fields.json_number(entry, "seed", seed or 0, integer=True, minimum=0)
+        eps = float(fields.require_finite("epsilon", entry.get("epsilon", 0.3)))
+        s = fields.require_integer("seed", entry.get("seed", seed or 0), minimum=0)
         return lambda n: equivalence.perturbed_onb_family(n, epsilon=eps, seed=s)
     raise ValueError(
         f"unknown battery family kind {kind!r}; pick one of {_BATTERY_GENERATORS}"

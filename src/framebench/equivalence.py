@@ -37,7 +37,7 @@ phi)`` and phi^-1 = phi^H S_phi^-1 (the adjoint of the canonical dual):
 * the companion synthesis coordinate matrix is
   dual^H omega = phi^-1 S_phi^-1/2 phi conj(B) (witnesses 6 and 7).
 
-The companion itself (``rdual.companion``) is never formed, and no step
+The companion itself (``rdual.rdual``) is never formed, and no step
 makes an SVD or an LU inverse.  The singular flag of witnesses 2 and 3
 comes from Lambda; coord is only similar to S_psi, so its own singular
 values may put it on the other side of ``linalg.TOL_SING``.  The singular

@@ -9,14 +9,15 @@ non-finite floats.  An array field (tabulated samples, explicit deltas)
 holds numbers only, all finite.  Every violation is a ``ValueError`` that
 names the field, raised before any compute; the CLI adds the config
 section and exits 2.
+
+The records that own the fields apply the rule in their constructors, and
+store real fields as floats; their ``from_json`` passes the raw JSON value.
 """
 
 import math
 import numbers
 
 import numpy as np
-
-_REQUIRED = object()
 
 
 def is_integer(value) -> bool:
@@ -70,14 +71,3 @@ def require_pairs(field: str, values) -> np.ndarray:
         raise ValueError(f"{field!r} must be a list of [re, im] pairs, "
                          f"got shape {pairs.shape}")
     return np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1)
-
-
-def json_number(obj: dict, field: str, default=_REQUIRED, integer: bool = False,
-                minimum=None):
-    """``obj[field]`` checked as a number: a finite float, or with ``integer``
-    an int of at least ``minimum``.  An absent field takes ``default`` (which
-    is checked too); without a default it is a ``KeyError``."""
-    value = obj[field] if default is _REQUIRED else obj.get(field, default)
-    if integer:
-        return require_integer(field, value, minimum)
-    return float(require_finite(field, value))

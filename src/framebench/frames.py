@@ -72,8 +72,8 @@ class VectorFamily:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VectorFamily":
-        n = fields.json_number(obj, "ambient_dim", integer=True)
-        m = fields.json_number(obj, "member_count", integer=True)
+        n = fields.require_integer("ambient_dim", obj["ambient_dim"])
+        m = fields.require_integer("member_count", obj["member_count"])
         flat = fields.require_pairs("coeffs", obj["coeffs"])
         if flat.size != n * m:
             raise DimensionMismatchError(
@@ -104,7 +104,7 @@ class TruncationLadder:
     sizes: tuple = (16, 32, 64)
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(int(fields.require_integer("sizes", s)) for s in self.sizes)
         if len(sizes) < 2:
             raise LadderTooShortError("a ladder needs at least two sizes")
         if any(s < 1 for s in sizes) or any(b <= a for a, b in zip(sizes, sizes[1:])):

@@ -59,7 +59,8 @@ class WeightSpec:
 
     def __post_init__(self):
         for name in ("delta", "scale", "rate", "power"):
-            fields.require_finite(name, getattr(self, name))
+            object.__setattr__(self, name,
+                               float(fields.require_finite(name, getattr(self, name))))
         if self.form == "polynomial":
             if self.delta <= 0:
                 raise BadExponentError(f"polynomial weight needs delta > 0, got {self.delta}")
@@ -90,11 +91,11 @@ class WeightSpec:
     def from_json(cls, obj: dict) -> "WeightSpec":
         form = obj.get("form", "polynomial")
         if form == "polynomial":
-            return cls(form="polynomial", delta=fields.json_number(obj, "delta", 1.0),
-                       scale=fields.json_number(obj, "scale", 1.0))
+            return cls(form="polynomial", delta=obj.get("delta", 1.0),
+                       scale=obj.get("scale", 1.0))
         if form == "subexponential":
-            return cls(form="subexponential", rate=fields.json_number(obj, "rate", 0.0),
-                       power=fields.json_number(obj, "power", 0.5))
+            return cls(form="subexponential", rate=obj.get("rate", 0.0),
+                       power=obj.get("power", 0.5))
         raise ValueError(f"unknown weight form {form!r}")
 
 
@@ -108,7 +109,8 @@ class LocalizationProfile:
 
     def __post_init__(self):
         if self.kind == "jaffard":
-            if fields.require_finite("s", self.s) <= 1:
+            object.__setattr__(self, "s", float(fields.require_finite("s", self.s)))
+            if self.s <= 1:
                 raise BadExponentError(
                     f"polynomial sup norm needs s > 1 for the 1-D index model, got {self.s}"
                 )
@@ -130,7 +132,7 @@ class LocalizationProfile:
         kind = obj.get("kind", "jaffard")
         if kind == "schur":
             return cls(kind="schur", weight=WeightSpec.from_json(obj.get("weight", {})))
-        return cls(kind=kind, s=fields.json_number(obj, "s", 2.0))
+        return cls(kind=kind, s=obj.get("s", 2.0))
 
 
 @dataclass(frozen=True)

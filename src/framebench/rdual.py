@@ -15,6 +15,9 @@ factors exactly as  G(omega, phi) = G(psi, phi)^T . G(S^{-1/4} phi)  (plain
 transpose; for real families this coincides with the adjoint form, and decay
 norms cannot tell the two apart since they are conjugation-invariant), so
 localization of psi against phi propagates to omega.
+
+The pair is checked once, by ``_check_rdual_inputs``, before anything is
+computed; the battery's reference steps reuse that check.
 """
 
 from dataclasses import dataclass
@@ -27,21 +30,14 @@ from .frames import VectorFamily
 from .ladder import in_borderline_band
 
 
-def _check_index_sets(psi: VectorFamily, phi: VectorFamily):
-    if psi.ambient_dim != phi.ambient_dim:
-        raise DimensionMismatchError(
-            f"ambient dims differ: {psi.ambient_dim} vs {phi.ambient_dim}"
-        )
+def _check_rdual_inputs(psi: VectorFamily, phi: VectorFamily,
+                        tol: float) -> linalg.SpectralDecomposition:
+    frames._check_same_ambient(psi, phi)
     if psi.member_count != phi.member_count:
         raise DimensionMismatchError(
             "families must share one index set: "
             f"{psi.member_count} vs {phi.member_count} members"
         )
-
-
-def _check_rdual_inputs(psi: VectorFamily, phi: VectorFamily,
-                        tol: float) -> linalg.SpectralDecomposition:
-    _check_index_sets(psi, phi)
     if phi.member_count != phi.ambient_dim:
         raise NotRieszBasisError(
             f"reference family is {phi.ambient_dim}x{phi.member_count}, "
@@ -58,16 +54,6 @@ def _check_rdual_inputs(psi: VectorFamily, phi: VectorFamily,
     return spectrum
 
 
-def companion(psi: VectorFamily, phi: VectorFamily,
-              spectrum: linalg.SpectralDecomposition) -> VectorFamily:
-    """``rdual`` given ``frames.frame_spectrum(phi)`` of a checked reference."""
-    _check_index_sets(psi, phi)
-    gamma = spectrum.power(-0.5) @ phi.coeffs
-    omega = gamma @ frames.cross_gram(phi, psi).T
-    lab = f"rdual({psi.label})" if psi.label else "rdual"
-    return VectorFamily(omega, label=lab)
-
-
 def rdual(psi: VectorFamily, phi: VectorFamily,
           tol: float = frames.TOL_FRAME) -> VectorFamily:
     """Riesz-dual sequence of ``psi`` over the Riesz basis ``phi``.
@@ -76,7 +62,10 @@ def rdual(psi: VectorFamily, phi: VectorFamily,
     of the orthonormalized reference S_phi^{-1/2} phi.  Zero members of
     ``psi`` are allowed and simply produce zero columns.
     """
-    return companion(psi, phi, _check_rdual_inputs(psi, phi, tol))
+    spectrum = _check_rdual_inputs(psi, phi, tol)
+    gamma = spectrum.power(-0.5) @ phi.coeffs
+    omega = gamma @ frames.cross_gram(phi, psi).T
+    return VectorFamily(omega, label=f"rdual({psi.label})" if psi.label else "rdual")
 
 
 def rdual_gram(psi: VectorFamily, phi: VectorFamily,

@@ -90,12 +90,13 @@ class Generator:
             if self.samples is None:
                 raise GeneratorUnsuitableError("tabulated generator needs samples")
             s = np.array(fields.require_numbers("samples", self.samples), dtype=complex)
+            for name in ("step", "decay_s"):
+                object.__setattr__(self, name,
+                                   float(fields.require_finite(name, getattr(self, name))))
             if s.ndim != 1:
                 raise ValueError("tabulated samples must be 1-D")
             if s.size < 5:
                 raise GeneratorUnsuitableError("need a 1-D grid of >= 5 samples")
-            fields.require_finite("step", self.step)
-            fields.require_finite("decay_s", self.decay_s)
             if self.step <= 0:
                 raise GeneratorUnsuitableError(f"step must be > 0, got {self.step}")
             if self.decay_s <= 1:
@@ -156,17 +157,15 @@ class Generator:
     def from_json(cls, obj: dict) -> "Generator":
         kind = obj.get("kind", "bspline")
         if kind == "bspline":
-            return cls(kind="bspline",
-                       degree=fields.json_number(obj, "degree", 3, integer=True))
+            return cls(kind="bspline", degree=obj.get("degree", 3))
         if kind != "tabulated":
             raise ValueError(f"unknown generator kind {kind!r}")
         payload = obj.get("grid", obj)  # nested form is canonical, flat accepted
-        samples = fields.require_numbers("samples", payload["samples"])
-        if samples.ndim == 2:  # [re, im] pairs; a flat list holds real samples
+        samples = payload["samples"]
+        if np.ndim(samples) == 2:  # [re, im] pairs; a flat list holds real samples
             samples = fields.require_pairs("samples", samples)
-        return cls(kind="tabulated", samples=samples,
-                   step=fields.json_number(payload, "step", 1.0),
-                   decay_s=fields.json_number(payload, "decay_s", 2.0))
+        return cls(kind="tabulated", samples=samples, step=payload.get("step", 1.0),
+                   decay_s=payload.get("decay_s", 2.0))
 
 
 def generator_eval(g: Generator, t):
@@ -395,15 +394,11 @@ class SamplingSet:
     def from_json(cls, obj: dict) -> "SamplingSet":
         kind = obj.get("kind", "constant")
         if kind == "constant":
-            return cls.constant(fields.json_number(obj, "value", 0.0))
+            return cls.constant(obj.get("value", 0.0))
         if kind == "seeded-uniform":
-            return cls.seeded_uniform(fields.json_number(obj, "bound"),
-                                      fields.json_number(obj, "seed", 0, integer=True,
-                                                         minimum=0))
-        if kind == "explicit":
-            bound = obj.get("bound")  # null, like an absent bound, means max |delta|
-            return cls.from_deltas(obj["deltas"], None if bound is None
-                                   else fields.json_number(obj, "bound"))
+            return cls.seeded_uniform(obj["bound"], obj.get("seed", 0))
+        if kind == "explicit":  # a null bound, like an absent one, means max |delta|
+            return cls.from_deltas(obj["deltas"], obj.get("bound"))
         raise ValueError(f"unknown sampling rule {kind!r}")
 
 
@@ -468,12 +463,6 @@ def shift_gram(g: Generator, window: int) -> np.ndarray:
     # below the diagonal and conj(row)[l - k] above it.
     lag = np.subtract.outer(np.arange(window), np.arange(window))
     return np.where(lag >= 0, row[lag], np.conj(row)[-lag]).astype(complex)
-
-
-def _shift_band(g: Generator, size: int, rows: int) -> np.ndarray:
-    """The first ``rows`` diagonals of ``shift_gram(g, size)`` in lower band
-    storage (``linalg.band_min_eig``)."""
-    return np.repeat(_shift_row(g, rows)[:, None], size, axis=1)
 
 
 def _interior_gram_band(g: Generator, pts: np.ndarray, width: int,
@@ -570,26 +559,6 @@ PROXY_DISCLAIMER = (
 )
 
 
-def generator_suitability(g: Generator, probe_window: int = 64,
-                          tol: float = frames.TOL_FRAME) -> dict:
-    """Check the generator prerequisites: decay and stable integer shifts.
-
-    Tabulated decay is validated at construction; here the integer shifts
-    must form a Riesz basis of their span (positive smallest eigenvalue of
-    the shift Gram on a probe window).  Continuity is recorded, not
-    enforced: the degree-0 box is accepted because its shifts are exactly
-    orthonormal.
-    """
-    rows = min(math.ceil(2 * g.support_radius), probe_window)
-    lam_min = max(linalg.band_min_eig(_shift_band(g, probe_window, rows)), 0.0)
-    if lam_min <= tol:
-        raise GeneratorUnsuitableError(
-            f"integer shifts fail the Riesz check: smallest Gram eigenvalue "
-            f"{lam_min:.3e} <= {tol:.0e}"
-        )
-    return {"continuous": g.continuous, "shift_riesz_lower": lam_min}
-
-
 def stable_sampling_verdict(g: Generator, x: SamplingSet,
                             ladder: TruncationLadder,
                             tol: float = frames.TOL_FRAME) -> SamplingReport:
@@ -606,13 +575,14 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
     shift Gram) as direct sampling bounds (item a).  Item (b) carries the
     consensus verdict, annotated duality-derived.
 
-    The shift Gram's smallest eigenvalue, which brackets every pencil
-    bisection, is bisected once per verdict, at the largest size: each
-    smaller interior shift Gram is a leading principal submatrix of that
-    one, so by Cauchy interlacing it is a lower bound at every size.  The
-    largest eigenvalue of G, which only the singular flag needs, is
-    bisected only when the flag is not already false by lambda_max <=
-    ||G||_1.
+    The smallest eigenvalue of the largest interior shift Gram is bisected
+    once per verdict, before any band of G is built.  Each smaller interior
+    shift Gram is a leading principal submatrix of that one, so by Cauchy
+    interlacing it bounds every size from below: at or below ``tol`` the
+    integer shifts are no Riesz basis (``GeneratorUnsuitableError``), and
+    above it brackets every pencil bisection.  The largest eigenvalue of G,
+    which only the singular flag needs, is bisected only when the flag is
+    not already false by lambda_max <= ||G||_1.
     """
     trim = int(math.ceil(g.support_radius)) + int(math.ceil(x.bound))
     for size in ladder:
@@ -623,16 +593,22 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
             )
     largest = ladder.sizes[-1]
     pts = x.points(largest)
-    suit = generator_suitability(g, probe_window=max(ladder.sizes[0], 32), tol=tol)
     width = math.ceil(g.support_radius + x.bound)
+    # The largest interior shift Gram, in the band storage of the largest G.
+    interior = largest - 2 * trim
+    rows = min(2 * width, interior - 1) + 1
+    shift_all = np.repeat(_shift_row(g, rows)[:, None], interior, axis=1)
+    shift_min = linalg.band_min_eig(shift_all)
+    if shift_min <= tol:
+        raise GeneratorUnsuitableError(
+            f"integer shifts fail the Riesz check: smallest Gram eigenvalue "
+            f"{max(shift_min, 0.0):.3e} <= {tol:.0e}"
+        )
 
     grams = []
     for size in ladder:
         start = largest // 2 - size // 2
         grams.append(_interior_gram_band(g, pts[start:start + size], width, trim))
-    # a lower bound on lambda_min of every interior shift Gram (interlacing)
-    shift_all = _shift_band(g, grams[-1].shape[1], grams[-1].shape[0])
-    shift_min = linalg.band_min_eig(shift_all)
 
     q = {key: [] for key in ("a", "c", "d", "e")}
     bounds_ladder = []
@@ -688,6 +664,6 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
         ladder=ladder.sizes,
         trim=trim,
         direct_bounds=tuple(bounds_ladder),
-        generator_continuous=suit["continuous"],
+        generator_continuous=g.continuous,
         note=PROXY_DISCLAIMER,
     )

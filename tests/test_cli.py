@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from framebench import cli, equivalence, frames, sampling
+from framebench import cli, equivalence, frames, linalg, sampling
 from framebench.frames import VectorFamily
 
 
@@ -334,6 +334,19 @@ def test_sampling_cli_rejects_bad_generator(tmp_path):
     assert res.returncode == 4
 
 
+def test_sampling_cli_zero_generator_fails_riesz_check(tmp_path, capsys):
+    # integer shifts of the zero function span nothing: the verdict's shift
+    # Gram gate exits 4 before any autocorrelation band is built
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {**SAMPLING, "generator": {
+        "kind": "tabulated",
+        "grid": {"samples": [[0.0, 0.0]] * 9, "step": 0.5, "decay_s": 2.0}}})
+    assert cli.main(["sampling", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.json")]) == 4
+    assert "integer shifts fail the Riesz check" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_sampling_cli_explicit_deltas_nest_over_ladder(tmp_path):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "samp.json"
@@ -347,13 +360,13 @@ def test_sampling_cli_explicit_deltas_nest_over_ladder(tmp_path):
 def test_sampling_cli_short_explicit_deltas_fail_before_compute(tmp_path, monkeypatch,
                                                                capsys):
     calls = []
-    suitability = sampling.generator_suitability
+    band_min_eig = linalg.band_min_eig
 
-    def counted_suitability(*args, **kwargs):
+    def counted_band_min_eig(*args, **kwargs):
         calls.append(args)
-        return suitability(*args, **kwargs)
+        return band_min_eig(*args, **kwargs)
 
-    monkeypatch.setattr(sampling, "generator_suitability", counted_suitability)
+    monkeypatch.setattr(linalg, "band_min_eig", counted_band_min_eig)
     cfg = tmp_path / "cfg.json"
     deltas = (0.2 * np.sin(np.arange(64))).tolist()
     write_json(cfg, {**SAMPLING, "deltas": deltas, "ladder": [32, 64, 128]})

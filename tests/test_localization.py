@@ -1,5 +1,6 @@
 """Localization tests: decay norms, solidity, ladders, exponent fitting."""
 
+import json
 import math
 
 import numpy as np
@@ -210,6 +211,20 @@ def test_profile_rejects_non_finite_numbers(build, field):
     # norm that comes out nan
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         build()
+
+
+def test_constructors_store_real_fields_as_floats():
+    # the records own the number rule, so a library int is stored as the
+    # float a JSON config gives, and reports print 3.0 on every path
+    assert type(WeightSpec(delta=1).delta) is float
+    assert type(WeightSpec(form="subexponential", rate=1).rate) is float
+    assert type(LocalizationProfile(s=3).s) is float
+    tab = sampling.Generator(kind="tabulated", samples=[0.0, 0.5, 1.0, 0.5, 0.0],
+                             step=1, decay_s=3)
+    assert type(tab.step) is float and type(tab.decay_s) is float
+    assert json.dumps(LocalizationProfile(s=3).to_json()) == '{"kind": "jaffard", "s": 3.0}'
+    assert json.dumps(LocalizationProfile.from_json({"s": 3}).to_json()) == \
+        '{"kind": "jaffard", "s": 3.0}'
 
 
 # --------------------------------------------------------------------------

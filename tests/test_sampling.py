@@ -524,11 +524,12 @@ def test_verdict_budget_no_dense_work(monkeypatch):
 
 
 def test_verdict_band_work_budget(monkeypatch):
-    # per call: 11 bisections, 3 for lambda_min(G), 6 for the pencil ends,
-    # 1 for the shift Gram (once, by interlacing) and 1 in
-    # generator_suitability; lambda_max(G) is not needed off the singular
-    # threshold.  The inverse norms solve only the trailing rows of each
-    # block of at most BAND_SOLVE_BLOCK identity columns.
+    # per call: 10 bisections, 3 for lambda_min(G), 6 for the pencil ends
+    # and 1 for the largest interior shift Gram, which both gates the
+    # generator and brackets every pencil (interlacing); lambda_max(G) is
+    # not needed off the singular threshold.  The inverse norms solve only
+    # the trailing rows of each block of at most BAND_SOLVE_BLOCK identity
+    # columns.
     calls = []
     monkeypatch.setattr(linalg, "band_min_eig",
                         recorded(calls, "band_min_eig", linalg.band_min_eig))
@@ -542,7 +543,7 @@ def test_verdict_band_work_budget(monkeypatch):
     monkeypatch.setattr(sla, "get_lapack_funcs", recorded_lapack_funcs)
     rep = stable_sampling_verdict(CUBIC, BUDGET_SET, BUDGET_LADDER)
     assert rep.stable
-    assert sum(name == "band_min_eig" for name, _ in calls) == 11
+    assert sum(name == "band_min_eig" for name, _ in calls) == 10
     solves = [shape for name, shape in calls if name == "pbtrs"]
     assert max(cols for _rows, cols in solves) <= linalg.BAND_SOLVE_BLOCK
     block = linalg.BAND_SOLVE_BLOCK
@@ -615,11 +616,14 @@ def test_verdict_trim_guard():
 
 
 def test_generator_suitability_gate():
-    with pytest.raises(GeneratorUnsuitableError):
-        sampling.generator_suitability(CUBIC, tol=1.0)
-    info = sampling.generator_suitability(CUBIC)
-    assert info["continuous"] is True
-    assert info["shift_riesz_lower"] > 1e-3
+    # the cubic's shift Gram has lambda_min about 0.054 (symbol minimum):
+    # above the default tol, below tol = 1
+    ladder = TruncationLadder((32, 64))
+    with pytest.raises(GeneratorUnsuitableError,
+                       match="integer shifts fail the Riesz check"):
+        stable_sampling_verdict(CUBIC, SamplingSet.constant(0.0), ladder, tol=1.0)
+    rep = stable_sampling_verdict(CUBIC, SamplingSet.constant(0.0), ladder)
+    assert rep.generator_continuous is True
 
 
 def test_sampling_report_json_and_csv():
