@@ -313,9 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_json(args.config)
-        if not isinstance(config, dict):
-            raise InputError("config root must be a JSON object")
+        config = fields.require_object("config", _load_json(args.config))
         _COMMANDS[args.command](config, args.out, args.seed, args.tol_frame,
                                 args.ladder)
     except FramebenchError as exc:

@@ -26,23 +26,26 @@ rules of :mod:`framebench.ladder`.  This interpretive decision is printed in
 every report.
 
 Every matrix above is a congruence or a similarity of S_psi by the square
-reference phi, so one ladder step needs only the spectra of S_phi (from the
-reference check) and of S_psi = U Lambda U^H.  With B = ``cross_gram(psi,
-phi)`` and phi^-1 = phi^H S_phi^-1 (the adjoint of the canonical dual):
+reference phi, so one ladder step needs only the spectra of the reference
+Gram G_phi = phi^H phi = W w W^H (formed once, by the reference check) and
+of S_psi = U Lambda U^H.  With B = ``cross_gram(psi, phi)`` and phi^-1 =
+G_phi^-1 phi^H = (W / w) (phi W)^H (the adjoint of the canonical dual):
 
 * coord = phi^-1 S_psi phi = (phi^-1 U) Lambda (U^H phi), and its inverse
   is (phi^-1 U) Lambda^-1 (U^H phi) (witnesses 2 and 3);
-* the companion Gram is G_omega = conj(B^H B) = conj(phi^H S_psi phi), and
-  its inverse is conj((phi^-1 U) Lambda^-1 (phi^-1 U)^H) (witnesses 8, 9);
-* the companion synthesis coordinate matrix is
-  dual^H omega = phi^-1 S_phi^-1/2 phi conj(B) (witnesses 6 and 7).
+* the companion Gram G_omega = conj(B^H B) has the moduli and spectrum of
+  B^H B = phi^H S_psi phi, whose inverse is (phi^-1 U) Lambda^-1
+  (phi^-1 U)^H (witnesses 8, 9 and 10);
+* the companion synthesis coordinate matrix is dual^H omega =
+  phi^-1 S_phi^-1/2 phi conj(B) = G_phi^-1/2 conj(B) by the polar
+  decomposition of phi (witnesses 6 and 7).
 
 The companion itself (``rdual.rdual``) is never formed, and no step
 makes an SVD or an LU inverse.  The singular flag of witnesses 2 and 3
 comes from Lambda; coord is only similar to S_psi, so its own singular
 values may put it on the other side of ``linalg.TOL_SING``.  The singular
 flag of witnesses 8 and 9, and witness 10, come from the eigenvalues of
-G_omega (values only).
+B^H B (values only).
 """
 
 from dataclasses import dataclass
@@ -108,13 +111,14 @@ class EquivalenceReport:
 
 def _reference_steps(family_gen, profile, ladder, tol):
     """Check the reference phi at every size (``rdual``'s Riesz-basis and
-    index-set checks), then its localization along the ladder; return
-    ``(psi, phi, spectrum of S_phi)`` per size."""
+    index-set checks), then the localization of the G_phi that check formed
+    along the ladder; return ``(psi, phi, spectrum of G_phi)`` per size."""
     steps, norms = [], []
     for size in ladder:
         psi, phi = family_gen(size)
-        steps.append((psi, phi, rdual._check_rdual_inputs(psi, phi, tol)))
-        norms.append(profile.norm(frames.gram(phi)))
+        g, spectrum = rdual._check_rdual_inputs(psi, phi, tol)
+        steps.append((psi, phi, spectrum))
+        norms.append(profile.norm(g))
     evidence = localization.decay_report(profile, ladder.sizes, norms)
     if evidence.verdict != localization.VERDICT_LOCALIZED:
         raise PreconditionEvidenceError(
@@ -142,36 +146,28 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
     """
     per_id = {cid: [] for cid in range(1, 11)}
     for psi, phi, spectrum in _reference_steps(family_gen, profile, ladder, tol):
-        ref = phi.coeffs
-        ref_inv = (spectrum.power(-1.0) @ ref).conj().T  # dual^H = phi^-1
+        ref, v = phi.coeffs, spectrum.eigenvectors
+        ref_inv = (v / spectrum.eigenvalues) @ (ref @ v).conj().T  # dual^H = phi^-1
 
         eig = linalg.hermitian_eig(frames.frame_operator(psi))
         lam_psi, u = eig.eigenvalues, eig.eigenvectors
-        per_id[1].append(max(float(lam_psi[0]), 0.0))
-
         left, right = ref_inv @ u, u.conj().T @ ref
-        cond1, cond_inf = linalg.condition_1_inf(
+        cond2, cond3 = linalg.condition_1_inf(
             (left * lam_psi) @ right, lam_psi, lambda: (left / lam_psi) @ right)
-        per_id[2].append(cond1)
-        per_id[3].append(cond_inf)
 
         cross = frames.cross_gram(psi, phi)
         gain4 = linalg.gain_probe(cross, math.inf)
-        per_id[4].append(gain4)
-        per_id[5].append(gain4)
+        cross_conj = cross.conj()
+        gain6 = linalg.gain_probe(spectrum.power(-0.5) @ cross_conj, math.inf)
 
-        gain6 = linalg.gain_probe(
-            ref_inv @ (spectrum.power(-0.5) @ (ref @ cross.conj())), math.inf)
-        per_id[6].append(gain6)
-        per_id[7].append(gain6)
-
-        g_omega = cross.T @ cross.conj()
-        lam_g = linalg.hermitian_eigvals(g_omega)
-        cond1, cond_inf = linalg.condition_1_inf(
-            g_omega, lam_g, lambda: ((left / lam_psi) @ left.conj().T).conj())
-        per_id[8].append(cond1)
-        per_id[9].append(cond_inf)
-        per_id[10].append(max(float(lam_g[0]), 0.0))
+        g_conj = cross_conj.T @ cross  # B^H B = conj(G_omega)
+        lam_g = linalg.hermitian_eigvals(g_conj)
+        cond8, cond9 = linalg.condition_1_inf(
+            g_conj, lam_g, lambda: (left / lam_psi) @ left.conj().T)
+        values = (max(float(lam_psi[0]), 0.0), cond2, cond3, gain4, gain4, gain6,
+                  gain6, cond8, cond9, max(float(lam_g[0]), 0.0))
+        for cid, value in zip(range(1, 11), values):
+            per_id[cid].append(value)
 
     def inj_note(gains):
         return ("pointwise injectivity holds at every size; "
@@ -263,13 +259,13 @@ def perturbed_onb_family(size: int, epsilon: float = 0.3, seed: int = 0,
     """A well-conditioned test pair: psi = I + E with spectral norm of E fixed.
 
     E is a dense seeded Gaussian perturbation rescaled to 2-norm
-    ``epsilon`` < 1, so the frame bound stays above (1 - epsilon)^2 at
-    every size.  E has no off-diagonal decay, so psi is *not* mutually
-    localized with the reference: the Jaffard norm of its cross Gram grows
-    with the size, and so do the 1-norm and max-norm witnesses (2, 3, 8, 9),
-    roughly like sqrt(size).  All ten battery conditions pass only on short
-    ladders such as (8, 16, 32, 64); on (16, ..., 512) the battery is no
-    longer consistent.
+    ``epsilon`` < 1 (no SVD: see ``linalg.pnorm_operator``), so the frame
+    bound stays above (1 - epsilon)^2 at every size.  E has no off-diagonal
+    decay, so psi is *not* mutually localized with the reference: the
+    Jaffard norm of its cross Gram grows with the size, and so do the
+    1-norm and max-norm witnesses (2, 3, 8, 9), roughly like sqrt(size).
+    All ten battery conditions pass only on short ladders such as (8, 16,
+    32, 64); on (16, ..., 512) the battery is no longer consistent.
     """
     rng = np.random.default_rng(seed)
     e = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))

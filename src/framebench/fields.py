@@ -6,9 +6,9 @@ rounded: an integer field takes only an integer, and a seed only a
 non-negative one.  A real field must also be finite; JSON's ``NaN``,
 ``Infinity`` and overflowing literals such as ``1e400`` parse to
 non-finite floats.  An array field (tabulated samples, explicit deltas)
-holds numbers only, all finite.  Every violation is a ``ValueError`` that
-names the field, raised before any compute; the CLI adds the config
-section and exits 2.
+holds numbers only, all finite; a nested section is a JSON object.  Every
+violation is a ``ValueError`` that names the field, raised before any
+compute; the CLI adds the config section and exits 2.
 
 The records that own the fields apply the rule in their constructors, and
 store real fields as floats; their ``from_json`` passes the raw JSON value.
@@ -41,6 +41,13 @@ def require_integer(field: str, value, minimum=None):
         raise ValueError(f"{field!r} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{field!r} must be >= {minimum}, got {value}")
+    return value
+
+
+def require_object(field: str, value) -> dict:
+    """``value`` if it is a JSON object (a dict), else a ``ValueError``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field!r} must be a JSON object, got {type(value).__name__}")
     return value
 
 

@@ -164,13 +164,13 @@ def frame_operator(psi: VectorFamily) -> np.ndarray:
 
 def frame_bounds(psi: VectorFamily) -> FrameBounds:
     """Extremal eigenvalues of the frame operator (tiny negatives clipped to 0)."""
-    w = linalg.hermitian_eig(frame_operator(psi)).eigenvalues
+    w = linalg.hermitian_eigvals(frame_operator(psi))
     return FrameBounds(lower=max(float(w[0]), 0.0), upper=max(float(w[-1]), 0.0))
 
 
 def riesz_bounds(psi: VectorFamily) -> FrameBounds:
     """Extremal eigenvalues of the Gram matrix (Riesz-sequence verdict)."""
-    w = linalg.hermitian_eig(gram(psi)).eigenvalues
+    w = linalg.hermitian_eigvals(gram(psi))
     return FrameBounds(lower=max(float(w[0]), 0.0), upper=max(float(w[-1]), 0.0))
 
 

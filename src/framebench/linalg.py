@@ -82,12 +82,13 @@ def _require_square(m: np.ndarray):
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
     """Check asymmetry against TOL_HERM and return the symmetrized matrix."""
     _require_square(m)
-    asym = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    diff = m - m.conj().T
+    asym = np.max(np.abs(diff)) if m.size else 0.0
     if asym > TOL_HERM:
         raise NonHermitianError(
             f"max |A - A^H| = {asym:.3e} exceeds tol_herm = {TOL_HERM:.0e}"
         )
-    return 0.5 * (m + m.conj().T)
+    return m - 0.5 * diff
 
 
 @dataclass(frozen=True)
@@ -174,12 +175,15 @@ def pnorm_operator(a, p) -> float:
 
     p=1 is the maximum absolute column sum (columns summed in row-index
     order), p=inf the maximum absolute row sum, p=2 the largest singular
-    value.
+    value: sqrt(lambda_max) of the smaller Gram of A / max|a_ij|, no SVD.
     """
     _check_norm_index(p)
     m = as_matrix(a)
-    if p == 2:
-        return float(np.linalg.svd(m, compute_uv=False)[0])
+    if p == 2:  # entries of modulus <= 1 cannot overflow the Gram; 0 has norm 0
+        scale = float(np.max(np.abs(m))) or 1.0
+        m = m / scale
+        g = m.conj().T @ m if m.shape[0] >= m.shape[1] else m @ m.conj().T
+        return scale * math.sqrt(float(np.linalg.eigvalsh(g)[-1]))
     return float(np.max(line_norms(m.T if p == 1 else m, 1)))
 
 

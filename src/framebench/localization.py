@@ -131,7 +131,8 @@ class LocalizationProfile:
     def from_json(cls, obj: dict) -> "LocalizationProfile":
         kind = obj.get("kind", "jaffard")
         if kind == "schur":
-            return cls(kind="schur", weight=WeightSpec.from_json(obj.get("weight", {})))
+            return cls(kind="schur", weight=WeightSpec.from_json(
+                fields.require_object("weight", obj.get("weight", {}))))
         return cls(kind=kind, s=obj.get("s", 2.0))
 
 
@@ -166,8 +167,8 @@ def jaffard_norm(a, s: float) -> float:
     m = np.abs(np.asarray(a, dtype=complex))
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
-    w = np.power(1.0 + _offsets(*m.shape), s)
-    return float(np.max(m * w))
+    table = np.power(1.0 + np.arange(max(m.shape)), s)  # weight of offset r
+    return float(np.max(m * table[_offsets(*m.shape)]))
 
 
 def schur_norm(a, weight: WeightSpec) -> float:

@@ -17,10 +17,11 @@ norms cannot tell the two apart since they are conjugation-invariant), so
 localization of psi against phi propagates to omega.
 
 The pair is checked once, by ``_check_rdual_inputs``, before anything is
-computed; the battery's reference steps reuse that check.
+computed; the battery's reference steps reuse that check, its G_phi and
+the spectrum of G_phi.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,8 +31,11 @@ from .frames import VectorFamily
 from .ladder import in_borderline_band
 
 
-def _check_rdual_inputs(psi: VectorFamily, phi: VectorFamily,
-                        tol: float) -> linalg.SpectralDecomposition:
+def _check_rdual_inputs(psi: VectorFamily, phi: VectorFamily, tol: float
+                        ) -> "tuple[np.ndarray, linalg.SpectralDecomposition]":
+    """Return G_phi = phi^H phi and its eigendecomposition once the pair is
+    checked.  For a square family G_phi and S_phi share their spectrum, so
+    its smallest eigenvalue is the lower Riesz bound tested against tol."""
     frames._check_same_ambient(psi, phi)
     if psi.member_count != phi.member_count:
         raise DimensionMismatchError(
@@ -43,15 +47,14 @@ def _check_rdual_inputs(psi: VectorFamily, phi: VectorFamily,
             f"reference family is {phi.ambient_dim}x{phi.member_count}, "
             "a Riesz basis at this truncation must be square"
         )
-    spectrum = frames.frame_spectrum(phi)
-    # For a square family the frame operator and the Gram share their
-    # spectrum, so its smallest eigenvalue is the lower Riesz bound.
+    g = frames.gram(phi)
+    spectrum = linalg.hermitian_eig(g)
     lower = max(float(spectrum.eigenvalues[0]), 0.0)
     if lower <= tol:
         raise NotRieszBasisError(
             f"reference lower Riesz bound {lower:.3e} <= {tol:.0e}"
         )
-    return spectrum
+    return g, spectrum
 
 
 def rdual(psi: VectorFamily, phi: VectorFamily,
@@ -59,11 +62,11 @@ def rdual(psi: VectorFamily, phi: VectorFamily,
     """Riesz-dual sequence of ``psi`` over the Riesz basis ``phi``.
 
     Matrix form: Omega = Gamma @ G(phi, psi)^T with Gamma the coefficients
-    of the orthonormalized reference S_phi^{-1/2} phi.  Zero members of
-    ``psi`` are allowed and simply produce zero columns.
+    of the orthonormalized reference S_phi^{-1/2} phi = phi G_phi^{-1/2}
+    (polar decomposition).  Zero members of ``psi`` give zero columns.
     """
-    spectrum = _check_rdual_inputs(psi, phi, tol)
-    gamma = spectrum.power(-0.5) @ phi.coeffs
+    _, spectrum = _check_rdual_inputs(psi, phi, tol)
+    gamma = phi.coeffs @ spectrum.power(-0.5)
     omega = gamma @ frames.cross_gram(phi, psi).T
     return VectorFamily(omega, label=f"rdual({psi.label})" if psi.label else "rdual")
 
@@ -86,14 +89,7 @@ class RdualDualityReport:
     borderline: bool
 
     def to_json(self) -> dict:
-        return {
-            "frame_lower": self.frame_lower,
-            "riesz_lower": self.riesz_lower,
-            "frame_verdict": self.frame_verdict,
-            "riesz_verdict": self.riesz_verdict,
-            "agree": self.agree,
-            "borderline": self.borderline,
-        }
+        return asdict(self)
 
 
 def verify_rdual_duality(psi: VectorFamily, phi: VectorFamily,
@@ -112,14 +108,12 @@ def duality_verdict(psi: VectorFamily, omega: VectorFamily,
     """``verify_rdual_duality`` given the companion ``omega`` of ``psi``."""
     frame_lower = frames.frame_bounds(psi).lower
     riesz_lower = frames.riesz_bounds(omega).lower
-    frame_verdict = frame_lower > tol
-    riesz_verdict = riesz_lower > tol
-    borderline = any(in_borderline_band(b, tol) for b in (frame_lower, riesz_lower))
+    frame_verdict, riesz_verdict = frame_lower > tol, riesz_lower > tol
     return RdualDualityReport(
         frame_lower=frame_lower,
         riesz_lower=riesz_lower,
         frame_verdict=frame_verdict,
         riesz_verdict=riesz_verdict,
         agree=frame_verdict == riesz_verdict,
-        borderline=borderline,
+        borderline=any(in_borderline_band(b, tol) for b in (frame_lower, riesz_lower)),
     )

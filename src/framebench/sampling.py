@@ -160,7 +160,7 @@ class Generator:
             return cls(kind="bspline", degree=obj.get("degree", 3))
         if kind != "tabulated":
             raise ValueError(f"unknown generator kind {kind!r}")
-        payload = obj.get("grid", obj)  # nested form is canonical, flat accepted
+        payload = fields.require_object("grid", obj.get("grid", obj))  # or flat
         samples = payload["samples"]
         if np.ndim(samples) == 2:  # [re, im] pairs; a flat list holds real samples
             samples = fields.require_pairs("samples", samples)

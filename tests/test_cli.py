@@ -212,6 +212,11 @@ HAT_TABLE = {"kind": "tabulated", "samples": [0.0, 0.5, 1.0, 0.5, 0.0], "step": 
      [], "bad generator config: 'samples' must hold numbers only"),
     ("sampling", {**SAMPLING, "generator": {**HAT_TABLE, "samples": [[0.5, 0.0, 0.0]] * 9}},
      [], "bad generator config: 'samples' must be a list of [re, im] pairs"),
+    # a nested section must be a JSON object too
+    ("battery", {**BATTERY, "profile": {"kind": "schur", "weight": [1]}}, [],
+     "bad localization profile: 'weight' must be a JSON object, got list"),
+    ("sampling", {**SAMPLING, "generator": {"kind": "tabulated", "grid": 5}}, [],
+     "bad generator config: 'grid' must be a JSON object, got int"),
 ], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative",
         "unknown-profile-kind", "jaffard-s-below-1", "schur-delta-negative",
         "unknown-generator-kind", "unknown-delta-rule", "family-not-object",
@@ -227,7 +232,7 @@ HAT_TABLE = {"kind": "tabulated", "samples": [0.0, 0.5, 1.0, 0.5, 0.0], "step": 
         "delta-seed-negative", "perturbed-onb-seed-float", "bound-string",
         "value-string", "epsilon-string", "samples-nan", "samples-strings",
         "deltas-strings", "deltas-mixed-bool", "samples-mixed-bool",
-        "samples-three-columns"])
+        "samples-three-columns", "schur-weight-list", "tabulated-grid-int"])
 def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, extra,
                                                   named):
     cfg = tmp_path / "cfg.json"

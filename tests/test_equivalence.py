@@ -189,16 +189,21 @@ def count_factorizations(monkeypatch):
 def test_battery_factorization_budget(monkeypatch):
     ladder = TruncationLadder((8, 16, 32))
     factorizations = count_factorizations(monkeypatch)
+    for name in ("gram", "frame_spectrum"):
+        monkeypatch.setattr(frames, name, counted(factorizations, f"frames.{name}",
+                                                  getattr(frames, name)))
     run_battery(counted(factorizations, "family_gen", toeplitz_pair),
                 PROFILE, ladder)
-    # per size, the fixture's 2-norm rescale (one numpy SVD) and three
-    # Hermitian eigensolves: eigh of S_phi (the reference check, the dual
-    # phi^-1 and S_phi^-1/2) and of S_psi (witness 1, and Lambda^-1 for both
+    # per size, the fixture's 2-norm rescale (eigenvalues of a Gram of E, no
+    # SVD) and three Hermitian eigensolves: eigh of the reference Gram G_phi,
+    # formed once (the reference check, its localization norm, the dual
+    # phi^-1 and G_phi^-1/2), and of S_psi (witness 1, and Lambda^-1 for both
     # inverses); the eigenvalues of the companion Gram (witness 10 and the
-    # singular flag of 8 and 9).  No inverse, and no dense scipy.linalg call.
+    # singular flag of 8 and 9).  No frame_spectrum, no inverse, and no dense
+    # scipy.linalg call.
     n = len(ladder.sizes)
-    assert factorizations == Counter({"family_gen": n, "svd": n, "eigh": 2 * n,
-                                      "eigvalsh": n})
+    assert factorizations == Counter({"family_gen": n, "eigh": 2 * n,
+                                      "eigvalsh": 2 * n, "frames.gram": n})
 
 
 def test_rdual_command_factorization_budget(monkeypatch, tmp_path):
@@ -206,9 +211,9 @@ def test_rdual_command_factorization_budget(monkeypatch, tmp_path):
     factorizations = count_factorizations(monkeypatch)
     cli.cmd_rdual({"psi": psi.to_json(), "phi": phi.to_json()},
                   str(tmp_path / "rdual.json"), None, frames.TOL_FRAME, None)
-    # eigh of S_phi for the companion, of S_psi for the frame bound and of
-    # the companion Gram for the Riesz bound
-    assert factorizations == Counter({"eigh": 3})
+    # eigh of G_phi for the companion; eigenvalues only of S_psi for the
+    # frame bound and of the companion Gram for the Riesz bound
+    assert factorizations == Counter({"eigh": 1, "eigvalsh": 2})
 
 
 # --------------------------------------------------------------------------

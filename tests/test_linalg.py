@@ -185,6 +185,28 @@ def test_pnorm_two_matches_abs_eigenvalue_for_hermitian():
     assert abs(linalg.pnorm_operator(a, 2) - top) <= linalg.TOL_EIG * max(top, 1.0)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e200], ids=["unit", "huge"])
+@pytest.mark.parametrize("shape, rank", [
+    ((9, 9), None), ((40, 7), None), ((7, 40), None), ((1, 12), None),
+    ((12, 12), 1), ((30, 5), 1), ((5, 30), 1), ((4, 4), 0), ((6, 2), 0), ((2, 6), 0)],
+    ids=["square", "tall", "wide", "row", "rank1-square", "rank1-tall", "rank1-wide",
+         "zero-square", "zero-tall", "zero-wide"])
+def test_pnorm_two_matches_svd(shape, rank, scale):
+    # sqrt(lambda_max) of the smaller Gram of a / max|a_ij|: entries near
+    # 1e200 would overflow an unscaled Gram (1e400)
+    rng = np.random.default_rng(list(shape))
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if rank == 1:
+        a = np.outer(a[:, 0], a[0])
+    elif rank == 0:
+        a = np.zeros(shape)
+    a = a * scale
+    top = float(np.linalg.svd(a, compute_uv=False)[0])
+    got = linalg.pnorm_operator(a, 2)
+    assert math.isfinite(got)
+    assert abs(got - top) <= 1e-13 * top
+
+
 # --------------------------------------------------------------------------
 # condition_p
 # --------------------------------------------------------------------------
