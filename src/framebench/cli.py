@@ -77,23 +77,41 @@ def _meta(command: str, config: dict, seed, tol_frame: float) -> dict:
     }
 
 
-def _write_text(path, text: str):
-    """Write ``text`` to ``path`` whole or not at all: a temp file in the same
-    directory is renamed over the target once it is complete."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+def _write_files(files: dict):
+    """Write the text of every path in ``files`` whole, or none of them.
+
+    Each text goes to a temp file next to its target first; only when all
+    are complete and no target is a directory are they renamed over their
+    targets.  A path that cannot be written is an ``InputError`` that names
+    it; every check runs before the first rename.
+    """
+    staged = []
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        for path, text in files.items():
+            target = Path(path)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            staged.append((tmp, target))
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for _, target in staged:
+            if target.is_dir():
+                raise InputError(f"cannot write {target}: Is a directory")
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    except OSError as exc:
+        raise InputError(f"cannot write {target}: {exc.strerror or exc}") from exc
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
 
 
-def _write_json(path: str, obj: dict):
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _write_json(path, obj: dict):
+    _write_files({path: _json_text(obj)})
 
 
 def _section(what: str, entry, parse):
@@ -240,8 +258,8 @@ def cmd_sampling(config, out, seed, tol_frame, ladder_override):
     report = sampling.stable_sampling_verdict(gen, sset, ladder, tol=tol_frame)
     payload = {"meta": _meta("sampling", config, seed, tol_frame)}
     payload.update(report.to_json())
-    _write_json(out, payload)
-    _write_text(Path(out).with_suffix(".csv"), report.witness_csv())
+    _write_files({out: _json_text(payload),
+                  Path(out).with_suffix(".csv"): report.witness_csv()})
 
 
 def cmd_fixtures(config, out, seed, tol_frame, ladder_override):
@@ -253,8 +271,7 @@ def cmd_fixtures(config, out, seed, tol_frame, ladder_override):
     sizes = _int_sizes("fixture sizes", sizes)
     if any(s < 1 for s in sizes):
         raise InputError(f"fixture sizes must be >= 1, got {sizes}")
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    files = {}
     for n in sizes:
         psi, phi = equivalence.counterexample_family(n)
         omega = rdual.rdual(psi, phi, tol=tol_frame)
@@ -268,7 +285,8 @@ def cmd_fixtures(config, out, seed, tol_frame, ladder_override):
                                     np.real(np.diag(frames.gram(omega)))],
             "expected": equivalence.counterexample_expected(n),
         }
-        _write_json(str(outdir / f"counterexample_N{n}.json"), bundle)
+        files[Path(out) / f"counterexample_N{n}.json"] = _json_text(bundle)
+    _write_files(files)
 
 
 _COMMANDS = {

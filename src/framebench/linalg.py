@@ -13,11 +13,11 @@ in exactly the same order, and the duality identity holds bit for bit.
 
 Hermitian band matrices (the sampling Grams) have their own kernels, which
 never form the dense matrix: ``band_norm``, ``band_min_eig`` and
-``band_condition``.  The last two call banded LAPACK (``pbtrf``,
-``cholesky_banded``, ``pbtrs``) through ``scipy.linalg``.  A bisection
-allocates one work array for A - sigma B; the exact inverse norm solves
-only the trailing rows of each block of identity columns, which Hermitian
-symmetry makes enough (about n^2 / 2 right-hand-side rows, not n^2).
+``band_condition``.  The last two call banded LAPACK (``pbtrf`` and
+``pbtrs``) from scipy's compiled LAPACK module.  A bisection allocates one
+work array for A - sigma B; the exact inverse norm solves only the trailing
+rows of each block of identity columns, which Hermitian symmetry makes
+enough (about n^2 / 2 right-hand-side rows, not n^2).
 
 One LAPACK for dense work: every dense factorization (eigensolves, SVD,
 inverse) goes through ``numpy.linalg``.  numpy and scipy each bundle their
@@ -26,17 +26,23 @@ slow: on a 256 x 256 complex matrix, a numpy ``eigh`` followed by a numpy
 SVD takes about 55 ms, but 145 ms when the SVD is scipy's ``svdvals``
 (2-core Xeon VM).
 
-scipy.linalg is loaded on the first band-kernel call and nowhere else.
-Importing it takes about 170 ms of the 260 ms that ``import
-framebench.cli`` would take with it (it pulls in ``numpy.testing``,
-``numpy.f2py`` and ``unittest``; ``python -X importtime``, 2-core VM), a
-cost every CLI command but ``sampling`` would pay for nothing.  The band kernels import it in their
-own bodies and look up each routine on the module object, so a patched
-``scipy.linalg`` attribute is seen by every call.
+The band kernels take their routines from ``_band_lapack``, which on first
+use loads the extension ``scipy.linalg._flapack`` by itself, without running
+the ``scipy.linalg`` package, and registers it in ``sys.modules``; a later
+``import scipy.linalg`` reuses that module object.  With numpy loaded, the
+extension loads in about 6 ms and the package in 290-370 ms (it pulls in
+``numpy.testing``, ``numpy.f2py`` and ``numpy.ma``; ``python -X
+importtime``, 2-core VM), so no command pays for the package, and only
+``sampling`` loads anything of scipy at all.
 """
 
 from dataclasses import dataclass
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from typing import Tuple
 
 import numpy as np
@@ -184,7 +190,12 @@ def pnorm_operator(a, p) -> float:
         m = m / scale
         g = m.conj().T @ m if m.shape[0] >= m.shape[1] else m @ m.conj().T
         return scale * math.sqrt(float(np.linalg.eigvalsh(g)[-1]))
-    return float(np.max(line_norms(m.T if p == 1 else m, 1)))
+    return _max_line_sum(m.T if p == 1 else m)
+
+
+def _max_line_sum(m: np.ndarray) -> float:
+    """The largest absolute row sum of ``m``: ||m||_inf, and ||m.T||_1."""
+    return float(np.max(line_norms(m, 1)))
 
 
 def is_singular(singular_values) -> bool:
@@ -216,7 +227,7 @@ def condition_p(a, p) -> float:
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"inversion failed: {exc}") from exc
 
-    return condition_1_inf(m, sv, inverse)[0 if p == 1 else 1]
+    return _condition_1_inf(m, sv, inverse)[0 if p == 1 else 1]
 
 
 def condition_1_inf(a, singular_values, inverse) -> Tuple[float, float]:
@@ -226,15 +237,20 @@ def condition_1_inf(a, singular_values, inverse) -> Tuple[float, float]:
     flag both numbers are ``math.inf``.  Off it, ``inverse()`` returns A^-1
     and is called only then, so a caller may pass an LU inverse
     (``condition_p``) or one built in closed form (the battery builds it
-    from an eigendecomposition).
+    from an eigendecomposition).  A and A^-1 are validated once each.
     """
     m = as_matrix(a)
     _require_square(m)
+    return _condition_1_inf(m, singular_values, inverse)
+
+
+def _condition_1_inf(m: np.ndarray, singular_values, inverse) -> Tuple[float, float]:
+    """``condition_1_inf`` of a square matrix that ``as_matrix`` returned."""
     if is_singular(singular_values):
         return math.inf, math.inf
-    inv = inverse()
-    return (pnorm_operator(m, 1) * pnorm_operator(inv, 1),
-            pnorm_operator(m, math.inf) * pnorm_operator(inv, math.inf))
+    inv = as_matrix(inverse())
+    return (_max_line_sum(m.T) * _max_line_sum(inv.T),
+            _max_line_sum(m) * _max_line_sum(inv))
 
 
 # --------------------------------------------------------------------------
@@ -251,6 +267,42 @@ def condition_1_inf(a, singular_values, inverse) -> Tuple[float, float]:
 #: measured at n = 504 (2.5 ms for blocks of 32-64, 3.5 ms for 256; 2-core
 #: VM).
 BAND_SOLVE_BLOCK = 64
+
+
+#: LAPACK routine prefix by numpy type character, as
+#: ``scipy.linalg.get_lapack_funcs`` picks it for a single array; any other
+#: type gets "d".
+_LAPACK_PREFIX = dict.fromkeys("?bBhHef", "s") | {"F": "c", "D": "z", "G": "z"}
+
+_FLAPACK = "scipy.linalg._flapack"
+_flapack_lock = threading.Lock()
+
+
+def _flapack():
+    """scipy's compiled LAPACK module, loaded without its package on first
+    use and registered in ``sys.modules`` under its own name."""
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    with _flapack_lock:
+        module = sys.modules.get(_FLAPACK)
+        if module is None:
+            scipy = importlib.util.find_spec("scipy")
+            spec = scipy and importlib.machinery.PathFinder.find_spec(
+                _FLAPACK, [os.path.join(d, "linalg")
+                           for d in scipy.submodule_search_locations])
+            if spec is None:
+                raise ImportError(f"no {_FLAPACK} extension in the installed scipy")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+    return module
+
+
+def _band_lapack(name: str, a: np.ndarray):
+    """The LAPACK routine ``name`` for the dtype of ``a``: the very function
+    object ``scipy.linalg.get_lapack_funcs((name,), (a,))`` returns."""
+    return getattr(_flapack(), _LAPACK_PREFIX.get(a.dtype.char, "d") + name)
 
 
 def band_norm(ab) -> float:
@@ -291,11 +343,9 @@ def band_min_eig(a, b=None, b_min=None) -> float:
         if b_min <= 0.0:
             raise NotPositiveDefiniteError(
                 f"pencil needs a positive definite B, smallest eigenvalue {b_min:.3e}")
-    import scipy.linalg as sla
-
     operands = (a,) if b is None else (a, b)
     work = np.empty(a.shape, dtype=np.result_type(*operands, 1.0), order="F")
-    pbtrf, = sla.get_lapack_funcs(("pbtrf",), (work,))
+    pbtrf = _band_lapack("pbtrf", work)
     hi = 2.0 * band_norm(a) / b_min
     lo = -hi
     while True:
@@ -327,15 +377,18 @@ def band_condition(ab) -> float:
     later columns, whose entries above their own trailing block these are.
     That solves about n^2 / 2 right-hand-side rows instead of n^2, in
     n x ``BAND_SOLVE_BLOCK`` working memory.  ||A||_1 = ||A||_inf for
-    Hermitian A, so this is also the max-norm condition number.
+    Hermitian A, so this is also the max-norm condition number.  A band with
+    a non-finite entry raises ``ValueError``, one that is not positive
+    definite ``NumericalFailureError``.
     """
-    import scipy.linalg as sla
-
-    try:
-        factor = sla.cholesky_banded(ab, lower=True)
-    except sla.LinAlgError as exc:
-        raise NumericalFailureError(f"banded Cholesky failed: {exc}") from exc
-    pbtrs, = sla.get_lapack_funcs(("pbtrs",), (factor,))
+    ab = np.asarray_chkfinite(ab)
+    factor, info = _band_lapack("pbtrf", ab)(ab, lower=1)
+    if info > 0:
+        raise NumericalFailureError(
+            f"banded Cholesky failed: {info}-th leading minor not positive definite")
+    if info < 0:  # pragma: no cover - only on an illegal argument
+        raise NumericalFailureError(f"banded Cholesky failed: pbtrf info {info}")
+    pbtrs = _band_lapack("pbtrs", factor)
     n = factor.shape[1]
     sums = np.zeros(n)
     for start in range(0, n, BAND_SOLVE_BLOCK):

@@ -18,8 +18,10 @@ their bands and takes every witness from the banded Hermitian kernels of
 the exact inverse norm n^2 / 2 times the bandwidth.  ``sampling_matrix``,
 ``autocorrelation_gram`` and ``shift_gram`` are the dense constructions of
 the same matrices, kept for demonstrations and as the test oracle; they are
-numpy only.  The verdict is the one path that loads ``scipy.linalg``, through
-the band kernels on their first call (see ``linalg``).
+numpy only.  The verdict is the one path that loads anything of scipy: on
+their first call the band kernels load its compiled LAPACK module,
+``scipy.linalg._flapack``, without the ``scipy.linalg`` package (see
+``linalg``).
 
 Seeded-uniform deltas follow numpy's stream: delta_k is the first
 ``default_rng((seed, k mod 2^32)).uniform(-bound, bound)`` draw.  The whole

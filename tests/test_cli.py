@@ -284,6 +284,19 @@ def test_unserializable_report_leaves_no_file(tmp_path):
 # battery
 # --------------------------------------------------------------------------
 
+def test_battery_out_directory_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"family": {"kind": "onb"}, "ladder": [4, 8]})
+    out = tmp_path / "D"
+    out.mkdir()
+    res = run_cli("battery", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert f"cannot write {out}: Is a directory" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "cfg.json"]
+    assert list(out.iterdir()) == []
+
+
 def test_battery_counterexample_cli(tmp_path):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "battery.json"
@@ -402,6 +415,19 @@ def test_sampling_cli_csv_out_exits_2_before_compute(tmp_path, monkeypatch, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_sampling_cli_unwritable_csv_exits_2_without_report(tmp_path):
+    # the report and its witness CSV are written together or not at all
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, SAMPLING)
+    (tmp_path / "r.csv").mkdir()
+    res = run_cli("sampling", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+    assert res.returncode == 2, res.stderr
+    assert f"cannot write {tmp_path / 'r.csv'}: Is a directory" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "r.csv"]
+    assert list((tmp_path / "r.csv").iterdir()) == []
+
+
 def test_sampling_cli_zero_bound_rejects_nonzero_deltas(tmp_path):
     cfg = tmp_path / "cfg.json"
     deltas = (0.3 * np.sin(np.arange(64))).tolist()
@@ -426,6 +452,19 @@ def test_fixtures_small_sizes(tmp_path):
     four = json.loads((tmp_path / "fix" / "counterexample_N4.json").read_text())
     assert four["omega_gram_diagonal"] == [1.0, 0.25, 1 / 9, 1 / 16]
     assert four["expected"]["companion_gram_diagonal"] == [1.0, 0.25, 1 / 9, 1 / 16]
+
+
+def test_fixtures_out_file_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"sizes": [4, 8]})
+    out = tmp_path / "fix"
+    out.write_text("not a directory\n")
+    res = run_cli("fixtures", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert f"cannot write {out / 'counterexample_N4.json'}" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "fix"]
+    assert out.read_text() == "not a directory\n"
 
 
 def test_fixtures_match_in_process_construction_bitwise(tmp_path):

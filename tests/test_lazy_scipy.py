@@ -1,5 +1,7 @@
-"""scipy.linalg is loaded by the band kernels only, so only the sampling
-command pays for importing it.  Each check runs in a fresh interpreter."""
+"""Of scipy, only the compiled LAPACK module ``scipy.linalg._flapack`` is
+loaded, by the band kernels, so no command pays for the ``scipy.linalg``
+package and only the sampling command loads anything of scipy.  Each check
+runs in a fresh interpreter."""
 
 import json
 import subprocess
@@ -48,7 +50,25 @@ def test_cli_command_loads_scipy_linalg_only_for_sampling(tmp_path, command,
                                                           loads_scipy):
     cfg = write_json(tmp_path / "cfg.json", command_config(command, tmp_path))
     out = fresh_python(
-        "import sys; from framebench import cli; "
-        "code = cli.main(sys.argv[1:]); print(code, 'scipy.linalg' in sys.modules)",
+        "import sys; from framebench import cli; code = cli.main(sys.argv[1:]); "
+        "print(code, sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))",
         command, "--config", cfg, "--out", str(tmp_path / "out"))
-    assert out == f"0 {loads_scipy}"
+    assert out == f"0 {['scipy.linalg._flapack'] if loads_scipy else []}"
+
+
+@pytest.mark.parametrize("first", ["band-kernel", "scipy.linalg"])
+def test_band_kernels_and_scipy_linalg_share_one_flapack(first):
+    # the band kernels load the extension without its package; scipy.linalg
+    # imported before or after must end up with the very same module object
+    kernels = "linalg.band_condition(band); linalg.band_min_eig(band)"
+    package = "import scipy.linalg"
+    steps = [kernels, package] if first == "band-kernel" else [package, kernels]
+    out = fresh_python(
+        "import sys; import numpy as np; from framebench import linalg; "
+        "band = np.array([[4.0, 4.0, 4.0], [1.0, 1.0, 0.0]]); "
+        + "; ".join(steps) + "; "
+        "module = sys.modules['scipy.linalg._flapack']; "
+        "print(scipy.linalg.lapack._flapack is module, "
+        "scipy.linalg.get_lapack_funcs(('pbtrf',), (band,))[0] is module.dpbtrf, "
+        "linalg._band_lapack('pbtrf', band) is module.dpbtrf)")
+    assert out == "True True True"

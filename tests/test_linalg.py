@@ -384,3 +384,21 @@ def test_band_kernels_reject_indefinite_matrices():
             linalg.band_min_eig(a_band, b_band, bad_bound)
     with pytest.raises(NumericalFailureError):
         linalg.band_condition(a_band)
+
+
+@pytest.mark.parametrize("name", ["pbtrf", "pbtrs"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_band_lapack_is_scipys_routine(name, dtype, order):
+    # the band kernels skip the scipy.linalg package, but must run the very
+    # routine its lookup picks for the band's dtype
+    band = np.ones((2, 5), dtype=dtype, order=order)
+    assert linalg._band_lapack(name, band) is sla.get_lapack_funcs((name,), (band,))[0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_band_condition_rejects_non_finite_band(bad):
+    ab, _ = random_band(8, 2, 7, shift=20.0)
+    ab[1, 3] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        linalg.band_condition(ab)

@@ -533,14 +533,14 @@ def test_verdict_band_work_budget(monkeypatch):
     calls = []
     monkeypatch.setattr(linalg, "band_min_eig",
                         recorded(calls, "band_min_eig", linalg.band_min_eig))
-    lapack_funcs = sla.get_lapack_funcs
+    band_lapack = linalg._band_lapack
 
-    def recorded_lapack_funcs(names, *args, **kwargs):
-        return tuple(recorded(calls, name, fn, lambda ab, rhs, **kw: rhs.shape)
-                     if name == "pbtrs" else fn
-                     for name, fn in zip(names, lapack_funcs(names, *args, **kwargs)))
+    def recorded_band_lapack(name, a):
+        fn = band_lapack(name, a)
+        return (recorded(calls, name, fn, lambda ab, rhs, **kw: rhs.shape)
+                if name == "pbtrs" else fn)
 
-    monkeypatch.setattr(sla, "get_lapack_funcs", recorded_lapack_funcs)
+    monkeypatch.setattr(linalg, "_band_lapack", recorded_band_lapack)
     rep = stable_sampling_verdict(CUBIC, BUDGET_SET, BUDGET_LADDER)
     assert rep.stable
     assert sum(name == "band_min_eig" for name, _ in calls) == 10
