@@ -32,7 +32,7 @@ show("orthonormal family (everything passes at witness 1)",
 
 show("perturbed orthonormal family (passes with margin (1-eps)^2)",
      fb.run_battery(lambda n: fb.perturbed_onb_family(n, epsilon=0.3, seed=7),
-                    profile, ladder, seed=7))
+                    profile, ladder))
 
 show("harmonic-decay counterexample (all ten fail together)",
      fb.run_battery(fb.counterexample_family, profile, ladder))

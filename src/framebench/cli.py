@@ -8,9 +8,11 @@ battery    the ten-condition ladder battery for a named family generator
 sampling   stable-sampling verdict for a generator + perturbed sampling set
 fixtures   write the harmonic-decay counterexample family and witness tables
 
-Every report embeds the tool version, the SHA-256 of the canonical config,
-the seed and the tolerance set, and is serialized with sorted keys so that
-identical configs reproduce identical bytes.
+Each command returns its files as ``{path: report}``, a str (the witness
+CSV) written as it is, a dict as JSON.  ``main`` adds to every JSON report
+a ``meta`` entry (the tool version, the SHA-256 of the canonical config,
+the seed and the tolerance set), sorts its keys, so that identical configs
+reproduce identical bytes, and writes all of the command's files or none.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure, 4 precondition
 evidence failure.  Errors are printed on stderr.
@@ -45,29 +47,28 @@ class InputError(ValueError):
     """Malformed configuration or unreadable input file."""
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
+    except OSError as exc:  # a directory, an unreadable file
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _meta(command: str, config: dict, seed, tol_frame: float) -> dict:
+def _meta(config: dict, args) -> dict:
     return {
         "tool": "framebench",
         "version": __version__,
-        "command": command,
-        "seed": seed,
-        "config_hash": hashlib.sha256(_canonical(config).encode()).hexdigest(),
+        "command": args.command,
+        "seed": args.seed,
+        "config_hash": hashlib.sha256(json.dumps(
+            config, sort_keys=True, separators=(",", ":")).encode()).hexdigest(),
         "tolerances": {
-            "tol_frame": tol_frame,
+            "tol_frame": args.tol_frame,
             "tol_eig": linalg.TOL_EIG,
             "tol_calc": linalg.TOL_CALC,
             "tol_sing": linalg.TOL_SING,
@@ -110,10 +111,6 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _write_json(path, obj: dict):
-    _write_files({path: _json_text(obj)})
-
-
 def _section(what: str, entry, parse):
     """``parse(entry)`` for one config section.  A section that is not
     a JSON object, lacks a field or holds a bad value is an ``InputError``
@@ -153,8 +150,8 @@ def _int_sizes(what: str, sizes) -> list:
     return sizes
 
 
-def _ladder(config: dict, override) -> frames.TruncationLadder:
-    sizes = override if override is not None else config.get("ladder")
+def _ladder(config: dict, args) -> frames.TruncationLadder:
+    sizes = args.ladder if args.ladder is not None else config.get("ladder")
     if sizes is None:
         raise InputError("no ladder given (config 'ladder' or --ladder)")
     try:
@@ -163,7 +160,7 @@ def _ladder(config: dict, override) -> frames.TruncationLadder:
         raise InputError(f"bad ladder {sizes!r}: {exc}") from exc
 
 
-def cmd_analyze(config, out, seed, tol_frame, ladder_override):
+def cmd_analyze(config, args):
     fam = _load_family(config, "family")
     profile = _profile(config)
     g = frames.gram(fam)
@@ -173,38 +170,34 @@ def cmd_analyze(config, out, seed, tol_frame, ladder_override):
         decay_fit = localization.fit_decay_exponent(g)
     except InsufficientDataError:
         decay_fit = None
-    report = {
-        "meta": _meta("analyze", config, seed, tol_frame),
+    return {args.out: {
         "label": fam.label,
         "ambient_dim": fam.ambient_dim,
         "member_count": fam.member_count,
         "frame_bounds": {"lower": fb.lower, "upper": fb.upper,
-                         "is_frame": fb.is_frame(tol_frame)},
+                         "is_frame": fb.is_frame(args.tol_frame)},
         "riesz_bounds": {"lower": rb.lower, "upper": rb.upper,
-                         "is_riesz": rb.is_frame(tol_frame)},
+                         "is_riesz": rb.is_frame(args.tol_frame)},
         "profile": profile.to_json(),
         "profile_norm_of_gram": profile.norm(g),
         "jaffard_norm_s2": localization.jaffard_norm(g, 2.0),
         "schur_norm_unit_weight": localization.schur_norm(
             g, localization.WeightSpec(form="subexponential", rate=0.0)),
         "decay_fit": decay_fit,
-    }
-    _write_json(out, report)
+    }}
 
 
-def cmd_rdual(config, out, seed, tol_frame, ladder_override):
+def cmd_rdual(config, args):
     psi = _load_family(config, "psi")
     phi = _load_family(config, "phi")
-    omega = rdual.rdual(psi, phi, tol=tol_frame)
-    duality = rdual.duality_verdict(psi, omega, tol_frame)
-    gm = frames.gram(omega)
-    report = {
-        "meta": _meta("rdual", config, seed, tol_frame),
+    omega = rdual.rdual(psi, phi, tol=args.tol_frame)
+    duality = rdual.duality_verdict(psi, omega, args.tol_frame)
+    return {args.out: {
         "omega": omega.to_json(),
-        "omega_gram_diagonal": [float(v) for v in np.real(np.diag(gm))],
+        "omega_gram_diagonal": [float(v) for v in
+                                np.real(np.diag(frames.gram(omega)))],
         "duality": duality.to_json(),
-    }
-    _write_json(out, report)
+    }}
 
 
 _BATTERY_GENERATORS = ("onb", "counterexample", "perturbed-onb")
@@ -226,16 +219,12 @@ def _battery_generator(entry: dict, seed):
     )
 
 
-def cmd_battery(config, out, seed, tol_frame, ladder_override):
+def cmd_battery(config, args):
     family_gen = _section("battery family", config.get("family", {}),
-                          lambda entry: _battery_generator(entry, seed))
-    profile = _profile(config)
-    ladder = _ladder(config, ladder_override)
-    report = equivalence.run_battery(family_gen, profile, ladder,
-                                     tol=tol_frame, seed=seed)
-    payload = {"meta": _meta("battery", config, seed, tol_frame)}
-    payload.update(report.to_json())
-    _write_json(out, payload)
+                          lambda entry: _battery_generator(entry, args.seed))
+    report = equivalence.run_battery(family_gen, _profile(config),
+                                     _ladder(config, args), tol=args.tol_frame)
+    return {args.out: dict(report.to_json(), seed=args.seed)}
 
 
 def _sampling_set(config: dict) -> sampling.SamplingSet:
@@ -247,25 +236,20 @@ def _sampling_set(config: dict) -> sampling.SamplingSet:
     return _section("delta rule", rule, sampling.SamplingSet.from_json)
 
 
-def cmd_sampling(config, out, seed, tol_frame, ladder_override):
-    if Path(out).suffix == ".csv":  # the witness CSV goes next to the report
-        raise InputError(f"--out {out!r} is the witness CSV's own path; "
+def cmd_sampling(config, args):
+    if Path(args.out).suffix == ".csv":  # the witness CSV goes next to the report
+        raise InputError(f"--out {args.out!r} is the witness CSV's own path; "
                          "give the JSON report's path")
     gen = _section("generator config", config.get("generator", {}),
                    sampling.Generator.from_json)
-    sset = _sampling_set(config)
-    ladder = _ladder(config, ladder_override)
-    report = sampling.stable_sampling_verdict(gen, sset, ladder, tol=tol_frame)
-    payload = {"meta": _meta("sampling", config, seed, tol_frame)}
-    payload.update(report.to_json())
-    _write_files({out: _json_text(payload),
-                  Path(out).with_suffix(".csv"): report.witness_csv()})
+    report = sampling.stable_sampling_verdict(
+        gen, _sampling_set(config), _ladder(config, args), tol=args.tol_frame)
+    return {args.out: report.to_json(),
+            Path(args.out).with_suffix(".csv"): report.witness_csv()}
 
 
-def cmd_fixtures(config, out, seed, tol_frame, ladder_override):
-    sizes = config.get("sizes")
-    if ladder_override is not None:
-        sizes = list(ladder_override)
+def cmd_fixtures(config, args):
+    sizes = args.ladder if args.ladder is not None else config.get("sizes")
     if not sizes:
         raise InputError("fixtures config needs a nonempty 'sizes' list")
     sizes = _int_sizes("fixture sizes", sizes)
@@ -274,9 +258,8 @@ def cmd_fixtures(config, out, seed, tol_frame, ladder_override):
     files = {}
     for n in sizes:
         psi, phi = equivalence.counterexample_family(n)
-        omega = rdual.rdual(psi, phi, tol=tol_frame)
-        bundle = {
-            "meta": _meta("fixtures", config, seed, tol_frame),
+        omega = rdual.rdual(psi, phi, tol=args.tol_frame)
+        files[Path(args.out) / f"counterexample_N{n}.json"] = {
             "size": n,
             "psi": psi.to_json(),
             "reference": phi.to_json(),
@@ -285,8 +268,7 @@ def cmd_fixtures(config, out, seed, tol_frame, ladder_override):
                                     np.real(np.diag(frames.gram(omega)))],
             "expected": equivalence.counterexample_expected(n),
         }
-        files[Path(out) / f"counterexample_N{n}.json"] = _json_text(bundle)
-    _write_files(files)
+    return files
 
 
 _COMMANDS = {
@@ -332,8 +314,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = fields.require_object("config", _load_json(args.config))
-        _COMMANDS[args.command](config, args.out, args.seed, args.tol_frame,
-                                args.ladder)
+        files = _COMMANDS[args.command](config, args)
+        meta = _meta(config, args)
+        _write_files({path: report if isinstance(report, str)
+                      else _json_text(dict(report, meta=meta))
+                      for path, report in files.items()})
     except FramebenchError as exc:
         kind = ("precondition failure" if exc.exit_code == FramebenchError.exit_code
                 else "numerical failure")

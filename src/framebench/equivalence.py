@@ -67,20 +67,42 @@ PROXY_DISCLAIMER = (
     "closed-range proxy"
 )
 
-_STATEMENTS = {
-    1: "test family attains a positive lower frame bound",
-    2: "frame operator of the test family is well-conditioned on 1-norm coordinates",
-    3: "frame operator of the test family is well-conditioned on max-norm coordinates",
-    4: "analysis coordinate map of the test family keeps a uniform max-norm gain",
-    5: "synthesis map of the test family stays uniformly onto in the 1-norm",
-    6: "synthesis coordinate map of the dual companion keeps a uniform max-norm gain",
-    7: "analysis map of the dual companion stays uniformly onto in the 1-norm",
-    8: "Gram matrix of the dual companion stays invertible in the 1-norm",
-    9: "Gram matrix of the dual companion stays invertible in the max-norm",
-    10: "dual companion attains a positive lower Riesz bound",
+#: id -> (kind, statement, proxy note) of each battery witness.
+_WITNESSES = {
+    1: ("gain", "test family attains a positive lower frame bound",
+        "smallest eigenvalue of the frame operator"),
+    2: ("condition",
+        "frame operator of the test family is well-conditioned on 1-norm coordinates",
+        "1-norm condition number of the frame operator conjugated into "
+        "dual coordinates"),
+    3: ("condition",
+        "frame operator of the test family is well-conditioned on max-norm coordinates",
+        "max-norm condition number of the same coordinate matrix"),
+    4: ("gain",
+        "analysis coordinate map of the test family keeps a uniform max-norm gain",
+        "coordinate-probe upper bound on the smallest max-norm gain of the "
+        "analysis coordinate matrix; uniformity across the ladder is the "
+        "closed-range proxy"),
+    5: ("gain", "synthesis map of the test family stays uniformly onto in the 1-norm",
+        "duality-derived from condition 4: the adjoint of the 1-norm "
+        "synthesis map is the max-norm analysis map, so the same "
+        "quantities witness surjectivity"),
+    6: ("gain",
+        "synthesis coordinate map of the dual companion keeps a uniform max-norm gain",
+        "coordinate-probe upper bound on the smallest max-norm gain of the "
+        "companion synthesis coordinate matrix; uniformity across the ladder "
+        "is the closed-range proxy"),
+    7: ("gain", "analysis map of the dual companion stays uniformly onto in the 1-norm",
+        "duality-derived from condition 6: the adjoint of the companion "
+        "1-norm analysis map is its max-norm synthesis map"),
+    8: ("condition", "Gram matrix of the dual companion stays invertible in the 1-norm",
+        "1-norm condition number of the companion Gram (singular flag when "
+        "sigma_min is below threshold)"),
+    9: ("condition", "Gram matrix of the dual companion stays invertible in the max-norm",
+        "max-norm condition number of the companion Gram"),
+    10: ("gain", "dual companion attains a positive lower Riesz bound",
+         "smallest eigenvalue of the companion Gram"),
 }
-
-_GAIN_IDS = (1, 4, 5, 6, 7, 10)
 
 
 @dataclass(frozen=True)
@@ -91,7 +113,6 @@ class EquivalenceReport:
     consistent: bool
     coorbit_note: str
     ladder: Tuple[int, ...]
-    seed: Optional[int] = None
 
     def witness(self, condition_id: int) -> Witness:
         return self.witnesses[condition_id - 1]
@@ -101,7 +122,6 @@ class EquivalenceReport:
 
     def to_json(self) -> dict:
         return {
-            "seed": self.seed,
             "ladder": list(self.ladder),
             "conditions": [w.to_json() for w in self.witnesses],
             "consistent": self.consistent,
@@ -132,8 +152,7 @@ def _reference_steps(family_gen, profile, ladder, tol):
 def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
                 profile: LocalizationProfile,
                 ladder: TruncationLadder,
-                tol: float = frames.TOL_FRAME,
-                seed: Optional[int] = None) -> EquivalenceReport:
+                tol: float = frames.TOL_FRAME) -> EquivalenceReport:
     """Evaluate all ten finite-truncation proxies along the ladder.
 
     ``family_gen(size)`` must return a ``(psi, phi)`` pair at every ladder
@@ -141,10 +160,11 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
     reference ``phi`` has to pass a Riesz-basis check and a
     localization-evidence check at every size, otherwise
     ``PreconditionEvidenceError`` is raised (``NotRieszBasisError`` is one).
-    All of this is checked before any witness is computed.  ``seed`` is only
-    recorded (for reproducibility of randomly generated instances).
+    All of this is checked before any witness is computed.  Each ladder step
+    appends one row of the ten values; column ``id`` of the rows, with the
+    kind, statement and note of ``_WITNESSES[id]``, makes witness ``id``.
     """
-    per_id = {cid: [] for cid in range(1, 11)}
+    rows = []
     for psi, phi, spectrum in _reference_steps(family_gen, profile, ladder, tol):
         ref, v = phi.coeffs, spectrum.eigenvectors
         ref_inv = (v / spectrum.eigenvalues) @ (ref @ v).conj().T  # dual^H = phi^-1
@@ -164,50 +184,22 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
         lam_g = linalg.hermitian_eigvals(g_conj)  # also checks g_conj
         cond8, cond9 = linalg._condition_1_inf(
             g_conj, lam_g, lambda: (left / lam_psi) @ left.conj().T)
-        values = (max(float(lam_psi[0]), 0.0), cond2, cond3, gain4, gain4, gain6,
-                  gain6, cond8, cond9, max(float(lam_g[0]), 0.0))
-        for cid, value in zip(range(1, 11), values):
-            per_id[cid].append(value)
+        rows.append((max(float(lam_psi[0]), 0.0), cond2, cond3, gain4, gain4,
+                     gain6, gain6, cond8, cond9, max(float(lam_g[0]), 0.0)))
 
-    def inj_note(gains):
-        return ("pointwise injectivity holds at every size; "
-                if all(g > tol for g in gains)
-                else "pointwise injectivity already fails at some size; ")
-
-    notes = {
-        1: "smallest eigenvalue of the frame operator",
-        2: "1-norm condition number of the frame operator conjugated into "
-           "dual coordinates",
-        3: "max-norm condition number of the same coordinate matrix",
-        4: inj_note(per_id[4]) + "coordinate-probe upper bound on the smallest "
-           "max-norm gain of the analysis coordinate matrix; uniformity across "
-           "the ladder is the closed-range proxy",
-        5: "duality-derived from condition 4: the adjoint of the 1-norm "
-           "synthesis map is the max-norm analysis map, so the same "
-           "quantities witness surjectivity",
-        6: inj_note(per_id[6]) + "coordinate-probe upper bound on the smallest "
-           "max-norm gain of the companion synthesis coordinate matrix; "
-           "uniformity across the ladder is the closed-range proxy",
-        7: "duality-derived from condition 6: the adjoint of the companion "
-           "1-norm analysis map is its max-norm synthesis map",
-        8: "1-norm condition number of the companion Gram (singular flag when "
-           "sigma_min is below threshold)",
-        9: "max-norm condition number of the companion Gram",
-        10: "smallest eigenvalue of the companion Gram",
-    }
-
-    witnesses = tuple(
-        Witness.from_ladder(cid, _STATEMENTS[cid], notes[cid], ladder.sizes,
-                            per_id[cid],
-                            "gain" if cid in _GAIN_IDS else "condition", tol)
-        for cid in range(1, 11)
-    )
+    witnesses = []
+    for (cid, (kind, statement, note)), values in zip(_WITNESSES.items(), zip(*rows)):
+        if cid in (4, 6):  # the gain probes; 5 and 7 are their duality twins
+            note = ("pointwise injectivity holds at every size; "
+                    if all(v > tol for v in values)
+                    else "pointwise injectivity already fails at some size; ") + note
+        witnesses.append(Witness.from_ladder(cid, statement, note, ladder.sizes,
+                                             values, kind, tol))
     return EquivalenceReport(
-        witnesses=witnesses,
+        witnesses=tuple(witnesses),
         consistent=verdicts_agree(w.verdict for w in witnesses),
         coorbit_note=PROXY_DISCLAIMER,
         ladder=ladder.sizes,
-        seed=seed,
     )
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields, linalg
-from .errors import DimensionMismatchError, LadderTooShortError, NotAFrameError
+from .errors import (DimensionMismatchError, LadderTooShortError, NotAFrameError,
+                     NumericalFailureError)
 
 #: Lower bounds at or below this are reported as numerically zero.
 TOL_FRAME = 1e-10
@@ -122,6 +123,17 @@ def _check_same_ambient(psi: VectorFamily, phi: VectorFamily):
         )
 
 
+def _finite_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``; one that leaves the float range is a numerical failure."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a @ b
+    if not np.isfinite(out).all():
+        raise NumericalFailureError(
+            "Gram or frame-operator entries of these coefficients overflow "
+            "the float range")
+    return out
+
+
 def cross_gram(psi: VectorFamily, phi: VectorFamily) -> np.ndarray:
     """Cross Gram matrix with entry (k, l) = <phi_l, psi_k>.
 
@@ -129,7 +141,7 @@ def cross_gram(psi: VectorFamily, phi: VectorFamily) -> np.ndarray:
     map of ``phi``; its conjugate transpose is ``cross_gram(phi, psi)``.
     """
     _check_same_ambient(psi, phi)
-    return psi.coeffs.conj().T @ phi.coeffs
+    return _finite_product(psi.coeffs.conj().T, phi.coeffs)
 
 
 def gram(psi: VectorFamily) -> np.ndarray:
@@ -159,7 +171,7 @@ def synthesis(psi: VectorFamily, c) -> np.ndarray:
 
 def frame_operator(psi: VectorFamily) -> np.ndarray:
     """Frame operator as an N x N matrix (synthesis composed with analysis)."""
-    return psi.coeffs @ psi.coeffs.conj().T
+    return _finite_product(psi.coeffs, psi.coeffs.conj().T)
 
 
 def frame_bounds(psi: VectorFamily) -> FrameBounds:

@@ -29,7 +29,7 @@ window is drawn in one vectorized pass over numpy's seeding and PCG64
 arithmetic, bit for bit, with no generator built per point.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 from typing import Optional, Tuple
 
@@ -546,12 +546,23 @@ class SamplingReport:
         return "\n".join(lines) + "\n"
 
 
-_ITEM_STATEMENTS = {
-    "a": "perturbed samples bound the 2-norm of the shift-invariant slice from both sides",
-    "b": "sup-norm sampling stability (duality-derived, not computed independently)",
-    "c": "autocorrelation Gram stays invertible in the 1-norm",
-    "d": "autocorrelation Gram stays invertible in the max-norm",
-    "e": "autocorrelation Gram stays invertible in the 2-norm",
+#: id -> (kind, statement, proxy note) of each sampling item.  Item b repeats
+#: item e's ladder and carries the consensus verdict of the other four.
+_ITEMS = {
+    "a": ("gain", "perturbed samples bound the 2-norm of the shift-invariant "
+          "slice from both sides",
+          "extremal generalized eigenvalues of (interior autocorrelation Gram, "
+          "interior shift Gram): direct two-sided sampling bounds"),
+    "b": ("gain", "sup-norm sampling stability (duality-derived, not computed "
+          "independently)",
+          "duality-derived: carries the consensus verdict of the computed items "
+          "and is never asserted independently"),
+    "c": ("condition", "autocorrelation Gram stays invertible in the 1-norm",
+          "interior 1-norm condition number"),
+    "d": ("condition", "autocorrelation Gram stays invertible in the max-norm",
+          "interior max-norm condition number"),
+    "e": ("gain", "autocorrelation Gram stays invertible in the 2-norm",
+          "interior smallest eigenvalue"),
 }
 
 PROXY_DISCLAIMER = (
@@ -598,8 +609,8 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
     width = math.ceil(g.support_radius + x.bound)
     # The largest interior shift Gram, in the band storage of the largest G.
     interior = largest - 2 * trim
-    rows = min(2 * width, interior - 1) + 1
-    shift_all = np.repeat(_shift_row(g, rows)[:, None], interior, axis=1)
+    band_rows = min(2 * width, interior - 1) + 1
+    shift_all = np.repeat(_shift_row(g, band_rows)[:, None], interior, axis=1)
     shift_min = linalg.band_min_eig(shift_all)
     if shift_min <= tol:
         raise GeneratorUnsuitableError(
@@ -607,18 +618,13 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
             f"{max(shift_min, 0.0):.3e} <= {tol:.0e}"
         )
 
-    grams = []
+    rows, bounds_ladder = [], []
     for size in ladder:
         start = largest // 2 - size // 2
-        grams.append(_interior_gram_band(g, pts[start:start + size], width, trim))
-
-    q = {key: [] for key in ("a", "c", "d", "e")}
-    bounds_ladder = []
-    for size, gi in zip(ladder, grams):
+        gi = _interior_gram_band(g, pts[start:start + size], width, trim)
         shift = shift_all[:gi.shape[0], :gi.shape[1]]
 
         lam_min = max(linalg.band_min_eig(gi), 0.0)
-        q["e"].append(lam_min)
         # G is positive semidefinite, so its singular values are its
         # eigenvalues and the singular flag compares the extremal two.
         # lambda_max <= ||G||_1, so lambda_max is bisected only when
@@ -628,39 +634,21 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
             cond = linalg.band_condition(gi)
         else:
             cond = math.inf
-        q["c"].append(cond)
-        q["d"].append(cond)
 
         lo = max(linalg.band_min_eig(gi, shift, shift_min), 0.0)
         hi = -linalg.band_min_eig(-gi, shift, shift_min)
-        q["a"].append(lo)
+        rows.append((lo, lam_min, cond, cond, lam_min))
         bounds_ladder.append((size, lo, hi))
 
-    notes = {
-        "a": "extremal generalized eigenvalues of (interior autocorrelation "
-             "Gram, interior shift Gram): direct two-sided sampling bounds",
-        "c": "interior 1-norm condition number",
-        "d": "interior max-norm condition number",
-        "e": "interior smallest eigenvalue",
-    }
-    items = {
-        key: Witness.from_ladder(key, _ITEM_STATEMENTS[key], notes[key],
-                                 ladder.sizes, q[key],
-                                 "gain" if key in "ae" else "condition", tol)
-        for key in "acde"
-    }
-
+    items = {key: Witness.from_ladder(key, statement, note, ladder.sizes, values,
+                                      kind, tol)
+             for (key, (kind, statement, note)), values
+             in zip(_ITEMS.items(), zip(*rows))}
     computed = [items[k].verdict for k in "acde"]
-    items["b"] = Witness(
-        id="b", statement=_ITEM_STATEMENTS["b"],
-        proxy_note="duality-derived: carries the consensus verdict of the "
-                   "computed items and is never asserted independently",
-        quantities=items["e"].quantities,
-        verdict=consensus(computed), kind="gain",
-    )
+    items["b"] = replace(items["b"], verdict=consensus(computed))
 
     return SamplingReport(
-        items=tuple(items[k] for k in "abcde"),
+        items=tuple(items.values()),
         stable=all(v == VERDICT_PASS for v in computed),
         consistent=verdicts_agree(computed),
         ladder=ladder.sizes,

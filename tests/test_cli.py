@@ -97,6 +97,36 @@ def test_missing_file_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("where", ["config", "family"])
+def test_unreadable_input_path_exits_2(tmp_path, where):
+    # a directory where a JSON file is expected, as the config or a family
+    folder = tmp_path / "D"
+    folder.mkdir()
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"family": str(folder)})
+    res = run_cli("analyze", "--config", str(folder if where == "config" else cfg),
+                  "--out", str(tmp_path / "x.json"))
+    assert res.returncode == 2, res.stderr
+    assert f"error: cannot read {folder}: Is a directory" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "rdual"])
+def test_overflowing_gram_exits_3_without_output(tmp_path, command):
+    # finite coefficients whose Gram leaves the float range
+    fam = tmp_path / "fam.json"
+    write_json(fam, VectorFamily(np.eye(3) * 1e200).to_json())
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"family": str(fam)} if command == "analyze"
+               else {"psi": str(fam), "phi": str(fam)})
+    res = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "x.json"))
+    assert res.returncode == 3, res.stderr
+    assert "numerical failure: Gram or frame-operator entries" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "fam.json"]
+
+
 def test_precondition_failure_exits_4(tmp_path):
     deficient = VectorFamily(np.diag([1.0, 1.0, 0.0]))
     fam = tmp_path / "deficient.json"
@@ -273,11 +303,15 @@ def test_bad_fixture_input_exits_2_without_output(tmp_path, sizes, named):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-def test_unserializable_report_leaves_no_file(tmp_path):
-    out = tmp_path / "r.json"
-    with pytest.raises(ValueError):
-        cli._write_json(str(out), {"lower": math.nan})
-    assert list(tmp_path.iterdir()) == []
+def test_unserializable_report_leaves_no_file(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {})
+    monkeypatch.setitem(cli._COMMANDS, "analyze",
+                        lambda config, args: {args.out: {"lower": math.nan}})
+    assert cli.main(["analyze", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.json")]) == 2
+    assert "error: Out of range float values" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 # --------------------------------------------------------------------------
@@ -308,6 +342,18 @@ def test_battery_counterexample_cli(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["consistent"] is True
     assert all(c["verdict"] == "fail" for c in rep["conditions"])
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_battery_report_records_seed(tmp_path, seed):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "battery.json"
+    write_json(cfg, BATTERY)
+    extra = [] if seed is None else ["--seed", str(seed)]
+    res = run_cli("battery", "--config", str(cfg), "--out", str(out), *extra)
+    assert res.returncode == 0, res.stderr
+    rep = json.loads(out.read_text())
+    assert rep["seed"] == rep["meta"]["seed"] == seed
 
 
 def test_battery_ladder_override(tmp_path):

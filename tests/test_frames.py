@@ -14,6 +14,7 @@ from framebench.errors import (
     DimensionMismatchError,
     LadderTooShortError,
     NotAFrameError,
+    NumericalFailureError,
 )
 from framebench.frames import TruncationLadder, VectorFamily
 
@@ -278,6 +279,17 @@ def test_vector_family_json_roundtrip():
 def test_vector_family_rejects_nonfinite():
     with pytest.raises(ValueError):
         VectorFamily(np.array([[np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("product", [
+    frames.gram, frames.frame_operator, lambda fam: frames.cross_gram(fam, fam),
+    frames.frame_bounds, frames.riesz_bounds,
+], ids=["gram", "frame_operator", "cross_gram", "frame_bounds", "riesz_bounds"])
+def test_overflowing_products_raise_numerical_failure(product):
+    # finite coefficients whose squares leave the float range: a numerical
+    # failure, with no overflow warning (pytest turns warnings into errors)
+    with pytest.raises(NumericalFailureError, match="overflow the float range"):
+        product(VectorFamily(np.eye(3) * 1e200))
 
 
 def test_vector_family_immutable():

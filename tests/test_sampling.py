@@ -377,6 +377,35 @@ def test_verdict_cubic_unperturbed_stable():
     assert "duality-derived" in rep.item("b").proxy_note
 
 
+def test_sampling_item_table_pinned():
+    # every field of every item but its quantities, cubic B-spline, no shift
+    rep = stable_sampling_verdict(CUBIC, SamplingSet.constant(0.0), LADDER)
+    got = [(c["id"], it.kind, c["verdict"], c["quote"], c["proxy_note"])
+           for it, c in zip(rep.items, rep.to_json()["items"])]
+    assert got == [
+        ("a", "gain", "pass",
+         "perturbed samples bound the 2-norm of the shift-invariant slice from "
+         "both sides",
+         "extremal generalized eigenvalues of (interior autocorrelation Gram, "
+         "interior shift Gram): direct two-sided sampling bounds"),
+        ("b", "gain", "pass",
+         "sup-norm sampling stability (duality-derived, not computed independently)",
+         "duality-derived: carries the consensus verdict of the computed items and "
+         "is never asserted independently"),
+        ("c", "condition", "pass",
+         "autocorrelation Gram stays invertible in the 1-norm",
+         "interior 1-norm condition number"),
+        ("d", "condition", "pass",
+         "autocorrelation Gram stays invertible in the max-norm",
+         "interior max-norm condition number"),
+        ("e", "gain", "pass",
+         "autocorrelation Gram stays invertible in the 2-norm",
+         "interior smallest eigenvalue"),
+    ]
+    assert rep.item("b").quantities == rep.item("e").quantities
+    assert rep.item("d").quantities == rep.item("c").quantities
+
+
 def test_verdict_cubic_half_shift_unstable():
     rep = stable_sampling_verdict(CUBIC, SamplingSet.constant(0.5), LADDER)
     assert not rep.stable and rep.consistent
