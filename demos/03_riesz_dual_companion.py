@@ -11,7 +11,7 @@ an explicit cross-Gram factorization.
 import numpy as np
 
 import framebench as fb
-from framebench.rdual import rdual
+from framebench.rdual import duality_verdict, rdual
 
 rng = np.random.default_rng(3)
 n = 8
@@ -21,7 +21,7 @@ e = rng.standard_normal((n, n))
 e *= 0.4 / fb.pnorm_operator(e, 2)
 phi = fb.VectorFamily(np.eye(n) + e, label="reference")
 psi = fb.VectorFamily(rng.standard_normal((n, n)), label="test-family")
-rep = fb.verify_rdual_duality(psi, phi)
+rep = duality_verdict(psi, rdual(psi, phi), fb.frames.TOL_FRAME)
 print(f"frame lower bound {rep.frame_lower:.4f} -> verdict {rep.frame_verdict}")
 print(f"companion Riesz lower bound {rep.riesz_lower:.4f} -> verdict "
       f"{rep.riesz_verdict}")
@@ -31,7 +31,8 @@ print()
 print("== a rank-deficient family flips both verdicts at once ==")
 coeffs = np.asarray(psi.coeffs).copy()
 coeffs[:, -1] = coeffs[:, 0]
-rep = fb.verify_rdual_duality(fb.VectorFamily(coeffs), phi)
+deficient = fb.VectorFamily(coeffs)
+rep = duality_verdict(deficient, rdual(deficient, phi), fb.frames.TOL_FRAME)
 print(f"frame verdict {rep.frame_verdict}, companion Riesz verdict "
       f"{rep.riesz_verdict}, agree: {rep.agree}")
 

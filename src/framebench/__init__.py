@@ -3,7 +3,7 @@
 Submodules
 ----------
 linalg
-    Dense complex kernels: Hermitian eigendecomposition, fractional matrix
+    Dense complex kernels: Hermitian eigendecomposition and its fractional
     powers, row p-norms (``line_norms``) and the operator p-norms built on
     them, condition numbers, gain probes, Hermitian band kernels.
 frames
@@ -13,7 +13,7 @@ localization
     Off-diagonal decay norms (polynomial sup norm, weighted Schur norm) and
     ladder-based localization evidence.
 rdual
-    Riesz-dual sequences, their Grams and duality verdicts.
+    Riesz-dual sequences and the frame-vs-Riesz duality verdict.
 ladder
     Ladder verdict rules (uniformity across truncations, borderline band)
     and the ``Witness`` record shared by battery and sampling reports.
@@ -58,7 +58,6 @@ from .linalg import (
     SpectralDecomposition,
     condition_p,
     hermitian_eig,
-    matrix_power,
     pnorm_operator,
 )
 from .localization import (
@@ -70,9 +69,6 @@ from .localization import (
     mutual_localization,
     schur_norm,
 )
-# The rdual *function* is reached through its module (framebench.rdual.rdual):
-# re-exporting it here would shadow the submodule name.
-from .rdual import rdual_gram, verify_rdual_duality
 from .sampling import (
     Generator,
     SamplingReport,

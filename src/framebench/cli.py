@@ -48,6 +48,8 @@ class InputError(ValueError):
 
 
 def _load_json(path: str) -> dict:
+    """The JSON value in the file ``path``; a file that cannot be read or
+    decoded is an ``InputError`` that names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -55,7 +57,11 @@ def _load_json(path: str) -> dict:
         raise InputError(f"no such file: {path}") from exc
     except OSError as exc:  # a directory, an unreadable file
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    # bad syntax, an integer literal past Python's digit limit, or arrays and
+    # objects nested deeper than the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -204,35 +210,38 @@ _BATTERY_GENERATORS = ("onb", "counterexample", "perturbed-onb")
 
 
 def _battery_generator(entry: dict, seed):
+    """The family generator of a battery ``family`` entry, and the seed it
+    draws with: the entry's ``seed``, else ``--seed``, else 0 for
+    ``perturbed-onb``; ``--seed`` for the kinds that draw nothing."""
     kind = entry.get("kind", "onb")
+    fields.require_fields(entry, ("kind", "epsilon", "seed") if kind == "perturbed-onb"
+                          else ("kind",))
     if kind == "onb":
-        return lambda n: (frames.VectorFamily.onb(n, label="onb"),
-                          frames.VectorFamily.onb(n, label="reference-onb"))
+        return (lambda n: (frames.VectorFamily.onb(n, label="onb"),
+                           frames.VectorFamily.onb(n, label="reference-onb"))), seed
     if kind == "counterexample":
-        return equivalence.counterexample_family
+        return equivalence.counterexample_family, seed
     if kind == "perturbed-onb":
         eps = float(fields.require_finite("epsilon", entry.get("epsilon", 0.3)))
         s = fields.require_integer("seed", entry.get("seed", seed or 0), minimum=0)
-        return lambda n: equivalence.perturbed_onb_family(n, epsilon=eps, seed=s)
+        return (lambda n: equivalence.perturbed_onb_family(n, epsilon=eps, seed=s)), s
     raise ValueError(
         f"unknown battery family kind {kind!r}; pick one of {_BATTERY_GENERATORS}"
     )
 
 
 def cmd_battery(config, args):
-    family_gen = _section("battery family", config.get("family", {}),
-                          lambda entry: _battery_generator(entry, args.seed))
+    family_gen, seed = _section("battery family", config.get("family", {}),
+                                lambda entry: _battery_generator(entry, args.seed))
     report = equivalence.run_battery(family_gen, _profile(config),
                                      _ladder(config, args), tol=args.tol_frame)
-    return {args.out: dict(report.to_json(), seed=args.seed)}
+    return {args.out: dict(report.to_json(), seed=seed)}
 
 
 def _sampling_set(config: dict) -> sampling.SamplingSet:
-    if "deltas" in config:  # shorthand for an explicit delta rule
-        rule = {"kind": "explicit", "deltas": config["deltas"],
-                "bound": config.get("bound")}
-    else:
-        rule = config.get("delta_rule", {"kind": "constant", "value": 0.0})
+    # top-level "deltas" and "bound" are shorthand for an explicit delta rule
+    shorthand = {key: config[key] for key in ("deltas", "bound") if key in config}
+    rule = dict(shorthand, kind="explicit") if shorthand else config.get("delta_rule", {})
     return _section("delta rule", rule, sampling.SamplingSet.from_json)
 
 
@@ -279,6 +288,15 @@ _COMMANDS = {
     "fixtures": cmd_fixtures,
 }
 
+#: The top-level fields of each command's config.
+_CONFIG_FIELDS = {
+    "analyze": ("family", "profile"),
+    "rdual": ("psi", "phi"),
+    "battery": ("family", "profile", "ladder"),
+    "sampling": ("generator", "delta_rule", "deltas", "bound", "ladder"),
+    "fixtures": ("sizes",),
+}
+
 
 def _tolerance(text: str) -> float:
     tol = float(text)
@@ -313,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = fields.require_object("config", _load_json(args.config))
+        names = _CONFIG_FIELDS[args.command]
+        config = _section(f"{args.command} config", _load_json(args.config),
+                          lambda c: fields.require_fields(c, names))
         files = _COMMANDS[args.command](config, args)
         meta = _meta(config, args)
         _write_files({path: report if isinstance(report, str)

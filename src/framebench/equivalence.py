@@ -182,7 +182,7 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
 
         g_conj = cross_conj.T @ cross  # B^H B = conj(G_omega)
         lam_g = linalg.hermitian_eigvals(g_conj)  # also checks g_conj
-        cond8, cond9 = linalg._condition_1_inf(
+        cond8, cond9 = linalg.condition_1_inf(
             g_conj, lam_g, lambda: (left / lam_psi) @ left.conj().T)
         rows.append((max(float(lam_psi[0]), 0.0), cond2, cond3, gain4, gain4,
                      gain6, gain6, cond8, cond9, max(float(lam_g[0]), 0.0)))

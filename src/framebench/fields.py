@@ -10,8 +10,14 @@ holds numbers only, all finite; a nested section is a JSON object.  Every
 violation is a ``ValueError`` that names the field, raised before any
 compute; the CLI adds the config section and exits 2.
 
+A config object holds only the fields that its record defines for its
+kind (``require_fields``): a key outside them, a misspelled one included, is
+a ``ValueError`` that names it, never dropped in favour of a default.
+
 The records that own the fields apply the rule in their constructors, and
-store real fields as floats; their ``from_json`` passes the raw JSON value.
+store real fields as floats; their ``from_json`` checks the keys and hands
+the raw JSON values to the constructor, so a field that a config leaves out
+takes the default written in the record's dataclass, and nowhere else.
 """
 
 import math
@@ -49,6 +55,23 @@ def require_object(field: str, value) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{field!r} must be a JSON object, got {type(value).__name__}")
     return value
+
+
+def require_fields(obj: dict, optional=(), *, required=(), section: str = "") -> dict:
+    """``obj``, a JSON object, if it holds every key in ``required`` and no
+    key outside ``required`` and ``optional``.  A missing key is a
+    ``KeyError`` (the CLI reports a missing field), any other key a
+    ``ValueError`` that names it and ``section``, the field that holds
+    ``obj`` when it is nested."""
+    for key in required:
+        if key not in obj:
+            raise KeyError(key)
+    for key in obj:
+        if key not in required and key not in optional:
+            where = f" in {section!r}" if section else ""
+            raise ValueError(f"unknown field {key!r}{where}; expected one of "
+                             + ", ".join(map(repr, (*required, *optional))))
+    return obj
 
 
 def _holds_bool(values) -> bool:

@@ -58,9 +58,6 @@ class VectorFamily:
     def member(self, k: int) -> np.ndarray:
         return self.coeffs[:, k]
 
-    def scaled(self, c) -> "VectorFamily":
-        return VectorFamily(c * self.coeffs, label=self.label)
-
     def to_json(self) -> dict:
         """Serialize to the interchange schema (row-major [re, im] pairs)."""
         flat = self.coeffs.reshape(-1)
@@ -73,6 +70,8 @@ class VectorFamily:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VectorFamily":
+        fields.require_fields(obj, ("label",),
+                              required=("ambient_dim", "member_count", "coeffs"))
         n = fields.require_integer("ambient_dim", obj["ambient_dim"])
         m = fields.require_integer("member_count", obj["member_count"])
         flat = fields.require_pairs("coeffs", obj["coeffs"])
@@ -186,12 +185,6 @@ def riesz_bounds(psi: VectorFamily) -> FrameBounds:
     return FrameBounds(lower=max(float(w[0]), 0.0), upper=max(float(w[-1]), 0.0))
 
 
-def frame_spectrum(psi: VectorFamily) -> linalg.SpectralDecomposition:
-    """Eigendecomposition of the frame operator S: it gives the frame bounds,
-    the canonical dual S^-1 psi and every power S^alpha psi at once."""
-    return linalg.hermitian_eig(frame_operator(psi))
-
-
 def canonical_dual(psi: VectorFamily, tol: float = TOL_FRAME) -> VectorFamily:
     """Canonical dual family: columns are S^-1 applied to the members.
 
@@ -209,7 +202,7 @@ def power_transform(phi: VectorFamily, alpha: float,
     alpha = -1/2 orthonormalizes a Riesz basis; alpha = -1 gives the
     canonical dual.
     """
-    dec = frame_spectrum(phi)
+    dec = linalg.hermitian_eig(frame_operator(phi))
     lower = float(dec.eigenvalues[0])
     if lower <= tol:
         raise NotAFrameError(f"lower frame bound {max(lower, 0.0):.3e} <= {tol:.0e}")

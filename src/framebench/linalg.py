@@ -104,10 +104,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray   # real, ascending
     eigenvectors: np.ndarray  # unitary, column k pairs with eigenvalues[k]
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
     def power(self, alpha: float) -> np.ndarray:
         """A^alpha = V diag(w**alpha) V^H of a positive definite matrix.
 
@@ -150,12 +146,6 @@ def hermitian_eigvals(a) -> np.ndarray:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in LAPACK
         raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
-
-
-def matrix_power(a, alpha: float) -> np.ndarray:
-    """Fractional power A^alpha of a Hermitian positive definite matrix
-    (see ``SpectralDecomposition.power``)."""
-    return hermitian_eig(a).power(alpha)
 
 
 def line_norms(a, p) -> np.ndarray:
@@ -227,25 +217,19 @@ def condition_p(a, p) -> float:
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"inversion failed: {exc}") from exc
 
-    return _condition_1_inf(m, sv, inverse)[0 if p == 1 else 1]
+    return condition_1_inf(m, sv, inverse)[0 if p == 1 else 1]
 
 
-def condition_1_inf(a, singular_values, inverse) -> Tuple[float, float]:
+def condition_1_inf(m: np.ndarray, singular_values, inverse) -> Tuple[float, float]:
     """||A||_1 ||A^-1||_1 and ||A||_inf ||A^-1||_inf, or ``(inf, inf)``.
 
-    ``singular_values`` give the singular flag (see ``is_singular``); on the
-    flag both numbers are ``math.inf``.  Off it, ``inverse()`` returns A^-1
-    and is called only then, so a caller may pass an LU inverse
-    (``condition_p``) or one built in closed form (the battery builds it
-    from an eigendecomposition).  A and A^-1 are validated once each.
+    ``m`` is square and finite, unchecked here: ``condition_p`` validates
+    it, and the battery built it.  ``singular_values`` give the singular flag
+    (see ``is_singular``); on it both numbers are ``math.inf``.  Off it,
+    ``inverse()`` returns A^-1 (validated) and is called only then, so a
+    caller may pass an LU inverse (``condition_p``) or one built in closed
+    form (the battery builds it from an eigendecomposition).
     """
-    m = as_matrix(a)
-    _require_square(m)
-    return _condition_1_inf(m, singular_values, inverse)
-
-
-def _condition_1_inf(m: np.ndarray, singular_values, inverse) -> Tuple[float, float]:
-    """``condition_1_inf`` of a square matrix that ``as_matrix`` returned."""
     if is_singular(singular_values):
         return math.inf, math.inf
     inv = as_matrix(inverse())
@@ -326,25 +310,24 @@ def band_min_eig(a, b=None, b_min=None) -> float:
     equals one of its ends.  The bracket is +-2 ||A||_inf / b_min, which
     holds every eigenvalue strictly inside (Gershgorin) for any positive
     lower bound b_min on lambda_min(B).  ``b_min`` defaults to
-    lambda_min(B), bisected here; a caller that already knows a lower bound
-    (for instance lambda_min of a matrix that B is a principal submatrix of,
-    by Cauchy interlacing) passes it and saves that bisection.  A b_min at
-    or below 0 raises ``NotPositiveDefiniteError``.  Returns the smallest
-    sigma found at which the factorization fails.  The largest eigenvalue
-    is ``-band_min_eig(-a, b, b_min)``.
+    lambda_min(B), bisected here (1 for the identity); a caller that already
+    knows a lower bound (for instance lambda_min of a matrix that B is a
+    principal submatrix of, by Cauchy interlacing) passes it and saves that
+    bisection.  A b_min at or below 0 raises ``NotPositiveDefiniteError``.
+    Returns the smallest sigma found at which the factorization fails.  The
+    largest eigenvalue is ``-band_min_eig(-a, b, b_min)``.
     """
     a = np.asfortranarray(a)
-    if b is None:
-        b_min = 1.0
-    else:
-        b = np.asfortranarray(b)
-        if b_min is None:
-            b_min = band_min_eig(b)
-        if b_min <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"pencil needs a positive definite B, smallest eigenvalue {b_min:.3e}")
-    operands = (a,) if b is None else (a, b)
-    work = np.empty(a.shape, dtype=np.result_type(*operands, 1.0), order="F")
+    if b is None:  # the identity band; off its diagonal A - sigma 0 = A exactly
+        b, b_min = np.zeros_like(a), 1.0
+        b[0] = 1
+    b = np.asfortranarray(b)
+    if b_min is None:
+        b_min = band_min_eig(b)
+    if b_min <= 0.0:
+        raise NotPositiveDefiniteError(
+            f"pencil needs a positive definite B, smallest eigenvalue {b_min:.3e}")
+    work = np.empty(a.shape, dtype=np.result_type(a, b, 1.0), order="F")
     pbtrf = _band_lapack("pbtrf", work)
     hi = 2.0 * band_norm(a) / b_min
     lo = -hi
@@ -352,11 +335,7 @@ def band_min_eig(a, b=None, b_min=None) -> float:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return hi
-        if b is None:  # A - mid I: only the diagonal moves
-            work[...] = a
-            work[0] -= mid
-        else:
-            np.subtract(a, np.multiply(mid, b, out=work), out=work)
+        np.subtract(a, np.multiply(mid, b, out=work), out=work)
         if pbtrf(work, lower=1, overwrite_ab=1)[1] == 0:
             lo = mid
         else:

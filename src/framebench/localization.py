@@ -40,6 +40,10 @@ HEURISTIC_NOTE = (
 )
 
 
+#: The numbers of each weight form.
+_FORM_FIELDS = {"polynomial": ("delta", "scale"), "subexponential": ("rate", "power")}
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Symmetric weight on integer offsets, >= 1 everywhere.
@@ -89,14 +93,11 @@ class WeightSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightSpec":
-        form = obj.get("form", "polynomial")
-        if form == "polynomial":
-            return cls(form="polynomial", delta=obj.get("delta", 1.0),
-                       scale=obj.get("scale", 1.0))
-        if form == "subexponential":
-            return cls(form="subexponential", rate=obj.get("rate", 0.0),
-                       power=obj.get("power", 0.5))
-        raise ValueError(f"unknown weight form {form!r}")
+        """The ``weight`` object of a Schur profile: ``form`` and the two
+        numbers of that form."""
+        # an unknown form has no numbers here, and the constructor rejects it
+        numbers = _FORM_FIELDS.get(obj.get("form", cls.form), ())
+        return cls(**fields.require_fields(obj, ("form", *numbers), section="weight"))
 
 
 @dataclass(frozen=True)
@@ -129,11 +130,14 @@ class LocalizationProfile:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LocalizationProfile":
-        kind = obj.get("kind", "jaffard")
-        if kind == "schur":
-            return cls(kind="schur", weight=WeightSpec.from_json(
-                fields.require_object("weight", obj.get("weight", {}))))
-        return cls(kind=kind, s=obj.get("s", 2.0))
+        """``{"kind": "jaffard", "s"}`` or ``{"kind": "schur", "weight"}``; the
+        constructor rejects any other kind."""
+        schur = obj.get("kind", cls.kind) == "schur"
+        params = dict(fields.require_fields(obj, ("kind", "weight" if schur else "s")))
+        if "weight" in params:
+            params["weight"] = WeightSpec.from_json(
+                fields.require_object("weight", params["weight"]))
+        return cls(**params)
 
 
 @dataclass(frozen=True)

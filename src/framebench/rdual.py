@@ -18,7 +18,8 @@ localization of psi against phi propagates to omega.
 
 The pair is checked once, by ``_check_rdual_inputs``, before anything is
 computed; the battery's reference steps reuse that check, its G_phi and
-the spectrum of G_phi.
+the spectrum of G_phi.  The companion's Gram is ``frames.gram(omega)``, and
+``duality_verdict(psi, omega, tol)`` compares the two verdicts.
 """
 
 from dataclasses import asdict, dataclass
@@ -71,12 +72,6 @@ def rdual(psi: VectorFamily, phi: VectorFamily,
     return VectorFamily(omega, label=f"rdual({psi.label})" if psi.label else "rdual")
 
 
-def rdual_gram(psi: VectorFamily, phi: VectorFamily,
-               tol: float = frames.TOL_FRAME) -> np.ndarray:
-    """Gram matrix of the Riesz-dual sequence (Hermitian PSD)."""
-    return frames.gram(rdual(psi, phi, tol=tol))
-
-
 @dataclass(frozen=True)
 class RdualDualityReport:
     """Frame verdict of psi vs Riesz verdict of its dual companion."""
@@ -92,20 +87,15 @@ class RdualDualityReport:
         return asdict(self)
 
 
-def verify_rdual_duality(psi: VectorFamily, phi: VectorFamily,
-                         tol: float = frames.TOL_FRAME) -> RdualDualityReport:
-    """Check that the frame verdict of psi matches the Riesz verdict of omega.
+def duality_verdict(psi: VectorFamily, omega: VectorFamily,
+                    tol: float) -> RdualDualityReport:
+    """Check that the frame verdict of psi matches the Riesz verdict of its
+    companion ``omega = rdual(psi, phi)``.
 
     In exact arithmetic the two verdicts always agree; a disagreement here
     signals borderline conditioning and is reported, not raised.  Runs whose
     lower bound falls inside [tol, 10 tol] are flagged borderline.
     """
-    return duality_verdict(psi, rdual(psi, phi, tol=tol), tol)
-
-
-def duality_verdict(psi: VectorFamily, omega: VectorFamily,
-                    tol: float) -> RdualDualityReport:
-    """``verify_rdual_duality`` given the companion ``omega`` of ``psi``."""
     frame_lower = frames.frame_bounds(psi).lower
     riesz_lower = frames.riesz_bounds(omega).lower
     frame_verdict, riesz_verdict = frame_lower > tol, riesz_lower > tol

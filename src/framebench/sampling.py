@@ -157,17 +157,26 @@ class Generator:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Generator":
-        kind = obj.get("kind", "bspline")
+        """A B-spline ``{"kind", "degree"}``, or a tabulated generator whose
+        ``samples``, ``step`` and ``decay_s`` sit in a ``grid`` object (as
+        ``to_json`` writes them) or beside ``kind``."""
+        kind = obj.get("kind", cls.kind)
         if kind == "bspline":
-            return cls(kind="bspline", degree=obj.get("degree", 3))
+            return cls(**fields.require_fields(obj, ("kind", "degree")))
         if kind != "tabulated":
             raise ValueError(f"unknown generator kind {kind!r}")
-        payload = fields.require_object("grid", obj.get("grid", obj))  # or flat
-        samples = payload["samples"]
-        if np.ndim(samples) == 2:  # [re, im] pairs; a flat list holds real samples
-            samples = fields.require_pairs("samples", samples)
-        return cls(kind="tabulated", samples=samples, step=payload.get("step", 1.0),
-                   decay_s=payload.get("decay_s", 2.0))
+        optional = ("step", "decay_s")
+        if "grid" in obj:
+            fields.require_fields(obj, ("kind",), required=("grid",))
+            params = dict(fields.require_fields(
+                fields.require_object("grid", obj["grid"]), optional,
+                required=("samples",), section="grid"))
+        else:
+            params = dict(fields.require_fields(obj, ("kind", *optional),
+                                                required=("samples",)))
+        if np.ndim(params["samples"]) == 2:  # [re, im] pairs; a flat list holds reals
+            params["samples"] = fields.require_pairs("samples", params["samples"])
+        return cls(**dict(params, kind=kind))
 
 
 def generator_eval(g: Generator, t):
@@ -394,14 +403,19 @@ class SamplingSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SamplingSet":
-        kind = obj.get("kind", "constant")
+        """``{"kind", ...}`` with the fields ``to_json`` writes for the rule;
+        ``kind`` is the ``rule`` field and ``deltas`` the ``explicit`` one."""
+        kind = obj.get("kind", cls.rule)
         if kind == "constant":
-            return cls.constant(obj.get("value", 0.0))
-        if kind == "seeded-uniform":
-            return cls.seeded_uniform(obj["bound"], obj.get("seed", 0))
-        if kind == "explicit":  # a null bound, like an absent one, means max |delta|
-            return cls.from_deltas(obj["deltas"], obj.get("bound"))
-        raise ValueError(f"unknown sampling rule {kind!r}")
+            params = fields.require_fields(obj, ("kind", "value"))
+        elif kind == "seeded-uniform":
+            params = fields.require_fields(obj, ("kind", "seed"), required=("bound",))
+        elif kind == "explicit":  # a null bound, like an absent one, means max |delta|
+            params = fields.require_fields(obj, ("kind", "bound"), required=("deltas",))
+        else:
+            raise ValueError(f"unknown sampling rule {kind!r}")
+        renamed = {"kind": "rule", "deltas": "explicit"}
+        return cls(**{renamed.get(key, key): value for key, value in params.items()})
 
 
 def sampling_matrix(g: Generator, x: SamplingSet, window: int) -> np.ndarray:

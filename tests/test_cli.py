@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from framebench import cli, equivalence, frames, linalg, sampling
+from framebench import cli, equivalence, frames, linalg, localization, sampling
 from framebench.frames import VectorFamily
 
 
@@ -99,17 +99,26 @@ def test_missing_file_exits_2(tmp_path):
 
 @pytest.mark.parametrize("where", ["config", "family"])
 def test_unreadable_input_path_exits_2(tmp_path, where):
-    # a directory where a JSON file is expected, as the config or a family
+    # a file that cannot be read or decoded, as the config or a family file
     folder = tmp_path / "D"
     folder.mkdir()
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"family": str(folder)})
-    res = run_cli("analyze", "--config", str(folder if where == "config" else cfg),
-                  "--out", str(tmp_path / "x.json"))
-    assert res.returncode == 2, res.stderr
-    assert f"error: cannot read {folder}: Is a directory" in res.stderr
-    assert "Traceback" not in res.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "cfg.json"]
+    bad = {"D": "cannot read {}: Is a directory",
+           "latin.json": "{} is not UTF-8 text",
+           "digits.json": "malformed JSON in {}: Exceeds the limit (4300 digits)",
+           "deep.json": "malformed JSON in {}: maximum recursion depth exceeded"}
+    (tmp_path / "latin.json").write_bytes(b"\xff\xfe{")
+    (tmp_path / "digits.json").write_text('{"ambient_dim": ' + "1" * 4301 + "}")
+    (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+    for name, message in bad.items():
+        path = tmp_path / name
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"family": str(path)})
+        res = run_cli("analyze", "--config", str(path if where == "config" else cfg),
+                      "--out", str(tmp_path / "x.json"))
+        assert res.returncode == 2, res.stderr
+        assert f"error: {message.format(path)}" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*bad, "cfg.json"])
 
 
 @pytest.mark.parametrize("command", ["analyze", "rdual"])
@@ -247,6 +256,34 @@ HAT_TABLE = {"kind": "tabulated", "samples": [0.0, 0.5, 1.0, 0.5, 0.0], "step": 
      "bad localization profile: 'weight' must be a JSON object, got list"),
     ("sampling", {**SAMPLING, "generator": {"kind": "tabulated", "grid": 5}}, [],
      "bad generator config: 'grid' must be a JSON object, got int"),
+    # a config object holds only the fields its record defines
+    ("sampling", {**SAMPLING, "generator": {"kind": "bspline", "degre": 1}}, [],
+     "bad generator config: unknown field 'degre'"),
+    ("sampling", {**SAMPLING, "generator": {**HAT_TABLE, "degree": 1}}, [],
+     "bad generator config: unknown field 'degree'"),
+    ("sampling", {**SAMPLING, "generator": {"kind": "tabulated", "grid": {
+        "samples": HAT_TABLE["samples"], "stepp": 0.5}}}, [],
+     "bad generator config: unknown field 'stepp' in 'grid'"),
+    ("sampling", {**SAMPLING, "delta_rule": {**SEEDED, "sead": 5}}, [],
+     "bad delta rule: unknown field 'sead'"),
+    ("sampling", {**SAMPLING, "bound": 0.1}, [], "bad delta rule: missing field 'deltas'"),
+    ("battery", {**BATTERY, "profile": {"kind": "jaffard", "exponent": 3.0}}, [],
+     "bad localization profile: unknown field 'exponent'"),
+    ("battery", {**BATTERY, "profile": {"kind": "schur", "weight": {"delt": 0.5}}}, [],
+     "bad localization profile: unknown field 'delt' in 'weight'"),
+    ("battery", {**BATTERY, "family": {"kind": "perturbed-onb", "epsilom": 0.9}}, [],
+     "bad battery family: unknown field 'epsilom'"),
+    ("analyze", {"family": {**VectorFamily.onb(1).to_json(), "labl": "x"}}, [],
+     "bad family under 'family': unknown field 'labl'"),
+    ("analyze", {"family": {}, "profil": JAFFARD}, [],
+     "bad analyze config: unknown field 'profil'"),
+    ("rdual", {"psi": {}, "phy": {}}, [], "bad rdual config: unknown field 'phy'"),
+    ("battery", {**BATTERY, "ladders": [4, 8]}, [],
+     "bad battery config: unknown field 'ladders'"),
+    ("sampling", {**SAMPLING, "delta_rul": SEEDED}, [],
+     "bad sampling config: unknown field 'delta_rul'"),
+    ("fixtures", {"sizes": [4], "size": [8]}, [],
+     "bad fixtures config: unknown field 'size'"),
 ], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative",
         "unknown-profile-kind", "jaffard-s-below-1", "schur-delta-negative",
         "unknown-generator-kind", "unknown-delta-rule", "family-not-object",
@@ -262,7 +299,13 @@ HAT_TABLE = {"kind": "tabulated", "samples": [0.0, 0.5, 1.0, 0.5, 0.0], "step": 
         "delta-seed-negative", "perturbed-onb-seed-float", "bound-string",
         "value-string", "epsilon-string", "samples-nan", "samples-strings",
         "deltas-strings", "deltas-mixed-bool", "samples-mixed-bool",
-        "samples-three-columns", "schur-weight-list", "tabulated-grid-int"])
+        "samples-three-columns", "schur-weight-list", "tabulated-grid-int",
+        "unknown-bspline-field", "unknown-flat-tabulated-field", "unknown-grid-field",
+        "unknown-delta-rule-field", "bound-without-deltas", "unknown-profile-field",
+        "unknown-weight-field", "unknown-battery-family-field", "unknown-family-field",
+        "unknown-analyze-field",
+        "unknown-rdual-field", "unknown-battery-field", "unknown-sampling-field",
+        "unknown-fixtures-field"])
 def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, extra,
                                                   named):
     cfg = tmp_path / "cfg.json"
@@ -346,14 +389,29 @@ def test_battery_counterexample_cli(tmp_path):
 
 @pytest.mark.parametrize("seed", [None, 7])
 def test_battery_report_records_seed(tmp_path, seed):
-    cfg = tmp_path / "cfg.json"
-    out = tmp_path / "battery.json"
-    write_json(cfg, BATTERY)
+    # the report's seed is the one the family was drawn with: perturbed-onb
+    # takes the entry's seed, else --seed, else 0; onb draws nothing and
+    # records --seed.  meta always records --seed.
+    drawn = 0 if seed is None else seed
+    cases = [({"kind": "onb"}, seed), ({"kind": "perturbed-onb"}, drawn),
+             ({"kind": "perturbed-onb", "seed": 42}, 42)]
     extra = [] if seed is None else ["--seed", str(seed)]
-    res = run_cli("battery", "--config", str(cfg), "--out", str(out), *extra)
-    assert res.returncode == 0, res.stderr
-    rep = json.loads(out.read_text())
-    assert rep["seed"] == rep["meta"]["seed"] == seed
+    for family, recorded in cases:
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "battery.json"
+        write_json(cfg, {**BATTERY, "family": family})
+        res = run_cli("battery", "--config", str(cfg), "--out", str(out), *extra)
+        assert res.returncode == 0, res.stderr
+        rep = json.loads(out.read_text())
+        assert rep["seed"] == recorded
+        assert rep["meta"]["seed"] == seed
+        if family["kind"] == "perturbed-onb":
+            expected = equivalence.run_battery(
+                lambda n: equivalence.perturbed_onb_family(n, seed=recorded),
+                localization.LocalizationProfile(), frames.TruncationLadder(
+                    tuple(BATTERY["ladder"])))
+            assert rep["conditions"] == json.loads(
+                cli._json_text(expected.to_json()))["conditions"]
 
 
 def test_battery_ladder_override(tmp_path):

@@ -189,7 +189,7 @@ def count_factorizations(monkeypatch):
 def test_battery_factorization_budget(monkeypatch):
     ladder = TruncationLadder((8, 16, 32))
     factorizations = count_factorizations(monkeypatch)
-    for name in ("gram", "frame_spectrum"):
+    for name in ("gram", "power_transform"):
         monkeypatch.setattr(frames, name, counted(factorizations, f"frames.{name}",
                                                   getattr(frames, name)))
     run_battery(counted(factorizations, "family_gen", toeplitz_pair),
@@ -199,8 +199,8 @@ def test_battery_factorization_budget(monkeypatch):
     # formed once (the reference check, its localization norm, the dual
     # phi^-1 and G_phi^-1/2), and of S_psi (witness 1, and Lambda^-1 for both
     # inverses); the eigenvalues of the companion Gram (witness 10 and the
-    # singular flag of 8 and 9).  No frame_spectrum, no inverse, and no dense
-    # scipy.linalg call.
+    # singular flag of 8 and 9).  No frame-operator power (canonical dual),
+    # no inverse, and no dense scipy.linalg call.
     n = len(ladder.sizes)
     assert factorizations == Counter({"family_gen": n, "eigh": 2 * n,
                                       "eigvalsh": 2 * n, "frames.gram": n})
@@ -366,8 +366,8 @@ def test_adjoint_transposition_symmetry(seed):
     c1 = linalg.condition_p(coord, 1)
     c_adj = linalg.condition_p(coord.conj().T, math.inf)
     assert abs(c1 - c_adj) <= 1e-10 * c1
-    from framebench.rdual import rdual_gram
-    g = rdual_gram(psi, phi)
+    from framebench.rdual import rdual
+    g = frames.gram(rdual(psi, phi))
     c8 = linalg.condition_p(g, 1)
     c9 = linalg.condition_p(g.conj().T, math.inf)
     assert abs(c8 - c9) <= 1e-10 * c8

@@ -99,7 +99,9 @@ def test_eig_reconstruction_and_unitarity(seed):
     a = random_hermitian(12, seed)
     dec = linalg.hermitian_eig(a)
     scale = max(linalg.pnorm_operator(a, 2), 1.0)
-    assert linalg.pnorm_operator(dec.reconstruct() - a, 2) <= linalg.TOL_EIG * scale
+    v = dec.eigenvectors
+    rebuilt = (v * dec.eigenvalues) @ v.conj().T
+    assert linalg.pnorm_operator(rebuilt - a, 2) <= linalg.TOL_EIG * scale
     gram = dec.eigenvectors.conj().T @ dec.eigenvectors
     assert np.max(np.abs(gram - np.eye(12))) <= linalg.TOL_EIG
 
@@ -112,17 +114,17 @@ def test_eig_rejects_nonsquare_and_nonhermitian():
 
 
 # --------------------------------------------------------------------------
-# matrix_power
+# SpectralDecomposition.power
 # --------------------------------------------------------------------------
 
 def test_power_identity_and_scalar():
-    assert np.allclose(linalg.matrix_power(np.eye(3), -0.5), np.eye(3))
-    assert np.allclose(linalg.matrix_power(np.array([[4.0]]), -0.5), [[0.5]])
+    assert np.allclose(linalg.hermitian_eig(np.eye(3)).power(-0.5), np.eye(3))
+    assert np.allclose(linalg.hermitian_eig(np.array([[4.0]])).power(-0.5), [[0.5]])
 
 
 def test_power_sqrt_squares_back():
     a = random_spd(6, 3)
-    root = linalg.matrix_power(a, 0.5)
+    root = linalg.hermitian_eig(a).power(0.5)
     err = linalg.pnorm_operator(root @ root - a, 2)
     assert err <= 1e-8 * linalg.pnorm_operator(a, 2)
 
@@ -130,21 +132,22 @@ def test_power_sqrt_squares_back():
 @pytest.mark.parametrize("alpha", [-1.0, -0.5, -0.25, 0.5, 0.75])
 def test_power_inverse_pairs(alpha):
     a = random_spd(7, 11)
-    prod = linalg.matrix_power(a, alpha) @ linalg.matrix_power(a, -alpha)
+    dec = linalg.hermitian_eig(a)
+    prod = dec.power(alpha) @ dec.power(-alpha)
     assert linalg.pnorm_operator(prod - np.eye(7), 2) <= linalg.TOL_CALC
 
 
 def test_power_alpha_one_is_identity_map():
     a = random_spd(5, 4)
-    assert linalg.pnorm_operator(linalg.matrix_power(a, 1.0) - a, 2) <= \
+    assert linalg.pnorm_operator(linalg.hermitian_eig(a).power(1.0) - a, 2) <= \
         linalg.TOL_EIG * linalg.pnorm_operator(a, 2)
 
 
 def test_power_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
-        linalg.matrix_power(np.diag([1.0, -1.0]), 0.5)
+        linalg.hermitian_eig(np.diag([1.0, -1.0])).power(0.5)
     with pytest.raises(NotPositiveDefiniteError):
-        linalg.matrix_power(np.diag([1.0, 0.0]), -0.5)
+        linalg.hermitian_eig(np.diag([1.0, 0.0])).power(-0.5)
 
 
 # --------------------------------------------------------------------------

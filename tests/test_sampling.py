@@ -26,7 +26,7 @@ from framebench.errors import (
 )
 from framebench.frames import TruncationLadder, VectorFamily
 from framebench.ladder import Witness
-from framebench.rdual import rdual_gram
+from framebench.rdual import rdual
 from framebench.sampling import (
     Generator,
     SamplingSet,
@@ -270,13 +270,13 @@ def test_autocorrelation_matches_frame_coordinate_route():
     x = SamplingSet.seeded_uniform(0.2, seed=11)
     p = sampling_matrix(CUBIC, x, window)
     g_shift = shift_gram(CUBIC, window)
-    phi_coeffs = linalg.matrix_power(g_shift, 0.5)
+    phi_coeffs = linalg.hermitian_eig(g_shift).power(0.5)
     phi = VectorFamily(phi_coeffs, label="shifts")
     psi = VectorFamily(np.linalg.solve(phi_coeffs.conj().T, p.conj().T),
                        label="kernels")
     assert np.allclose(frames.cross_gram(psi, phi), p, atol=1e-10)
-    assert np.allclose(rdual_gram(psi, phi), autocorrelation_gram(CUBIC, x, window),
-                       atol=1e-8)
+    assert np.allclose(frames.gram(rdual(psi, phi)),
+                       autocorrelation_gram(CUBIC, x, window), atol=1e-8)
 
 
 # --------------------------------------------------------------------------
