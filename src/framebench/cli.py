@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatchError,
     FramebenchError,
     InsufficientDataError,
-    LadderTooShortError,
 )
 from .ladder import LADDER_DECAY_FACTOR
 
@@ -156,14 +155,10 @@ def _int_sizes(what: str, sizes) -> list:
     return sizes
 
 
-def _ladder(config: dict, args) -> frames.TruncationLadder:
-    sizes = args.ladder if args.ladder is not None else config.get("ladder")
-    if sizes is None:
-        raise InputError("no ladder given (config 'ladder' or --ladder)")
-    try:
-        return frames.TruncationLadder(tuple(_int_sizes("ladder", sizes)))
-    except LadderTooShortError as exc:
-        raise InputError(f"bad ladder {sizes!r}: {exc}") from exc
+def _ladder(config: dict) -> frames.TruncationLadder:
+    if "ladder" not in config:
+        raise InputError("config is missing the 'ladder' entry")
+    return frames.TruncationLadder(tuple(_int_sizes("ladder", config["ladder"])))
 
 
 def cmd_analyze(config, args):
@@ -234,15 +229,8 @@ def cmd_battery(config, args):
     family_gen, seed = _section("battery family", config.get("family", {}),
                                 lambda entry: _battery_generator(entry, args.seed))
     report = equivalence.run_battery(family_gen, _profile(config),
-                                     _ladder(config, args), tol=args.tol_frame)
+                                     _ladder(config), tol=args.tol_frame)
     return {args.out: dict(report.to_json(), seed=seed)}
-
-
-def _sampling_set(config: dict) -> sampling.SamplingSet:
-    # top-level "deltas" and "bound" are shorthand for an explicit delta rule
-    shorthand = {key: config[key] for key in ("deltas", "bound") if key in config}
-    rule = dict(shorthand, kind="explicit") if shorthand else config.get("delta_rule", {})
-    return _section("delta rule", rule, sampling.SamplingSet.from_json)
 
 
 def cmd_sampling(config, args):
@@ -251,14 +239,16 @@ def cmd_sampling(config, args):
                          "give the JSON report's path")
     gen = _section("generator config", config.get("generator", {}),
                    sampling.Generator.from_json)
-    report = sampling.stable_sampling_verdict(
-        gen, _sampling_set(config), _ladder(config, args), tol=args.tol_frame)
+    points = _section("delta rule", config.get("delta_rule", {}),
+                      sampling.SamplingSet.from_json)
+    report = sampling.stable_sampling_verdict(gen, points, _ladder(config),
+                                              tol=args.tol_frame)
     return {args.out: report.to_json(),
             Path(args.out).with_suffix(".csv"): report.witness_csv()}
 
 
 def cmd_fixtures(config, args):
-    sizes = args.ladder if args.ladder is not None else config.get("sizes")
+    sizes = config.get("sizes")
     if not sizes:
         raise InputError("fixtures config needs a nonempty 'sizes' list")
     sizes = _int_sizes("fixture sizes", sizes)
@@ -293,7 +283,7 @@ _CONFIG_FIELDS = {
     "analyze": ("family", "profile"),
     "rdual": ("psi", "phi"),
     "battery": ("family", "profile", "ladder"),
-    "sampling": ("generator", "delta_rule", "deltas", "bound", "ladder"),
+    "sampling": ("generator", "delta_rule", "ladder"),
     "fixtures": ("sizes",),
 }
 
@@ -304,10 +294,6 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be a positive finite number, got {text!r}")
     return tol
-
-
-def _sizes(text: str) -> list:
-    return [int(tok) for tok in text.split(",") if tok]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "in the report and used by random generators")
     parser.add_argument("--tol-frame", type=_tolerance, default=frames.TOL_FRAME,
                         help="lower-bound threshold for frame/Riesz verdicts")
-    parser.add_argument("--ladder", type=_sizes, default=None,
-                        help="comma-separated sizes, overrides the config ladder")
     return parser
 
 
@@ -339,14 +323,13 @@ def main(argv=None) -> int:
         _write_files({path: report if isinstance(report, str)
                       else _json_text(dict(report, meta=meta))
                       for path, report in files.items()})
-    except FramebenchError as exc:
-        kind = ("precondition failure" if exc.exit_code == FramebenchError.exit_code
-                else "numerical failure")
-        print(f"{kind}: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except ValueError as exc:  # InputError and malformed values in the config
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (FramebenchError, ValueError) as exc:
+        # each library error states its exit code; InputError and malformed
+        # values in the config are input errors
+        code = getattr(exc, "exit_code", EXIT_INPUT)
+        label = {EXIT_INPUT: "error", 3: "numerical failure"}.get(code, "precondition failure")
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     return EXIT_OK
 
 

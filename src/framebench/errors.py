@@ -1,8 +1,9 @@
 """Exception types raised by the computational modules.
 
-Every contract violation gets its own class so callers (and the CLI exit-code
-mapping) can tell input problems, precondition failures and genuine numerical
-breakdowns apart.
+Every contract violation gets its own class so callers can tell input
+problems, precondition failures and genuine numerical breakdowns apart.  Each
+class states its command-line exit status once, as ``exit_code``: 2 input
+error, 3 numerical failure, 4 precondition failure (the default).
 """
 
 
@@ -33,17 +34,24 @@ class NumericalFailureError(FramebenchError):
 class DimensionMismatchError(FramebenchError):
     """Operands live in incompatible dimensions."""
 
+    exit_code = 2  # input error
+
 
 class NotAFrameError(FramebenchError):
     """Lower frame bound is numerically zero at this truncation."""
 
 
 class LadderTooShortError(FramebenchError):
-    """A truncation ladder needs at least two strictly increasing sizes."""
+    """A truncation ladder needs at least two strictly increasing sizes, each
+    large enough for the computation that uses it."""
+
+    exit_code = 2  # input error
 
 
 class BadExponentError(FramebenchError):
     """Polynomial-decay exponent outside the admissible range."""
+
+    exit_code = 2  # input error
 
 
 class InsufficientDataError(FramebenchError):

@@ -41,35 +41,32 @@ HEURISTIC_NOTE = (
 
 
 #: The numbers of each weight form.
-_FORM_FIELDS = {"polynomial": ("delta", "scale"), "subexponential": ("rate", "power")}
+_FORM_FIELDS = {"polynomial": ("delta",), "subexponential": ("rate", "power")}
 
 
 @dataclass(frozen=True)
 class WeightSpec:
     """Symmetric weight on integer offsets, >= 1 everywhere.
 
-    ``polynomial``: w(x) = scale * (1 + |x|)**delta with scale >= 1 and
-    delta > 0 (delta <= 1 keeps the weight inside the admissible class for
-    the weighted Schur algebra; larger values are accepted but flagged by
-    callers if they care).  ``subexponential``: w(x) = exp(rate * |x|**power)
-    with rate >= 0 and 0 < power < 1.
+    ``polynomial``: w(x) = (1 + |x|)**delta with delta > 0 (delta <= 1
+    keeps the weight inside the admissible class for the weighted Schur
+    algebra; larger values are accepted but flagged by callers if they
+    care).  ``subexponential``: w(x) = exp(rate * |x|**power) with rate >= 0
+    and 0 < power < 1.
     """
 
     form: str = "polynomial"
     delta: float = 1.0
-    scale: float = 1.0
     rate: float = 0.0
     power: float = 0.5
 
     def __post_init__(self):
-        for name in ("delta", "scale", "rate", "power"):
+        for name in ("delta", "rate", "power"):
             object.__setattr__(self, name,
                                float(fields.require_finite(name, getattr(self, name))))
         if self.form == "polynomial":
             if self.delta <= 0:
                 raise BadExponentError(f"polynomial weight needs delta > 0, got {self.delta}")
-            if self.scale < 1:
-                raise ValueError(f"weight(0) = scale must be >= 1, got {self.scale}")
         elif self.form == "subexponential":
             if self.rate < 0:
                 raise ValueError(f"subexponential rate must be >= 0, got {self.rate}")
@@ -83,18 +80,18 @@ class WeightSpec:
     def __call__(self, x):
         ax = np.abs(np.asarray(x, dtype=float))
         if self.form == "polynomial":
-            return self.scale * np.power(1.0 + ax, self.delta)
+            return np.power(1.0 + ax, self.delta)
         return np.exp(self.rate * np.power(ax, self.power))
 
     def to_json(self) -> dict:
         if self.form == "polynomial":
-            return {"form": "polynomial", "delta": self.delta, "scale": self.scale}
+            return {"form": "polynomial", "delta": self.delta}
         return {"form": "subexponential", "rate": self.rate, "power": self.power}
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightSpec":
-        """The ``weight`` object of a Schur profile: ``form`` and the two
-        numbers of that form."""
+        """The ``weight`` object of a Schur profile: ``form`` and the numbers
+        of that form."""
         # an unknown form has no numbers here, and the constructor rejects it
         numbers = _FORM_FIELDS.get(obj.get("form", cls.form), ())
         return cls(**fields.require_fields(obj, ("form", *numbers), section="weight"))

@@ -158,25 +158,19 @@ class Generator:
     @classmethod
     def from_json(cls, obj: dict) -> "Generator":
         """A B-spline ``{"kind", "degree"}``, or a tabulated generator whose
-        ``samples``, ``step`` and ``decay_s`` sit in a ``grid`` object (as
-        ``to_json`` writes them) or beside ``kind``."""
+        ``samples`` (``[re, im]`` pairs), ``step`` and ``decay_s`` sit in a
+        ``grid`` object, as ``to_json`` writes them."""
         kind = obj.get("kind", cls.kind)
         if kind == "bspline":
             return cls(**fields.require_fields(obj, ("kind", "degree")))
         if kind != "tabulated":
             raise ValueError(f"unknown generator kind {kind!r}")
-        optional = ("step", "decay_s")
-        if "grid" in obj:
-            fields.require_fields(obj, ("kind",), required=("grid",))
-            params = dict(fields.require_fields(
-                fields.require_object("grid", obj["grid"]), optional,
-                required=("samples",), section="grid"))
-        else:
-            params = dict(fields.require_fields(obj, ("kind", *optional),
-                                                required=("samples",)))
-        if np.ndim(params["samples"]) == 2:  # [re, im] pairs; a flat list holds reals
-            params["samples"] = fields.require_pairs("samples", params["samples"])
-        return cls(**dict(params, kind=kind))
+        fields.require_fields(obj, ("kind",), required=("grid",))
+        params = fields.require_fields(fields.require_object("grid", obj["grid"]),
+                                       ("step", "decay_s"), required=("samples",),
+                                       section="grid")
+        return cls(**dict(params, kind=kind,
+                          samples=fields.require_pairs("samples", params["samples"])))
 
 
 def generator_eval(g: Generator, t):

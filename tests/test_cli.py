@@ -159,12 +159,22 @@ BATTERY = {"family": {"kind": "onb"}, "profile": JAFFARD, "ladder": [4, 8, 16]}
 SAMPLING = {"generator": {"kind": "bspline", "degree": 3},
             "delta_rule": {"kind": "constant", "value": 0.0}, "ladder": [32, 64]}
 SEEDED = {"kind": "seeded-uniform", "bound": 0.2, "seed": 0}
-HAT_TABLE = {"kind": "tabulated", "samples": [0.0, 0.5, 1.0, 0.5, 0.0], "step": 0.5,
-             "decay_s": 2.0}
+HAT_GRID = {"samples": [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.5, 0.0], [0.0, 0.0]],
+            "step": 0.5, "decay_s": 2.0}
+HAT_TABLE = {"kind": "tabulated", "grid": HAT_GRID}
+
+
+def hat_table(**grid):
+    """The tabulated hat generator with ``grid`` fields replaced."""
+    return {"kind": "tabulated", "grid": {**HAT_GRID, **grid}}
+
+
+def explicit_rule(deltas, **bound):
+    return {"kind": "explicit", "deltas": deltas, **bound}
 
 
 @pytest.mark.parametrize("command, config, extra, named", [
-    ("battery", BATTERY, ["--ladder", ","], "[]"),
+    ("battery", {**BATTERY, "ladder": []}, [], "a ladder needs at least two sizes"),
     ("battery", {**BATTERY, "profile": {"kind": "schur",
                                         "weight": {"form": "gaussian"}}}, [], "'gaussian'"),
     ("battery", BATTERY, ["--tol-frame", "nan"], "'nan'"),
@@ -183,17 +193,18 @@ HAT_TABLE = {"kind": "tabulated", "samples": [0.0, 0.5, 1.0, 0.5, 0.0], "step": 
      "bad battery family"),
     ("battery", {**BATTERY, "profile": []}, [], "bad localization profile"),
     ("sampling", {**SAMPLING, "generator": []}, [], "bad generator config"),
-    ("sampling", {**SAMPLING, "generator": {"kind": "tabulated"}}, [],
+    ("sampling", {**SAMPLING, "generator": {"kind": "tabulated", "grid": {}}}, [],
      "missing field 'samples'"),
     ("sampling", {**SAMPLING, "delta_rule": {"kind": "seeded-uniform"}}, [],
      "missing field 'bound'"),
-    ("sampling", {**SAMPLING, "deltas": 5}, [], "bad delta rule: explicit deltas must be 1-D"),
-    ("sampling", {**SAMPLING, "deltas": [0.1] * 64, "bound": -0.1}, [],
+    ("sampling", {**SAMPLING, "delta_rule": explicit_rule(5)}, [],
+     "bad delta rule: explicit deltas must be 1-D"),
+    ("sampling", {**SAMPLING, "delta_rule": explicit_rule([0.1] * 64, bound=-0.1)}, [],
      "bad delta rule: delta bound must be a finite number >= 0, got -0.1"),
     ("sampling", {**SAMPLING, "delta_rule": {"kind": "seeded-uniform", "bound": -0.1}},
      [], "bad delta rule: delta bound must be a finite number >= 0, got -0.1"),
-    ("sampling", {**SAMPLING, "generator": {"kind": "tabulated", "samples": 5}}, [],
-     "bad generator config: tabulated samples must be 1-D"),
+    ("sampling", {**SAMPLING, "generator": hat_table(samples=5)}, [],
+     "bad generator config: 'samples' must be a list of [re, im] pairs"),
     ("analyze", {"family": {"ambient_dim": 2, "member_count": 2, "coeffs": [[1, 0]]}},
      [], "expected 2*2"),
     ("battery", {**BATTERY, "ladder": [8, 16.9, 32]}, [],
@@ -208,9 +219,9 @@ HAT_TABLE = {"kind": "tabulated", "samples": [0.0, 0.5, 1.0, 0.5, 0.0], "step": 
      [], "bad delta rule: 'value' must be finite, got inf"),
     ("sampling", {**SAMPLING, "delta_rule": {"kind": "constant", "value": math.nan}},
      [], "bad delta rule: 'value' must be finite, got nan"),
-    ("sampling", {**SAMPLING, "generator": {**HAT_TABLE, "decay_s": math.inf}}, [],
+    ("sampling", {**SAMPLING, "generator": hat_table(decay_s=math.inf)}, [],
      "bad generator config: 'decay_s' must be finite, got inf"),
-    ("sampling", {**SAMPLING, "generator": {**HAT_TABLE, "step": math.nan}}, [],
+    ("sampling", {**SAMPLING, "generator": hat_table(step=math.nan)}, [],
      "bad generator config: 'step' must be finite, got nan"),
     ("battery", {**BATTERY, "profile": {"kind": "jaffard", "s": math.nan}}, [],
      "bad localization profile: 's' must be finite, got nan"),
@@ -238,18 +249,20 @@ HAT_TABLE = {"kind": "tabulated", "samples": [0.0, 0.5, 1.0, 0.5, 0.0], "step": 
      "bad delta rule: 'value' must be a number, got '0.5'"),
     ("battery", {**BATTERY, "family": {"kind": "perturbed-onb", "epsilon": "0.3"}}, [],
      "bad battery family: 'epsilon' must be a number, got '0.3'"),
-    ("sampling", {**SAMPLING, "generator": {**HAT_TABLE, "samples": [0, math.nan, 1, 0, 0]}},
+    ("sampling", {**SAMPLING, "generator": hat_table(
+        samples=[[0, 0], [math.nan, 0], [1, 0], [0, 0], [0, 0]])},
      [], "bad generator config: 'samples' must be finite"),
-    ("sampling", {**SAMPLING, "generator": {**HAT_TABLE, "samples": ["0", "1", "0", "0", "0"]}},
+    ("sampling", {**SAMPLING, "generator": hat_table(samples=[["0", "0"], ["1", "0"]] * 3)},
      [], "bad generator config: 'samples' must hold numbers only"),
-    ("sampling", {**SAMPLING, "deltas": ["0.1"] * 64}, [],
+    ("sampling", {**SAMPLING, "delta_rule": explicit_rule(["0.1"] * 64)}, [],
      "bad delta rule: 'deltas' must hold numbers only"),
     # a bool among numbers is not coerced to 1 or 0
-    ("sampling", {**SAMPLING, "deltas": [True, 0.1, 0.0]}, [],
+    ("sampling", {**SAMPLING, "delta_rule": explicit_rule([True, 0.1, 0.0])}, [],
      "bad delta rule: 'deltas' must hold numbers only"),
-    ("sampling", {**SAMPLING, "generator": {**HAT_TABLE, "samples": [0, 0.5, True, 0.5, 0]}},
+    ("sampling", {**SAMPLING, "generator": hat_table(
+        samples=[[0, 0], [0.5, 0], [True, 0], [0.5, 0], [0, 0]])},
      [], "bad generator config: 'samples' must hold numbers only"),
-    ("sampling", {**SAMPLING, "generator": {**HAT_TABLE, "samples": [[0.5, 0.0, 0.0]] * 9}},
+    ("sampling", {**SAMPLING, "generator": hat_table(samples=[[0.5, 0.0, 0.0]] * 9)},
      [], "bad generator config: 'samples' must be a list of [re, im] pairs"),
     # a nested section must be a JSON object too
     ("battery", {**BATTERY, "profile": {"kind": "schur", "weight": [1]}}, [],
@@ -262,11 +275,12 @@ HAT_TABLE = {"kind": "tabulated", "samples": [0.0, 0.5, 1.0, 0.5, 0.0], "step": 
     ("sampling", {**SAMPLING, "generator": {**HAT_TABLE, "degree": 1}}, [],
      "bad generator config: unknown field 'degree'"),
     ("sampling", {**SAMPLING, "generator": {"kind": "tabulated", "grid": {
-        "samples": HAT_TABLE["samples"], "stepp": 0.5}}}, [],
+        "samples": HAT_GRID["samples"], "stepp": 0.5}}}, [],
      "bad generator config: unknown field 'stepp' in 'grid'"),
     ("sampling", {**SAMPLING, "delta_rule": {**SEEDED, "sead": 5}}, [],
      "bad delta rule: unknown field 'sead'"),
-    ("sampling", {**SAMPLING, "bound": 0.1}, [], "bad delta rule: missing field 'deltas'"),
+    ("sampling", {**SAMPLING, "delta_rule": {"kind": "explicit", "bound": 0.1}}, [],
+     "bad delta rule: missing field 'deltas'"),
     ("battery", {**BATTERY, "profile": {"kind": "jaffard", "exponent": 3.0}}, [],
      "bad localization profile: unknown field 'exponent'"),
     ("battery", {**BATTERY, "profile": {"kind": "schur", "weight": {"delt": 0.5}}}, [],
@@ -284,6 +298,29 @@ HAT_TABLE = {"kind": "tabulated", "samples": [0.0, 0.5, 1.0, 0.5, 0.0], "step": 
      "bad sampling config: unknown field 'delta_rul'"),
     ("fixtures", {"sizes": [4], "size": [8]}, [],
      "bad fixtures config: unknown field 'size'"),
+    # each config value has one spelling, the layout the records' to_json writes
+    ("battery", BATTERY, ["--ladder", "4,8"], "unrecognized arguments: --ladder"),
+    ("sampling", {"generator": {"kind": "bspline"}, "deltas": [0.0] * 64,
+                  "delta_rule": {"kind": "seeded-uniform", "bound": 0.2, "seed": 3},
+                  "ladder": [32, 64]}, [], "bad sampling config: unknown field 'deltas'"),
+    ("sampling", {**SAMPLING, "bound": 0.1}, [], "bad sampling config: unknown field 'bound'"),
+    ("sampling", {**SAMPLING, "generator": {"kind": "tabulated", **HAT_GRID}}, [],
+     "bad generator config: missing field 'grid'"),
+    ("sampling", {**SAMPLING, "generator": hat_table(samples=[0.0, 0.5, 1.0, 0.5, 0.0])},
+     [], "bad generator config: 'samples' must be a list of [re, im] pairs"),
+    ("battery", {**BATTERY, "profile": {"kind": "schur", "weight": {
+        "form": "polynomial", "delta": 1.0, "scale": 1.0}}}, [],
+     "bad localization profile: unknown field 'scale' in 'weight'"),
+    # input errors the library finds while it computes exit 2 too: a pair
+    # that shares no index set, and a window that the cubic B-spline's trim
+    # of 2 indices per side leaves without an interior
+    ("rdual", {"psi": VectorFamily(np.eye(4)[:, :3]).to_json(),
+               "phi": VectorFamily.onb(4).to_json()}, [],
+     "error: families must share one index set: 3 vs 4"),
+    ("rdual", {"psi": VectorFamily.onb(3).to_json(), "phi": VectorFamily.onb(4).to_json()},
+     [], "error: ambient dims differ: 3 vs 4"),
+    ("sampling", {**SAMPLING, "ladder": [4, 8]}, [],
+     "error: window 4 leaves fewer than 2 interior indices"),
 ], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative",
         "unknown-profile-kind", "jaffard-s-below-1", "schur-delta-negative",
         "unknown-generator-kind", "unknown-delta-rule", "family-not-object",
@@ -305,7 +342,10 @@ HAT_TABLE = {"kind": "tabulated", "samples": [0.0, 0.5, 1.0, 0.5, 0.0], "step": 
         "unknown-weight-field", "unknown-battery-family-field", "unknown-family-field",
         "unknown-analyze-field",
         "unknown-rdual-field", "unknown-battery-field", "unknown-sampling-field",
-        "unknown-fixtures-field"])
+        "unknown-fixtures-field", "ladder-flag", "deltas-beside-delta-rule",
+        "top-level-bound", "tabulated-without-grid", "samples-flat-reals",
+        "weight-scale", "rdual-member-count", "rdual-ambient-dim",
+        "sampling-window-without-interior"])
 def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, extra,
                                                   named):
     cfg = tmp_path / "cfg.json"
@@ -414,17 +454,6 @@ def test_battery_report_records_seed(tmp_path, seed):
                 cli._json_text(expected.to_json()))["conditions"]
 
 
-def test_battery_ladder_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    out = tmp_path / "battery.json"
-    write_json(cfg, {"family": {"kind": "onb"},
-                     "profile": {"kind": "jaffard", "s": 2.0}})
-    res = run_cli("battery", "--config", str(cfg), "--out", str(out),
-                  "--ladder", "4,8,16")
-    assert res.returncode == 0, res.stderr
-    assert json.loads(out.read_text())["ladder"] == [4, 8, 16]
-
-
 # --------------------------------------------------------------------------
 # sampling
 # --------------------------------------------------------------------------
@@ -447,9 +476,9 @@ def test_sampling_cli_writes_report_and_csv(tmp_path):
 def test_sampling_cli_rejects_bad_generator(tmp_path):
     x = ((np.arange(41) - 20) * 0.5)
     cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"generator": {"kind": "tabulated",
-                                   "samples": [[float(1 / (1 + abs(v))), 0.0] for v in x],
-                                   "step": 0.5, "decay_s": 3.0},
+    write_json(cfg, {"generator": {"kind": "tabulated", "grid": {
+                         "samples": [[float(1 / (1 + abs(v))), 0.0] for v in x],
+                         "step": 0.5, "decay_s": 3.0}},
                      "delta_rule": {"kind": "constant", "value": 0.0},
                      "ladder": [16, 32]})
     res = run_cli("sampling", "--config", str(cfg), "--out", str(tmp_path / "x.json"))
@@ -473,7 +502,7 @@ def test_sampling_cli_explicit_deltas_nest_over_ladder(tmp_path):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "samp.json"
     deltas = (0.2 * np.sin(np.arange(64))).tolist()
-    write_json(cfg, {**SAMPLING, "deltas": deltas, "ladder": [32, 64]})
+    write_json(cfg, {**SAMPLING, "delta_rule": explicit_rule(deltas), "ladder": [32, 64]})
     res = run_cli("sampling", "--config", str(cfg), "--out", str(out))
     assert res.returncode == 0, res.stderr
     assert json.loads(out.read_text())["ladder"] == [32, 64]
@@ -491,7 +520,8 @@ def test_sampling_cli_short_explicit_deltas_fail_before_compute(tmp_path, monkey
     monkeypatch.setattr(linalg, "band_min_eig", counted_band_min_eig)
     cfg = tmp_path / "cfg.json"
     deltas = (0.2 * np.sin(np.arange(64))).tolist()
-    write_json(cfg, {**SAMPLING, "deltas": deltas, "ladder": [32, 64, 128]})
+    write_json(cfg, {**SAMPLING, "delta_rule": explicit_rule(deltas),
+                     "ladder": [32, 64, 128]})
     assert cli.main(["sampling", "--config", str(cfg),
                      "--out", str(tmp_path / "x.json")]) == 4
     assert "explicit deltas cover 64 points, window wants 128" in capsys.readouterr().err
@@ -535,7 +565,7 @@ def test_sampling_cli_unwritable_csv_exits_2_without_report(tmp_path):
 def test_sampling_cli_zero_bound_rejects_nonzero_deltas(tmp_path):
     cfg = tmp_path / "cfg.json"
     deltas = (0.3 * np.sin(np.arange(64))).tolist()
-    write_json(cfg, {**SAMPLING, "deltas": deltas, "bound": 0.0})
+    write_json(cfg, {**SAMPLING, "delta_rule": explicit_rule(deltas, bound=0.0)})
     res = run_cli("sampling", "--config", str(cfg), "--out", str(tmp_path / "x.json"))
     assert res.returncode == 4, res.stderr
     assert "exceeds bound 0.000e+00" in res.stderr

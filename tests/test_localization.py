@@ -186,8 +186,6 @@ def test_solidity_property_with_shrunk_moduli(seed):
 # --------------------------------------------------------------------------
 
 def test_weight_validation():
-    with pytest.raises(ValueError):
-        WeightSpec(form="polynomial", scale=0.5)
     with pytest.raises(BadExponentError):
         WeightSpec(form="polynomial", delta=0.0)
     with pytest.raises(BadExponentError):
@@ -198,11 +196,22 @@ def test_weight_validation():
     assert np.all(w(np.arange(10)) >= 1.0)
 
 
+@pytest.mark.parametrize("profile", [
+    LocalizationProfile(kind="jaffard", s=3.5),
+    LocalizationProfile(kind="schur", weight=WeightSpec(form="polynomial", delta=0.75)),
+    LocalizationProfile(kind="schur", weight=WeightSpec(form="subexponential", rate=0.3,
+                                                        power=0.4)),
+], ids=["jaffard", "schur-polynomial", "schur-subexponential"])
+def test_localization_profile_json_roundtrip(profile):
+    again = LocalizationProfile.from_json(json.loads(json.dumps(profile.to_json())))
+    for name, value in vars(profile).items():
+        assert getattr(again, name) == value, name
+
+
 @pytest.mark.parametrize("build, field", [
     (lambda: LocalizationProfile(kind="jaffard", s=math.nan), "'s'"),
     (lambda: LocalizationProfile(kind="jaffard", s=math.inf), "'s'"),
     (lambda: WeightSpec(form="polynomial", delta=math.inf), "'delta'"),
-    (lambda: WeightSpec(form="polynomial", scale=math.nan), "'scale'"),
     (lambda: WeightSpec(form="subexponential", rate=math.nan), "'rate'"),
     (lambda: WeightSpec(form="subexponential", power=-math.inf), "'power'"),
 ])

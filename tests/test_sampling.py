@@ -173,6 +173,20 @@ def test_generator_json_roundtrip():
     assert "grid" in tab.to_json()
 
 
+@pytest.mark.parametrize("x", [
+    SamplingSet.constant(-0.25),
+    SamplingSet.seeded_uniform(0.2, seed=7),
+    SamplingSet.from_deltas(0.3 * np.sin(np.arange(9))),
+], ids=["constant", "seeded-uniform", "explicit"])
+def test_sampling_set_json_roundtrip(x):
+    again = SamplingSet.from_json(json.loads(json.dumps(x.to_json())))
+    # field by field: ``explicit`` is an array, and the implied bound of the
+    # constant and explicit rules must come back as the same float
+    for name, value in vars(x).items():
+        back = getattr(again, name)
+        assert type(back) is type(value) and np.array_equal(back, value), name
+
+
 def test_sampling_set_validation():
     with pytest.raises(PerturbationViolationError):
         SamplingSet.from_deltas([0.0, 0.5, 0.0], bound=0.2).points(3)
@@ -205,8 +219,8 @@ def test_sampling_set_validation():
     (lambda: SamplingSet.from_deltas([True, 0.1, 0.0]), "'deltas' must hold numbers only"),
     (lambda: Generator(kind="tabulated", samples=[0.0, 0.5, True, 0.5, 0.0]),
      "'samples' must hold numbers only"),
-    (lambda: Generator.from_json({"kind": "tabulated", "samples": [[0.5, 0.0]] * 4
-                                  + [[True, 0.0]]}), "'samples' must hold numbers only"),
+    (lambda: Generator.from_json({"kind": "tabulated", "grid": {
+        "samples": [[0.5, 0.0]] * 4 + [[True, 0.0]]}}), "'samples' must hold numbers only"),
     (lambda: SamplingSet(rule="seeded-uniform", bound="0.2"), "'bound' must be a number"),
     (lambda: Generator(kind="bspline", degree=2.9), "'degree' must be an integer"),
     (lambda: Generator(kind="tabulated", samples=bspline_eval(1, np.arange(-3.0, 4.0)),
