@@ -15,9 +15,12 @@ Hermitian band matrices (the sampling Grams) have their own kernels, which
 never form the dense matrix: ``band_norm``, ``band_min_eig`` and
 ``band_condition``.  The last two call banded LAPACK (``pbtrf`` and
 ``pbtrs``) from scipy's compiled LAPACK module.  A bisection allocates one
-work array for A - sigma B; the exact inverse norm solves only the trailing
-rows of each block of identity columns, which Hermitian symmetry makes
-enough (about n^2 / 2 right-hand-side rows, not n^2).
+work array for A - sigma B.  The exact inverse norm of a band whose inverse
+has checkerboard signs (a totally positive band, such as a B-spline
+sampling Gram) takes one solve with one right-hand side, n rows; any other
+band solves only the trailing rows of each block of identity columns, which
+Hermitian symmetry makes enough (about n^2 / 2 right-hand-side rows, not
+n^2).
 
 One LAPACK for dense work: every dense factorization (eigensolves, SVD,
 inverse) goes through ``numpy.linalg``.  numpy and scipy each bundle their
@@ -246,10 +249,10 @@ def condition_1_inf(m: np.ndarray, singular_values, inverse) -> Tuple[float, flo
 # ignored.
 # --------------------------------------------------------------------------
 
-#: Columns of the identity solved for at once by ``band_condition``; bounds
-#: its working memory to n x BAND_SOLVE_BLOCK.  64 was the fastest block
-#: measured at n = 504 (2.5 ms for blocks of 32-64, 3.5 ms for 256; 2-core
-#: VM).
+#: Columns of the identity solved for at once by ``band_condition`` off its
+#: checkerboard path; bounds its working memory to n x BAND_SOLVE_BLOCK.  64
+#: was the fastest block measured at n = 504 (2.5 ms for blocks of 32-64,
+#: 3.5 ms for 256; 2-core VM).
 BAND_SOLVE_BLOCK = 64
 
 
@@ -342,23 +345,36 @@ def band_min_eig(a, b=None, b_min=None) -> float:
             hi = mid
 
 
-def band_condition(ab) -> float:
+def band_condition(ab, checkerboard: bool = False) -> float:
     """||A||_1 ||A^-1||_1 of a Hermitian positive definite band matrix.
 
     The inverse norm is exact, from one banded Cholesky factorization
-    A = L L^H and solves against the identity, ``BAND_SOLVE_BLOCK`` columns
-    at a time.  Since L^-1 is lower triangular, (A^-1)[s:, s:] =
-    (L[s:, s:] L[s:, s:]^H)^-1, and the band factor of L[s:, s:] is the
-    column slice ``factor[:, s:]``; so the block of columns [s, s + w) is
-    solved only on its trailing n - s rows.  The entries above the block
-    are the mirrors of rows already solved: the block adds its column sums
-    of |.| to its own columns, and its row sums below the block to the
-    later columns, whose entries above their own trailing block these are.
-    That solves about n^2 / 2 right-hand-side rows instead of n^2, in
-    n x ``BAND_SOLVE_BLOCK`` working memory.  ||A||_1 = ||A||_inf for
-    Hermitian A, so this is also the max-norm condition number.  A band with
-    a non-finite entry raises ``ValueError``, one that is not positive
-    definite ``NumericalFailureError``.
+    A = L L^H and banded solves with it.
+
+    With ``checkerboard`` set, the caller asserts that A^-1 has checkerboard
+    signs, (-1)^(i+j) (A^-1)_ij >= 0, as it has for every real totally
+    positive A: by the cofactor formula (A^-1)_ij = (-1)^(i+j) M_ji / det A,
+    where the minor M_ji (row j and column i deleted) is >= 0 by total
+    positivity and det A > 0.  Then column j of A^-1 has the absolute sum
+    sum_i (-1)^(i+j) (A^-1)_ij = (-1)^j y_j with y = A^-1 d and
+    d = (1, -1, 1, ...), so ||A^-1||_1 = max_j |y_j|: one solve with one
+    right-hand side.
+
+    Otherwise the band is solved against the identity,
+    ``BAND_SOLVE_BLOCK`` columns at a time.  Since L^-1 is lower triangular,
+    (A^-1)[s:, s:] = (L[s:, s:] L[s:, s:]^H)^-1, and the band factor of
+    L[s:, s:] is the column slice ``factor[:, s:]``; so the block of columns
+    [s, s + w) is solved only on its trailing n - s rows.  The entries above
+    the block are the mirrors of rows already solved: the block adds its
+    column sums of |.| to its own columns, and its row sums below the block
+    to the later columns, whose entries above their own trailing block
+    these are.  That solves about n^2 / 2 right-hand-side rows instead of
+    n^2, in n x ``BAND_SOLVE_BLOCK`` working memory.
+
+    ||A||_1 = ||A||_inf for Hermitian A, so this is also the max-norm
+    condition number.  A band with a non-finite entry raises
+    ``ValueError``, one that is not positive definite
+    ``NumericalFailureError``.
     """
     ab = np.asarray_chkfinite(ab)
     factor, info = _band_lapack("pbtrf", ab)(ab, lower=1)
@@ -368,15 +384,25 @@ def band_condition(ab) -> float:
     if info < 0:  # pragma: no cover - only on an illegal argument
         raise NumericalFailureError(f"banded Cholesky failed: pbtrf info {info}")
     pbtrs = _band_lapack("pbtrs", factor)
+
+    def solve(start, rhs):
+        """A[start:, start:]^-1 rhs, from the trailing columns of the factor."""
+        x, info = pbtrs(factor[:, start:], rhs, lower=1, overwrite_b=1)
+        if info != 0:  # pragma: no cover - only on an illegal argument
+            raise NumericalFailureError(f"banded solve failed: pbtrs info {info}")
+        return x
+
     n = factor.shape[1]
+    if checkerboard:
+        signs = np.ones((n, 1), dtype=factor.dtype, order="F")
+        signs[1::2] = -1.0
+        return band_norm(ab) * float(np.max(np.abs(solve(0, signs))))
     sums = np.zeros(n)
     for start in range(0, n, BAND_SOLVE_BLOCK):
         w = min(BAND_SOLVE_BLOCK, n - start)
         rhs = np.zeros((n - start, w), dtype=factor.dtype, order="F")
         rhs[np.arange(w), np.arange(w)] = 1.0
-        block, info = pbtrs(factor[:, start:], rhs, lower=1, overwrite_b=1)
-        if info != 0:  # pragma: no cover - only on an illegal argument
-            raise NumericalFailureError(f"banded solve failed: pbtrs info {info}")
+        block = solve(start, rhs)
         sums[start:start + w] += line_norms(block.T, 1)
         sums[start + w:] += line_norms(block[w:], 1)
     return band_norm(ab) * float(np.max(sums))

@@ -14,8 +14,11 @@ width support_radius + ceil(C) is trimmed on each side).
 P[l, k] vanishes unless |l - k| <= ceil(support_radius + C), so P^H P and
 the shift Gram are band matrices.  ``stable_sampling_verdict`` builds only
 their bands and takes every witness from the banded Hermitian kernels of
-``linalg``: each bisection step costs n times the squared bandwidth and
-the exact inverse norm n^2 / 2 times the bandwidth.  ``sampling_matrix``,
+``linalg``: each bisection step costs n times the squared bandwidth.  The
+exact inverse norm costs one banded factorization plus, for a B-spline
+(whose Gram is totally positive, so its inverse has checkerboard signs),
+one solve of n rows, and for a tabulated generator solves of about n^2 / 2
+right-hand-side rows.  ``sampling_matrix``,
 ``autocorrelation_gram`` and ``shift_gram`` are the dense constructions of
 the same matrices, kept for demonstrations and as the test oracle; they are
 numpy only.  The verdict is the one path that loads anything of scipy: on
@@ -398,16 +401,20 @@ class SamplingSet:
     @classmethod
     def from_json(cls, obj: dict) -> "SamplingSet":
         """``{"kind", ...}`` with the fields ``to_json`` writes for the rule;
-        ``kind`` is the ``rule`` field and ``deltas`` the ``explicit`` one."""
+        ``kind`` is the ``rule`` field and ``deltas`` the ``explicit`` one.
+        An explicit rule leaves ``bound`` out for max |delta|; a ``null``
+        bound is a ``ValueError``, as for any rule."""
         kind = obj.get("kind", cls.rule)
         if kind == "constant":
             params = fields.require_fields(obj, ("kind", "value"))
         elif kind == "seeded-uniform":
             params = fields.require_fields(obj, ("kind", "seed"), required=("bound",))
-        elif kind == "explicit":  # a null bound, like an absent one, means max |delta|
+        elif kind == "explicit":
             params = fields.require_fields(obj, ("kind", "bound"), required=("deltas",))
         else:
             raise ValueError(f"unknown sampling rule {kind!r}")
+        if params.get("bound", 0.0) is None:
+            raise ValueError("'bound' must be a number, got None")
         renamed = {"kind": "rule", "deltas": "explicit"}
         return cls(**{renamed.get(key, key): value for key, value in params.items()})
 
@@ -451,7 +458,8 @@ def _shift_row(g: Generator, length: int) -> np.ndarray:
         # On the overlap [m - R, R], g(t) and g(t - m) are both linear between
         # consecutive merged breakpoints, so their product is a quadratic
         # there and Simpson's rule integrates it exactly.
-        knots = np.union1d(grid, grid + m)
+        knots = np.sort(np.concatenate([grid, grid + m]))
+        knots = knots[np.concatenate([[True], knots[1:] != knots[:-1]])]
         knots = knots[(knots >= m - radius) & (knots <= radius)]
         pts = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2.0])
         vals = generator_eval(g, pts) * np.conj(generator_eval(g, pts - m))
@@ -626,6 +634,19 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
             f"{max(shift_min, 0.0):.3e} <= {tol:.0e}"
         )
 
+    # beta(t - k) is the B-spline on the unit-spaced knots from
+    # k - (d + 1) / 2 to k + (d + 1) / 2 (d the degree), so for points
+    # x_1 < ... < x_m the collocation matrix [beta(x_l - k)] over increasing
+    # integers k is totally positive (Karlin, Total Positivity, 1968;
+    # de Boor, Indiana Univ. Math. J. 25, 1976), and so is its column
+    # section Q = P[:, interior].  The interior G = Q^T Q = sum_l q_l q_l^T
+    # does not depend on the order of the rows q_l, so unsorted points give
+    # the G of the sorted ones, and by Cauchy-Binet every minor of G is a
+    # sum of products of two minors of Q, >= 0.  So G is totally positive,
+    # G^-1 has checkerboard signs, and item c takes one solve
+    # (``linalg.band_condition``).  A tabulated generator carries no such
+    # guarantee and takes the block solves.
+    checkerboard = g.kind == "bspline"
     rows, bounds_ladder = [], []
     for size in ladder:
         start = largest // 2 - size // 2
@@ -639,7 +660,7 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
         # lam_min <= TOL_SING ||G||_1; above that the flag is false.
         if (lam_min > linalg.TOL_SING * linalg.band_norm(gi)
                 or not linalg.is_singular((lam_min, -linalg.band_min_eig(-gi)))):
-            cond = linalg.band_condition(gi)
+            cond = linalg.band_condition(gi, checkerboard=checkerboard)
         else:
             cond = math.inf
 

@@ -281,6 +281,8 @@ def explicit_rule(deltas, **bound):
      "bad delta rule: unknown field 'sead'"),
     ("sampling", {**SAMPLING, "delta_rule": {"kind": "explicit", "bound": 0.1}}, [],
      "bad delta rule: missing field 'deltas'"),
+    ("sampling", {**SAMPLING, "delta_rule": explicit_rule([0.1] * 64, bound=None)}, [],
+     "bad delta rule: 'bound' must be a number, got None"),
     ("battery", {**BATTERY, "profile": {"kind": "jaffard", "exponent": 3.0}}, [],
      "bad localization profile: unknown field 'exponent'"),
     ("battery", {**BATTERY, "profile": {"kind": "schur", "weight": {"delt": 0.5}}}, [],
@@ -338,7 +340,8 @@ def explicit_rule(deltas, **bound):
         "deltas-strings", "deltas-mixed-bool", "samples-mixed-bool",
         "samples-three-columns", "schur-weight-list", "tabulated-grid-int",
         "unknown-bspline-field", "unknown-flat-tabulated-field", "unknown-grid-field",
-        "unknown-delta-rule-field", "bound-without-deltas", "unknown-profile-field",
+        "unknown-delta-rule-field", "bound-without-deltas", "explicit-bound-null",
+        "unknown-profile-field",
         "unknown-weight-field", "unknown-battery-family-field", "unknown-family-field",
         "unknown-analyze-field",
         "unknown-rdual-field", "unknown-battery-field", "unknown-sampling-field",

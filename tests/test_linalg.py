@@ -377,6 +377,20 @@ def test_band_kernels_match_dense(monkeypatch, n, bandwidth, seed, block):
     assert linalg.band_condition(b_band) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_band_condition_checkerboard_path_matches_dense(n):
+    # a diagonally dominant tridiagonal matrix with positive entries is
+    # totally positive, so its inverse has checkerboard signs
+    rng = np.random.default_rng(n)
+    ab = np.zeros((2, n))
+    ab[1, :n - 1] = rng.uniform(0.1, 1.0, n - 1)
+    ab[0] = 2.0 + rng.uniform(0.0, 1.0, n)
+    dense = np.diag(ab[0]) + np.diag(ab[1, :n - 1], -1) + np.diag(ab[1, :n - 1], 1)
+    expected = linalg.condition_p(dense, 1)
+    assert linalg.band_condition(ab, checkerboard=True) == pytest.approx(expected, rel=1e-13)
+    assert linalg.band_condition(ab) == pytest.approx(expected, rel=1e-13)
+
+
 def test_band_kernels_reject_indefinite_matrices():
     a_band, _ = random_band(12, 2, 5, shift=0.0)
     with pytest.raises(NotPositiveDefiniteError):

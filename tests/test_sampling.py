@@ -22,6 +22,7 @@ from framebench.errors import (
     GeneratorUnsuitableError,
     LadderTooShortError,
     NotSeparatedError,
+    NumericalFailureError,
     PerturbationViolationError,
 )
 from framebench.frames import TruncationLadder, VectorFamily
@@ -533,6 +534,26 @@ def test_banded_verdict_matches_dense_oracle(name, x):
         assert rep.item(k).verdict == oracle.verdict, k
 
 
+@pytest.mark.parametrize("name", ["tabulated-hat", "tabulated-decay", "tabulated-complex"])
+def test_tabulated_shift_row_knots_are_union1d(monkeypatch, name):
+    # the breakpoints are merged by a sort and a dedupe, not np.union1d
+    # (whose np.unique imports numpy.ma); the knots must be its very floats
+    g = ORACLE_GENERATORS[name]
+    calls = []
+    monkeypatch.setattr(sampling, "generator_eval",
+                        recorded(calls, "pts", sampling.generator_eval,
+                                 lambda g, t: np.array(t)))
+    row = sampling._shift_row(g, 64)
+    grid, radius = g._grid(), g.support_radius
+    lags = calls[::2]  # the generator is evaluated at pts, then at pts - m
+    assert len(lags) == math.ceil(2 * radius) and np.all(row[len(lags):] == 0)
+    for m, (_name, pts) in enumerate(lags):
+        knots = np.union1d(grid, grid + m)
+        knots = knots[(knots >= m - radius) & (knots <= radius)]
+        assert pts.size == 2 * knots.size - 1
+        assert pts[:knots.size].tobytes() == knots.tobytes(), m
+
+
 def recorded(calls, name, fn, amount=lambda *args, **kwargs: 1):
     """``fn`` wrapped to append ``(name, amount(*args, **kwargs))`` to
     ``calls`` on every call: the one counter of the sampling budget tests."""
@@ -566,13 +587,14 @@ def test_verdict_budget_no_dense_work(monkeypatch):
     assert evaluated <= sum(n * (2 * width + 1) for n in BUDGET_LADDER.sizes)
 
 
-def test_verdict_band_work_budget(monkeypatch):
-    # per call: 10 bisections, 3 for lambda_min(G), 6 for the pencil ends
-    # and 1 for the largest interior shift Gram, which both gates the
-    # generator and brackets every pencil (interlacing); lambda_max(G) is
-    # not needed off the singular threshold.  The inverse norms solve only
-    # the trailing rows of each block of at most BAND_SOLVE_BLOCK identity
-    # columns.
+def band_work(monkeypatch, g, x, ladder):
+    """The verdict, stable and consistent, with the ``pbtrs`` right-hand-side
+    shapes it solved for.
+
+    Per call it makes 10 bisections, 3 for lambda_min(G), 6 for the pencil
+    ends and 1 for the largest interior shift Gram, which both gates the
+    generator and brackets every pencil (interlacing); lambda_max(G) is not
+    needed off the singular threshold."""
     calls = []
     monkeypatch.setattr(linalg, "band_min_eig",
                         recorded(calls, "band_min_eig", linalg.band_min_eig))
@@ -584,16 +606,88 @@ def test_verdict_band_work_budget(monkeypatch):
                 if name == "pbtrs" else fn)
 
     monkeypatch.setattr(linalg, "_band_lapack", recorded_band_lapack)
-    rep = stable_sampling_verdict(CUBIC, BUDGET_SET, BUDGET_LADDER)
-    assert rep.stable
+    rep = stable_sampling_verdict(g, x, ladder)
+    assert rep.stable and rep.consistent
     assert sum(name == "band_min_eig" for name, _ in calls) == 10
-    solves = [shape for name, shape in calls if name == "pbtrs"]
-    assert max(cols for _rows, cols in solves) <= linalg.BAND_SOLVE_BLOCK
+    return rep, [shape for name, shape in calls if name == "pbtrs"]
+
+
+def test_verdict_band_work_budget(monkeypatch):
+    # a B-spline's G is totally positive, so its inverse norm takes one
+    # solve with one right-hand side per size: 878 rows on this ladder
+    rep, solves = band_work(monkeypatch, CUBIC, BUDGET_SET, BUDGET_LADDER)
+    assert solves == [(size - 2 * rep.trim, 1) for size in BUDGET_LADDER.sizes]
+
+
+def test_verdict_band_work_budget_long_ladder(monkeypatch):
+    # well conditioned on a long ladder, G^-1 decays into subnormal numbers,
+    # which solves against the identity would compute; the one solve does not
+    ladder = TruncationLadder((2048, 4096, 8192))
+    rep, solves = band_work(monkeypatch, CUBIC, SamplingSet.constant(0.2), ladder)
+    assert solves == [(size - 2 * rep.trim, 1) for size in ladder.sizes]
+
+
+def test_verdict_band_work_budget_tabulated_blocks(monkeypatch):
+    # a tabulated generator carries no total positivity: its inverse norm
+    # solves only the trailing rows of each block of at most
+    # BAND_SOLVE_BLOCK identity columns
+    ladder = TruncationLadder((32, 64, 128))
+    rep, solves = band_work(monkeypatch, ORACLE_GENERATORS["tabulated-decay"],
+                            BUDGET_SET, ladder)
     block = linalg.BAND_SOLVE_BLOCK
+    assert max(cols for _rows, cols in solves) <= block
     expected = sum((n - s) * min(block, n - s)
-                   for n in (size - 2 * rep.trim for size in BUDGET_LADDER.sizes)
+                   for n in (size - 2 * rep.trim for size in ladder.sizes)
                    for s in range(0, n, block))
     assert sum(rows * cols for rows, cols in solves) == expected
+
+
+#: Points that are not in increasing order: delta = +0.7 at even and -0.7 at
+#: odd positions, plus noise below 0.2, puts each even-position point to the
+#: right of the next one.
+UNSORTED = SamplingSet.from_deltas(0.7 * (-1.0) ** np.arange(128)
+                                   + np.random.default_rng(0).uniform(-0.2, 0.2, 128))
+CHECKERBOARD_SETS = {
+    **{f"constant-{c}": SamplingSet.constant(c) for c in (0.0, 0.2, 0.45, 0.49, 0.5)},
+    "seeded-0.3": SamplingSet.seeded_uniform(0.3, seed=1),
+    "seeded-0.45": SamplingSet.seeded_uniform(0.45, seed=2),
+    "explicit-unsorted": UNSORTED,
+    "explicit-1.4": SamplingSet.from_deltas(np.random.default_rng(4).uniform(-1.4, 1.4, 128)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKERBOARD_SETS))
+@pytest.mark.parametrize("degree", range(6))
+def test_bspline_item_c_one_solve_matches_block_solves(degree, name):
+    # the interior G = P^T P of a B-spline is totally positive, so the one
+    # solve against (1, -1, 1, ...) gives the exact inverse norm
+    g, x = Generator(degree=degree), CHECKERBOARD_SETS[name]
+    trim = math.ceil(g.support_radius) + math.ceil(x.bound)
+    width = math.ceil(g.support_radius + x.bound)
+    for size in (40, 128):
+        band = sampling._interior_gram_band(g, x.points(size), width, trim)
+        try:
+            expected = linalg.band_condition(band)
+        except NumericalFailureError:  # G is singular: both paths fail alike
+            with pytest.raises(NumericalFailureError):
+                linalg.band_condition(band, checkerboard=True)
+            continue
+        got = linalg.band_condition(band, checkerboard=True)
+        assert got == pytest.approx(expected, rel=1e-12), size
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_bspline_gram_inverse_has_checkerboard_signs(degree):
+    # the premise of the one solve, on unsorted points: (-1)^(i+j) (G^-1)_ij
+    # >= 0 up to rounding
+    g, size = Generator(degree=degree), 24
+    trim = math.ceil(g.support_radius) + math.ceil(UNSORTED.bound)
+    gi = autocorrelation_gram(g, UNSORTED, size)[trim:size - trim, trim:size - trim]
+    assert np.all(gi.imag == 0.0)
+    inv = np.linalg.inv(gi.real)
+    n = inv.shape[0]
+    signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+    assert np.min(signs * inv) >= -1e-12 * np.max(np.abs(inv))
 
 
 def per_point_deltas(x: SamplingSet, n: int) -> list:
