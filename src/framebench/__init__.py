@@ -3,9 +3,9 @@
 Submodules
 ----------
 linalg
-    Dense complex kernels: Hermitian eigendecomposition and its fractional
-    powers, row p-norms (``line_norms``) and the operator p-norms built on
-    them, condition numbers, gain probes, Hermitian band kernels.
+    Dense kernels (dtype rule of ``fields``): Hermitian eigendecomposition
+    and its fractional powers, row p-norms (``line_norms``) and the operator
+    p-norms built on them, condition numbers, gain probes, band kernels.
 frames
     Vector families against an ambient ONB, Gram matrices, frame/Riesz
     bounds, canonical duals, frame-operator powers.
@@ -24,7 +24,7 @@ sampling
     Shift-invariant spaces: B-spline and tabulated generators, perturbed
     integer sampling sets, autocorrelation Grams and stable-sampling verdicts.
 fields
-    The one rule for numeric config fields and dataclass numbers.
+    The one rule for numeric config fields, dataclass numbers and dtypes.
 cli
     JSON-config command line driver emitting reproducible reports.
 """

@@ -262,5 +262,5 @@ def perturbed_onb_family(size: int, epsilon: float = 0.3, seed: int = 0,
     rng = np.random.default_rng(seed)
     e = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     e *= epsilon / linalg.pnorm_operator(e, 2)
-    psi = VectorFamily(np.eye(size, dtype=complex) + e, label="perturbed-onb")
+    psi = VectorFamily(np.eye(size) + e, label="perturbed-onb")
     return psi, VectorFamily.onb(size, label="reference-onb")

@@ -18,6 +18,10 @@ The records that own the fields apply the rule in their constructors, and
 store real fields as floats; their ``from_json`` checks the keys and hands
 the raw JSON values to the constructor, so a field that a config leaves out
 takes the default written in the record's dataclass, and nowhere else.
+
+The one dtype rule: a real array is float64 and a complex one complex128
+(``require_numbers``), and ``[re, im]`` pairs decode as float64 when every
+imaginary part is exactly 0 (``require_pairs``), so real input stays real.
 """
 
 import math
@@ -83,21 +87,22 @@ def _holds_bool(values) -> bool:
 
 
 def require_numbers(field: str, values) -> np.ndarray:
-    """``values`` as an array if every entry is a finite int, float or
-    complex number (no bool, no string), else a ``ValueError``."""
+    """``values`` as an array of the dtype rule if every entry is a finite
+    int, float or complex number (no bool, no string), else a ``ValueError``."""
     arr = np.asarray(values)
     if _holds_bool(values) or arr.dtype.kind not in "iufc":
         raise ValueError(f"{field!r} must hold numbers only, not bools or strings")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{field!r} must be finite")
-    return arr
+    return arr.astype(np.promote_types(arr.dtype, np.float64), copy=False)
 
 
 def require_pairs(field: str, values) -> np.ndarray:
-    """``values``, a list of ``[re, im]`` number pairs, as a 1-D complex
-    array, else a ``ValueError`` that names the field."""
+    """``values``, a list of ``[re, im]`` number pairs, as a 1-D array under
+    the dtype rule, else a ``ValueError`` that names the field."""
     pairs = require_numbers(field, values)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"{field!r} must be a list of [re, im] pairs, "
                          f"got shape {pairs.shape}")
-    return np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1)
+    z = np.ascontiguousarray(pairs, dtype=float).view(np.complex128).reshape(-1)
+    return z if z.imag.any() else z.real.copy()

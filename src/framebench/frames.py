@@ -35,15 +35,16 @@ def inner(f, g) -> complex:
 class VectorFamily:
     """A finite vector family in coefficients against the ambient ONB.
 
-    ``coeffs`` is N x M complex; column k holds member k.  Instances are
-    immutable: the array is copied and marked read-only.
+    ``coeffs`` is N x M, real or complex by the dtype rule of ``fields``;
+    column k holds member k.  Instances are immutable: the array is copied
+    and marked read-only.
     """
 
     coeffs: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        m = linalg.as_matrix(np.array(self.coeffs, dtype=complex))
+        m = linalg.as_matrix(np.array(self.coeffs))
         m.flags.writeable = False
         object.__setattr__(self, "coeffs", m)
 
@@ -83,7 +84,7 @@ class VectorFamily:
 
     @classmethod
     def onb(cls, n: int, label: str = "onb") -> "VectorFamily":
-        return cls(np.eye(n, dtype=complex), label=label)
+        return cls(np.eye(n), label=label)
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ def gram(psi: VectorFamily) -> np.ndarray:
 
 def analysis(psi: VectorFamily, f) -> np.ndarray:
     """Analysis coefficients (<f, psi_k>)_k of a vector f."""
-    v = np.asarray(f, dtype=complex)
+    v = np.asarray(f)
     if v.shape != (psi.ambient_dim,):
         raise DimensionMismatchError(
             f"vector has shape {v.shape}, expected ({psi.ambient_dim},)"
@@ -160,7 +161,7 @@ def analysis(psi: VectorFamily, f) -> np.ndarray:
 
 def synthesis(psi: VectorFamily, c) -> np.ndarray:
     """Synthesis sum_k c_k psi_k of a coefficient vector c."""
-    v = np.asarray(c, dtype=complex)
+    v = np.asarray(c)
     if v.shape != (psi.member_count,):
         raise DimensionMismatchError(
             f"coefficients have shape {v.shape}, expected ({psi.member_count},)"

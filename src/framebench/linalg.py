@@ -1,9 +1,9 @@
-"""Complex linear-algebra kernels shared by every other module.
+"""Linear-algebra kernels shared by every other module.
 
-All functions operate on plain ``numpy`` arrays (complex entries, row-major)
-and are pure: no shared state, safe to call concurrently.  Operator p-norms
-are restricted to p in {1, 2, inf}; those three are what every invertibility
-and gain diagnostic in the package needs.
+All functions operate on plain row-major ``numpy`` arrays of the dtype rule
+of ``fields`` and are pure: no shared state, safe to call concurrently.
+Operator p-norms are restricted to p in {1, 2, inf}; those three are what
+every invertibility and gain diagnostic in the package needs.
 
 Every sum of absolute values along a row or a column goes through one
 kernel, ``line_norms``: it reduces each row of a C-contiguous copy of |A|,
@@ -50,6 +50,7 @@ from typing import Tuple
 
 import numpy as np
 
+from . import fields
 from .errors import (
     NonSquareError,
     NonHermitianError,
@@ -74,12 +75,10 @@ def _check_norm_index(p):
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and return ``a`` as a complex 2-D array with finite entries."""
-    m = np.asarray(a, dtype=complex)
+    """``a`` as a nonempty 2-D array of finite numbers (``fields.require_numbers``)."""
+    m = fields.require_numbers("matrix", a)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
     return m
 
 

@@ -161,15 +161,24 @@ def _offsets(rows: int, cols: int) -> np.ndarray:
     return np.abs(np.subtract.outer(np.arange(rows), np.arange(cols)))
 
 
+def _weighted_moduli(a, weight, field: str) -> np.ndarray:
+    """|A_{k,l}| weight(|k-l|), 0 where A_{k,l} = 0 (never 0 * inf); a nonzero
+    entry whose weight overflows is a ``BadExponentError`` naming ``field``."""
+    m = np.abs(linalg.as_matrix(a))
+    with np.errstate(over="ignore"):
+        w = np.where(m > 0, weight(_offsets(*m.shape)), 0.0)
+    if np.isinf(w).any():
+        raise BadExponentError(f"{field} overflows the weight of a nonzero entry of "
+                               f"the {m.shape[0]}x{m.shape[1]} matrix")
+    return m * w
+
+
 def jaffard_norm(a, s: float) -> float:
     """Polynomial-decay sup norm: max over entries of |A_{k,l}| (1+|k-l|)^s."""
     if s <= 1:
         raise BadExponentError(f"exponent must exceed the index dimension 1, got {s}")
-    m = np.abs(np.asarray(a, dtype=complex))
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {m.shape}")
-    table = np.power(1.0 + np.arange(max(m.shape)), s)  # weight of offset r
-    return float(np.max(m * table[_offsets(*m.shape)]))
+    return float(np.max(_weighted_moduli(  # a table of the weight of each offset r
+        a, lambda r: np.power(1.0 + np.arange(max(r.shape)), s)[r], f"'s' = {s:g}")))
 
 
 def schur_norm(a, weight: WeightSpec) -> float:
@@ -179,10 +188,8 @@ def schur_norm(a, weight: WeightSpec) -> float:
     behind the operator 1-/inf-norms, so with the constant weight 1 this
     equals max(pnorm_operator(a, 1), pnorm_operator(a, inf)) bit for bit.
     """
-    m = np.abs(np.asarray(a, dtype=complex))
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {m.shape}")
-    mw = m * weight(np.subtract.outer(np.arange(m.shape[0]), np.arange(m.shape[1])))
+    field = _FORM_FIELDS[weight.form][0]
+    mw = _weighted_moduli(a, weight, f"{field!r} = {getattr(weight, field):g}")
     return float(max(np.max(linalg.line_norms(mw, 1)),
                      np.max(linalg.line_norms(mw.T, 1))))
 
@@ -242,9 +249,7 @@ def fit_decay_exponent(a) -> float:
     decay (entries vanishing beyond a band) simply drops the zero offsets,
     and the result is clipped to ``MAX_DECAY_EXPONENT``.
     """
-    m = np.abs(np.asarray(a, dtype=complex))
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {m.shape}")
+    m = np.abs(linalg.as_matrix(a))
     off = _offsets(*m.shape)
     peaks = np.zeros(off.max(initial=0) + 1)
     np.maximum.at(peaks, off.ravel(), m.ravel())  # flat indices: numpy's fast path

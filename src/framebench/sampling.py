@@ -94,7 +94,7 @@ class Generator:
         elif self.kind == "tabulated":
             if self.samples is None:
                 raise GeneratorUnsuitableError("tabulated generator needs samples")
-            s = np.array(fields.require_numbers("samples", self.samples), dtype=complex)
+            s = np.array(fields.require_numbers("samples", self.samples))
             for name in ("step", "decay_s"):
                 object.__setattr__(self, name,
                                    float(fields.require_finite(name, getattr(self, name))))
@@ -104,6 +104,8 @@ class Generator:
                 raise GeneratorUnsuitableError("need a 1-D grid of >= 5 samples")
             if self.step <= 0:
                 raise GeneratorUnsuitableError(f"step must be > 0, got {self.step}")
+            if not math.isfinite((s.size - 1) * self.step):
+                raise ValueError(f"'step' = {self.step:g} puts the grid past the float range")
             if self.decay_s <= 1:
                 raise GeneratorUnsuitableError(
                     f"decay exponent must exceed 1, got {self.decay_s}"
@@ -122,8 +124,10 @@ class Generator:
         grid = self._grid()
         mags = np.abs(self.samples)
         inner = np.abs(grid) <= grid.max() / 2.0
-        weights = np.power(1.0 + np.abs(grid), self.decay_s)
-        c = float(np.max(mags[inner] * weights[inner]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = float(np.max(mags[inner] * np.power(1.0 + np.abs(grid[inner]), self.decay_s)))
+        if not math.isfinite(c):
+            raise ValueError(f"'decay_s' = {self.decay_s:g} overflows the decay constant")
         bound = c * np.power(1.0 + np.abs(grid[~inner]), -self.decay_s)
         if np.any(mags[~inner] > bound * (1.0 + 1e-12)):
             worst = float(np.max(mags[~inner] - bound))
@@ -186,10 +190,10 @@ def generator_eval(g: Generator, t):
         return bspline_eval(g.degree, t)
     grid = g._grid()
     tt = np.asarray(t, dtype=float)
-    re = np.interp(tt, grid, g.samples.real, left=0.0, right=0.0)
-    im = np.interp(tt, grid, g.samples.imag, left=0.0, right=0.0)
-    out = re + 1j * im
-    return out if out.shape else complex(out)
+    out = np.interp(tt, grid, g.samples.real, left=0.0, right=0.0)
+    if np.iscomplexobj(g.samples):  # real samples have no imaginary part to add
+        out = out + 1j * np.interp(tt, grid, g.samples.imag, left=0.0, right=0.0)
+    return out if out.shape else out.item()
 
 
 # numpy's SeedSequence and PCG64 constants (numpy.random.bit_generator and
@@ -428,7 +432,7 @@ def sampling_matrix(g: Generator, x: SamplingSet, window: int) -> np.ndarray:
     """
     pts = x.points(window)
     ints = x.window(window)
-    return np.asarray(generator_eval(g, np.subtract.outer(pts, ints)), dtype=complex)
+    return generator_eval(g, np.subtract.outer(pts, ints))
 
 
 def autocorrelation_gram(g: Generator, x: SamplingSet, window: int) -> np.ndarray:
@@ -453,7 +457,7 @@ def _shift_row(g: Generator, length: int) -> np.ndarray:
         return np.asarray(bspline_eval(2 * g.degree + 1, np.arange(length, dtype=float)))
     grid = g._grid()
     radius = g.support_radius
-    row = np.zeros(length, dtype=complex)
+    row = np.zeros(length, dtype=g.samples.dtype)
     for m in range(min(length, math.ceil(2 * radius))):
         # On the overlap [m - R, R], g(t) and g(t - m) are both linear between
         # consecutive merged breakpoints, so their product is a quadratic
@@ -480,7 +484,7 @@ def shift_gram(g: Generator, window: int) -> np.ndarray:
     # row[m] integrates g(t) conj(g(t - m)); entry (k, l) is row[k - l] on and
     # below the diagonal and conj(row)[l - k] above it.
     lag = np.subtract.outer(np.arange(window), np.arange(window))
-    return np.where(lag >= 0, row[lag], np.conj(row)[-lag]).astype(complex)
+    return np.where(lag >= 0, row[lag], np.conj(row)[-lag])
 
 
 def _interior_gram_band(g: Generator, pts: np.ndarray, width: int,

@@ -164,6 +164,10 @@ HAT_GRID = {"samples": [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.5, 0.0], [0.0, 0.
 HAT_TABLE = {"kind": "tabulated", "grid": HAT_GRID}
 
 
+#: A family whose Gram has nonzero entries at offsets up to 7.
+LONG_RANGE = VectorFamily(np.eye(8) + 0.1 * np.eye(8, k=7)).to_json()
+
+
 def hat_table(**grid):
     """The tabulated hat generator with ``grid`` fields replaced."""
     return {"kind": "tabulated", "grid": {**HAT_GRID, **grid}}
@@ -232,6 +236,19 @@ def explicit_rule(deltas, **bound):
     ("battery", {**BATTERY, "profile": {"kind": "schur", "weight": {
         "form": "subexponential", "rate": math.nan}}},
      [], "bad localization profile: 'rate' must be finite, got nan"),
+    # finite numbers whose grid, decay constant or weights leave the float range
+    ("sampling", {**SAMPLING, "generator": hat_table(step=1e308)}, [],
+     "bad generator config: 'step' = 1e+308 puts the grid past the float range"),
+    ("sampling", {**SAMPLING, "generator": hat_table(decay_s=1e308)}, [],
+     "bad generator config: 'decay_s' = 1e+308 overflows the decay constant"),
+    ("analyze", {"family": LONG_RANGE, "profile": {"kind": "jaffard", "s": 400.0}}, [],
+     "error: 's' = 400 overflows the weight of a nonzero entry of the 8x8 matrix"),
+    ("analyze", {"family": LONG_RANGE, "profile": {"kind": "schur", "weight": {
+        "delta": 1e308}}}, [],
+     "error: 'delta' = 1e+308 overflows the weight of a nonzero entry of the 8x8 matrix"),
+    ("analyze", {"family": LONG_RANGE, "profile": {"kind": "schur", "weight": {
+        "form": "subexponential", "rate": 1e308}}}, [],
+     "error: 'rate' = 1e+308 overflows the weight of a nonzero entry of the 8x8 matrix"),
     # numbers are never rounded or parsed from strings
     ("sampling", {**SAMPLING, "generator": {"kind": "bspline", "degree": 2.9}}, [],
      "bad generator config: 'degree' must be an integer, got 2.9"),
@@ -334,7 +351,9 @@ def explicit_rule(deltas, **bound):
         "family-coeffs-count", "ladder-float", "ladder-bool", "ladder-string",
         "constant-value-inf", "constant-value-nan", "tabulated-decay-inf",
         "tabulated-step-nan", "jaffard-s-nan", "jaffard-s-inf", "schur-delta-inf",
-        "schur-rate-nan", "degree-float", "delta-seed-float", "delta-seed-bool",
+        "schur-rate-nan", "tabulated-step-overflow", "tabulated-decay-overflow",
+        "jaffard-weight-overflow", "schur-delta-overflow", "schur-rate-overflow",
+        "degree-float", "delta-seed-float", "delta-seed-bool",
         "delta-seed-negative", "perturbed-onb-seed-float", "bound-string",
         "value-string", "epsilon-string", "samples-nan", "samples-strings",
         "deltas-strings", "deltas-mixed-bool", "samples-mixed-bool",
@@ -358,6 +377,21 @@ def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, ext
     assert res.returncode == 2, res.stderr
     assert named in res.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("profile", [
+    {"kind": "jaffard", "s": 400.0},
+    {"kind": "schur", "weight": {"delta": 1e308}},
+    {"kind": "schur", "weight": {"form": "subexponential", "rate": 1e308}},
+], ids=["jaffard-s-400", "schur-delta-1e308", "schur-rate-1e308"])
+def test_weights_past_the_float_range_on_zero_entries_exit_0(tmp_path, profile):
+    # the reference Gram is the identity: every weight past the float range
+    # meets a zero entry, so the norm is 1 at every size
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {**BATTERY, "profile": profile, "ladder": [8, 16, 512]})
+    res = run_cli("battery", "--config", str(cfg), "--out", str(tmp_path / "x.json"))
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
 
 
 @pytest.mark.parametrize("command", ["analyze", "rdual"])

@@ -466,7 +466,9 @@ def test_verdict_items_cde_match_plain_path(x):
     rep = stable_sampling_verdict(CUBIC, x, ladder)
     for idx, size in enumerate(ladder.sizes):
         interior = slice(rep.trim, size - rep.trim)
-        gi = autocorrelation_gram(CUBIC, x, size)[interior, interior]
+        # the complex128 dense oracle this gate was set against: at n = 128,
+        # c = 0.5 (lambda_min ~ 1e-4) the real eigh rounds item e 1.2e-12 away
+        gi = autocorrelation_gram(CUBIC, x, size)[interior, interior].astype(np.complex128)
         expected = [linalg.condition_p(gi, 1), linalg.condition_p(gi, math.inf),
                     max(float(linalg.hermitian_eig(gi).eigenvalues[0]), 0.0)]
         got = [rep.item(k).quantities[idx][1] for k in "cde"]
