@@ -149,9 +149,11 @@ def _int_sizes(what: str, sizes) -> list:
     """``sizes`` itself if it is a list of integers.  Anything else, a string
     or a list holding a float or a bool included, is an ``InputError`` that
     names ``what``: no value is rounded or coerced to a size (the rule of
-    ``fields``, which every other numeric config field follows)."""
+    ``fields``, which every other numeric config field follows), nor past
+    int64 (``frames.TruncationLadder.require_fit``)."""
     if not (isinstance(sizes, list) and all(fields.is_integer(s) for s in sizes)):
         raise InputError(f"bad {what} {sizes!r}: expected a list of integers")
+    frames.TruncationLadder.require_fit(what, sizes)
     return sizes
 
 

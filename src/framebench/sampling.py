@@ -15,16 +15,19 @@ P[l, k] vanishes unless |l - k| <= ceil(support_radius + C), so P^H P and
 the shift Gram are band matrices.  ``stable_sampling_verdict`` builds only
 their bands and takes every witness from the banded Hermitian kernels of
 ``linalg``: each bisection step costs n times the squared bandwidth.  The
-exact inverse norm costs one banded factorization plus, for a B-spline
-(whose Gram is totally positive, so its inverse has checkerboard signs),
-one solve of n rows, and for a tabulated generator solves of about n^2 / 2
-right-hand-side rows.  ``sampling_matrix``,
-``autocorrelation_gram`` and ``shift_gram`` are the dense constructions of
-the same matrices, kept for demonstrations and as the test oracle; they are
-numpy only.  The verdict is the one path that loads anything of scipy: on
-their first call the band kernels load its compiled LAPACK module,
-``scipy.linalg._flapack``, without the ``scipy.linalg`` package (see
-``linalg``).
+windows of a ladder nest, so the bands are built once, for the largest
+window, and by Courant-Fischer each bisection after the first size starts
+from its predecessor's result; the Riesz check of the integer shifts is one
+factorization.  The exact inverse norm costs one banded factorization plus,
+for a B-spline (whose Gram is totally positive, so its inverse has
+checkerboard signs), one solve of n rows, and for a tabulated generator
+solves of about n^2 / 2 right-hand-side rows.
+``sampling_matrix``, ``autocorrelation_gram`` and ``shift_gram`` are the
+dense constructions of the same matrices, kept for demonstrations and as
+the test oracle; they are numpy only.  The verdict is the one path that
+loads anything of scipy: on their first call the band kernels load its
+compiled LAPACK module, ``scipy.linalg._flapack``, without the
+``scipy.linalg`` package (see ``linalg``).
 
 Seeded-uniform deltas follow numpy's stream: delta_k is the first
 ``default_rng((seed, k mod 2^32)).uniform(-bound, bound)`` draw.  The whole
@@ -43,6 +46,7 @@ from .errors import (
     GeneratorUnsuitableError,
     LadderTooShortError,
     NotSeparatedError,
+    NumericalFailureError,
     PerturbationViolationError,
 )
 from .frames import TruncationLadder
@@ -516,6 +520,16 @@ def _interior_gram_band(g: Generator, pts: np.ndarray, width: int,
     return band
 
 
+def _finite_band(what: str, build, *args) -> np.ndarray:
+    """``build(*args)``; one that leaves the float range is a numerical
+    failure (the rule of ``frames._finite_product``)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = build(*args)
+    if not np.isfinite(band).all():
+        raise NumericalFailureError(f"{what} entries overflow the float range")
+    return band
+
+
 @dataclass(frozen=True)
 class SamplingReport:
     """Stable-sampling verdict with per-item ladders.
@@ -599,23 +613,30 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
 
     The sampling points are drawn and validated once, for the largest
     window; every smaller window takes their centered slice, so the whole
-    ladder is checked before anything is computed.  Per window size the
-    interior of G = P^H P (a boundary band of width support_radius + ceil(C)
-    trimmed on each side) is built in band storage, and the witnesses are
-    its smallest eigenvalue (item e), its 1-norm condition number (item c;
-    G is Hermitian, so item d, the max-norm one, is the same number) and the
-    extremal generalized eigenvalues of the pencil (interior G, interior
-    shift Gram) as direct sampling bounds (item a).  Item (b) carries the
-    consensus verdict, annotated duality-derived.
+    ladder is checked before anything is computed.  The interior of
+    G = P^H P (a boundary band of width support_radius + ceil(C) trimmed on
+    each side) is built in band storage once, for the largest window: each
+    smaller window's interior G is, entry for entry, its central principal
+    section, and so is each interior shift Gram of the largest one's.  Per
+    size the witnesses are the smallest eigenvalue of G (item e), its
+    1-norm condition number (item c; G is Hermitian, so item d, the
+    max-norm one, is the same number) and the extremal generalized
+    eigenvalues of the pencil (interior G, interior shift Gram) as direct
+    sampling bounds (item a).  Item (b) carries the consensus verdict,
+    annotated duality-derived.
 
-    The smallest eigenvalue of the largest interior shift Gram is bisected
-    once per verdict, before any band of G is built.  Each smaller interior
-    shift Gram is a leading principal submatrix of that one, so by Cauchy
-    interlacing it bounds every size from below: at or below ``tol`` the
-    integer shifts are no Riesz basis (``GeneratorUnsuitableError``), and
-    above it brackets every pencil bisection.  The largest eigenvalue of G,
-    which only the singular flag needs, is bisected only when the flag is
-    not already false by lambda_max <= ||G||_1.
+    A shift row or G past the float range is a ``NumericalFailureError``.
+    The largest interior shift Gram gates the generator, before any band of
+    G is built, with one factorization of A - tol I: by Cauchy interlacing,
+    if it factors, every size's smallest shift-Gram eigenvalue exceeds
+    ``tol``; if not, the integer shifts are no Riesz basis
+    (``GeneratorUnsuitableError``; only its message bisects the
+    eigenvalue).  By
+    Courant-Fischer, lambda_min of G and of the pencil only fall along the
+    ladder and lambda_max of the pencil only rises, so each size's three
+    bisections take the previous size's results as ``upper`` hints.
+    lambda_max of G, which only the singular flag needs, is bisected only
+    when the flag is not already false by lambda_max <= ||G||_1.
     """
     trim = int(math.ceil(g.support_radius)) + int(math.ceil(x.bound))
     for size in ladder:
@@ -627,16 +648,20 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
     largest = ladder.sizes[-1]
     pts = x.points(largest)
     width = math.ceil(g.support_radius + x.bound)
-    # The largest interior shift Gram, in the band storage of the largest G.
+    # The largest interior G and shift Gram, in band storage; every smaller
+    # size takes their central principal sections.
     interior = largest - 2 * trim
     band_rows = min(2 * width, interior - 1) + 1
-    shift_all = np.repeat(_shift_row(g, band_rows)[:, None], interior, axis=1)
-    shift_min = linalg.band_min_eig(shift_all)
-    if shift_min <= tol:
+    row = _finite_band("shift Gram", _shift_row, g, band_rows)
+    shift_all = np.repeat(row[:, None], interior, axis=1)
+    if not linalg.band_definite(shift_all, tol):
+        shift_min = linalg.band_min_eig(shift_all)
         raise GeneratorUnsuitableError(
             f"integer shifts fail the Riesz check: smallest Gram eigenvalue "
             f"{max(shift_min, 0.0):.3e} <= {tol:.0e}"
         )
+    g_all = _finite_band("autocorrelation Gram", _interior_gram_band,
+                         g, pts, width, trim)
 
     # beta(t - k) is the B-spline on the unit-spaced knots from
     # k - (d + 1) / 2 to k + (d + 1) / 2 (d the degree), so for points
@@ -652,12 +677,17 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
     # guarantee and takes the block solves.
     checkerboard = g.kind == "bspline"
     rows, bounds_ladder = [], []
+    hints = (None, None, None)
     for size in ladder:
-        start = largest // 2 - size // 2
-        gi = _interior_gram_band(g, pts[start:start + size], width, trim)
-        shift = shift_all[:gi.shape[0], :gi.shape[1]]
-
-        lam_min = max(linalg.band_min_eig(gi), 0.0)
+        start, n = largest // 2 - size // 2, size - 2 * trim
+        gi = g_all[:min(band_rows, n), start:start + n]
+        shift = shift_all[:gi.shape[0], :n]
+        # lambda_min(G), the pencil's lambda_min and -lambda_max: each is
+        # bounded above by the previous size's value
+        hints = (linalg.band_min_eig(gi, upper=hints[0]),
+                 linalg.band_min_eig(gi, shift, upper=hints[1]),
+                 linalg.band_min_eig(-gi, shift, upper=hints[2]))
+        lam_min = max(hints[0], 0.0)
         # G is positive semidefinite, so its singular values are its
         # eigenvalues and the singular flag compares the extremal two.
         # lambda_max <= ||G||_1, so lambda_max is bisected only when
@@ -667,9 +697,7 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
             cond = linalg.band_condition(gi, checkerboard=checkerboard)
         else:
             cond = math.inf
-
-        lo = max(linalg.band_min_eig(gi, shift, shift_min), 0.0)
-        hi = -linalg.band_min_eig(-gi, shift, shift_min)
+        lo, hi = max(hints[1], 0.0), -hints[2]
         rows.append((lo, lam_min, cond, cond, lam_min))
         bounds_ladder.append((size, lo, hi))
 

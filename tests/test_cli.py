@@ -121,17 +121,22 @@ def test_unreadable_input_path_exits_2(tmp_path, where):
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*bad, "cfg.json"])
 
 
-@pytest.mark.parametrize("command", ["analyze", "rdual"])
+@pytest.mark.parametrize("command", ["analyze", "rdual", "sampling"])
 def test_overflowing_gram_exits_3_without_output(tmp_path, command):
-    # finite coefficients whose Gram leaves the float range
+    # finite coefficients whose Gram leaves the float range, or tabulated
+    # samples of 1e160, whose shift Gram does
     fam = tmp_path / "fam.json"
     write_json(fam, VectorFamily(np.eye(3) * 1e200).to_json())
     cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"family": str(fam)} if command == "analyze"
-               else {"psi": str(fam), "phi": str(fam)})
+    big_hat = hat_table(samples=[[1e160 * v, 0.0] for v, _ in HAT_GRID["samples"]])
+    write_json(cfg, {"analyze": {"family": str(fam)},
+                     "rdual": {"psi": str(fam), "phi": str(fam)},
+                     "sampling": {**SAMPLING, "generator": big_hat}}[command])
     res = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "x.json"))
     assert res.returncode == 3, res.stderr
-    assert "numerical failure: Gram or frame-operator entries" in res.stderr
+    assert ("numerical failure: shift Gram entries overflow the float range"
+            if command == "sampling" else
+            "numerical failure: Gram or frame-operator entries") in res.stderr
     assert "RuntimeWarning" not in res.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "fam.json"]
 
@@ -217,6 +222,8 @@ def explicit_rule(deltas, **bound):
      "bad ladder [True, 8, 16]: expected a list of integers"),
     ("sampling", {**SAMPLING, "ladder": "3264"}, [],
      "bad ladder '3264': expected a list of integers"),
+    ("sampling", {**SAMPLING, "delta_rule": SEEDED, "ladder": [16, 32, 2**63]}, [],
+     "bad ladder [16, 32, 9223372036854775808]: every size must be below 2^63"),
     # non-finite numbers (json.dumps writes inf as Infinity, which parses
     # back to the same float as an overflowing literal such as 1e400)
     ("sampling", {**SAMPLING, "delta_rule": {"kind": "constant", "value": math.inf}},
@@ -349,6 +356,7 @@ def explicit_rule(deltas, **bound):
         "deltas-scalar", "deltas-negative-bound", "seeded-uniform-negative-bound",
         "tabulated-samples-scalar",
         "family-coeffs-count", "ladder-float", "ladder-bool", "ladder-string",
+        "ladder-past-int64",
         "constant-value-inf", "constant-value-nan", "tabulated-decay-inf",
         "tabulated-step-nan", "jaffard-s-nan", "jaffard-s-inf", "schur-delta-inf",
         "schur-rate-nan", "tabulated-step-overflow", "tabulated-decay-overflow",
@@ -412,14 +420,16 @@ def test_family_file_with_non_number_coeffs_exits_2(tmp_path, command, coeffs):
 
 @pytest.mark.parametrize("sizes, named", [
     (5, "5"), ([None], "[None]"), ("16", "'16'"), ([8, 16.7], "[8, 16.7]"),
-    ([True, 8], "[True, 8]"),
-], ids=["sizes-scalar", "sizes-null", "sizes-string", "sizes-float", "sizes-bool"])
+    ([True, 8], "[True, 8]"), ([4, 2**64], "[4, 18446744073709551616]: every size must be"),
+], ids=["sizes-scalar", "sizes-null", "sizes-string", "sizes-float", "sizes-bool",
+        "sizes-past-int64"])
 def test_bad_fixture_input_exits_2_without_output(tmp_path, sizes, named):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {"sizes": sizes})
     res = run_cli("fixtures", "--config", str(cfg), "--out", str(tmp_path / "d"))
     assert res.returncode == 2, res.stderr
     assert f"bad fixture sizes {named}" in res.stderr
+    assert "Traceback" not in res.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 

@@ -337,13 +337,16 @@ def test_norm_index_validation():
 # Hermitian band kernels against the dense matrix
 # --------------------------------------------------------------------------
 
-def random_band(n, bandwidth, seed, shift):
-    """Lower band storage of a random complex Hermitian band matrix plus
-    ``shift`` times the identity, and the dense matrix it stores."""
+def random_band(n, bandwidth, seed, shift, real=False):
+    """Lower band storage of a random complex (or real) Hermitian band
+    matrix plus ``shift`` times the identity, and the dense matrix it
+    stores."""
     rng = np.random.default_rng(seed)
     ab = rng.standard_normal((bandwidth + 1, n)) + 1j * rng.standard_normal((bandwidth + 1, n))
     ab[0] = ab[0].real + shift
-    dense = np.zeros((n, n), dtype=complex)
+    if real:
+        ab = ab.real.copy()
+    dense = np.zeros((n, n), dtype=ab.dtype)
     for d in range(bandwidth + 1):
         j = np.arange(n - d)
         dense[j + d, j] = ab[d, :n - d]
@@ -366,12 +369,14 @@ def test_band_kernels_match_dense(monkeypatch, n, bandwidth, seed, block):
     scale = np.max(np.abs(lam))
     assert abs(linalg.band_min_eig(a_band) - lam[0]) <= 1e-13 * scale
     assert abs(-linalg.band_min_eig(-a_band) - lam[-1]) <= 1e-13 * scale
-    # any positive lower bound on lambda_min(B) brackets the pencil
-    b_low = 0.5 * float(np.linalg.eigvalsh(b)[0])
+    # a hint above, at or below the eigenvalue changes the bracket, not the answer
     gen_scale = np.max(np.abs(gen))
-    for b_min in (None, b_low):
-        assert abs(linalg.band_min_eig(a_band, b_band, b_min) - gen[0]) <= 1e-13 * gen_scale
-        assert abs(-linalg.band_min_eig(-a_band, b_band, b_min) - gen[-1]) <= 1e-13 * gen_scale
+    for upper, neg_upper in ((None, None), (gen[0], -gen[-1]), (gen[0] + 1, -gen[-1] + 1),
+                             (gen[0] - 1, -gen[-1] - 1)):
+        assert (abs(linalg.band_min_eig(a_band, b_band, upper) - gen[0])
+                <= 1e-13 * gen_scale)
+        assert (abs(-linalg.band_min_eig(-a_band, b_band, neg_upper) - gen[-1])
+                <= 1e-13 * gen_scale)
     assert linalg.band_norm(b_band) == pytest.approx(linalg.pnorm_operator(b, 1), rel=1e-14)
     expected = linalg.condition_p(b, 1)
     assert linalg.band_condition(b_band) == pytest.approx(expected, rel=1e-12)
@@ -395,10 +400,6 @@ def test_band_kernels_reject_indefinite_matrices():
     a_band, _ = random_band(12, 2, 5, shift=0.0)
     with pytest.raises(NotPositiveDefiniteError):
         linalg.band_min_eig(a_band, a_band)
-    b_band, _ = random_band(12, 2, 6, shift=20.0)
-    for bad_bound in (0.0, -1.0):  # a lower bound for B must be positive
-        with pytest.raises(NotPositiveDefiniteError):
-            linalg.band_min_eig(a_band, b_band, bad_bound)
     with pytest.raises(NumericalFailureError):
         linalg.band_condition(a_band)
 
@@ -419,3 +420,52 @@ def test_band_condition_rejects_non_finite_band(bad):
     ab[1, 3] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         linalg.band_condition(ab)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_band_min_eig_rejects_non_finite_input(bad):
+    # a NaN or an infinity in the band, in B or as the hint would keep the
+    # bracket search from ending; each is a ValueError before any factorization
+    ab, _ = random_band(8, 2, 7, shift=20.0)
+    bad_ab = ab.copy()
+    bad_ab[1, 3] = bad
+    for args in ((bad_ab,), (ab, bad_ab), (ab, ab, bad)):
+        with pytest.raises(ValueError):
+            linalg.band_min_eig(*args)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        linalg.band_definite(bad_ab)
+
+
+@pytest.mark.parametrize("shift, definite", [(-1e-12, True), (0.0, False), (1e-12, False)])
+def test_band_definite_is_one_cholesky_of_the_shifted_band(shift, definite):
+    # diag(0, 1, 2) plus a zero off-diagonal: lambda_min = 0 exactly
+    ab = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
+    assert linalg.band_definite(ab, shift) is definite
+
+
+@st.composite
+def band_pencils(draw):
+    """A random real or complex Hermitian band, with B either None or a
+    positive definite band of the same bandwidth."""
+    n = draw(st.integers(1, 60))
+    bandwidth = draw(st.integers(0, min(6, n - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    real = draw(st.booleans())
+    a_band, a = random_band(n, bandwidth, seed, shift=draw(st.floats(-5.0, 5.0)), real=real)
+    if not draw(st.booleans()):
+        return a_band, a, None, None
+    b_band, b = random_band(n, bandwidth, seed + 1, shift=4.0 * (bandwidth + 1), real=real)
+    return a_band, a, b_band, b
+
+
+@given(band_pencils(), st.sampled_from(["none", "exact", "ulps-above", "plus-one", "zero",
+                                        "below"]))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_band_min_eig_hint_changes_cost_not_answer(pencil, hint):
+    a_band, a, b_band, b = pencil
+    spectrum = np.linalg.eigvalsh(a) if b is None else sla.eigh(a, b, eigvals_only=True)
+    lam = float(spectrum[0])
+    upper = {"none": None, "exact": lam, "ulps-above": lam * (1 + 2.0**-40),
+             "plus-one": lam + 1.0, "zero": 0.0, "below": lam - 1.0 - abs(lam)}[hint]
+    scale = np.max(np.abs(spectrum))
+    assert abs(linalg.band_min_eig(a_band, b_band, upper) - lam) <= 1e-13 * scale

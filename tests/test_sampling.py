@@ -590,13 +590,13 @@ def test_verdict_budget_no_dense_work(monkeypatch):
 
 
 def band_work(monkeypatch, g, x, ladder):
-    """The verdict, stable and consistent, with the ``pbtrs`` right-hand-side
-    shapes it solved for.
+    """The verdict, stable and consistent, with the number of ``pbtrf``
+    calls and the ``pbtrs`` right-hand-side shapes it solved for.
 
-    Per call it makes 10 bisections, 3 for lambda_min(G), 6 for the pencil
-    ends and 1 for the largest interior shift Gram, which both gates the
-    generator and brackets every pencil (interlacing); lambda_max(G) is not
-    needed off the singular threshold."""
+    Per call it makes 9 bisections, 3 per size: lambda_min(G) and the two
+    pencil ends, each warm-started from the previous size.  The largest
+    interior shift Gram gates the generator with one factorization, and
+    lambda_max(G) is not needed off the singular threshold."""
     calls = []
     monkeypatch.setattr(linalg, "band_min_eig",
                         recorded(calls, "band_min_eig", linalg.band_min_eig))
@@ -605,28 +605,35 @@ def band_work(monkeypatch, g, x, ladder):
     def recorded_band_lapack(name, a):
         fn = band_lapack(name, a)
         return (recorded(calls, name, fn, lambda ab, rhs, **kw: rhs.shape)
-                if name == "pbtrs" else fn)
+                if name == "pbtrs" else recorded(calls, name, fn))
 
     monkeypatch.setattr(linalg, "_band_lapack", recorded_band_lapack)
     rep = stable_sampling_verdict(g, x, ladder)
     assert rep.stable and rep.consistent
-    assert sum(name == "band_min_eig" for name, _ in calls) == 10
-    return rep, [shape for name, shape in calls if name == "pbtrs"]
+    assert sum(name == "band_min_eig" for name, _ in calls) == 9
+    return (rep, sum(name == "pbtrf" for name, _ in calls),
+            [shape for name, shape in calls if name == "pbtrs"])
 
 
 def test_verdict_band_work_budget(monkeypatch):
     # a B-spline's G is totally positive, so its inverse norm takes one
-    # solve with one right-hand side per size: 878 rows on this ladder
-    rep, solves = band_work(monkeypatch, CUBIC, BUDGET_SET, BUDGET_LADDER)
+    # solve with one right-hand side per size: 878 rows on this ladder.
+    # The bisections after the first size start from the previous size's
+    # eigenvalues (421 factorizations)
+    rep, factorizations, solves = band_work(monkeypatch, CUBIC, BUDGET_SET, BUDGET_LADDER)
     assert solves == [(size - 2 * rep.trim, 1) for size in BUDGET_LADDER.sizes]
+    assert factorizations <= 440
 
 
 def test_verdict_band_work_budget_long_ladder(monkeypatch):
     # well conditioned on a long ladder, G^-1 decays into subnormal numbers,
-    # which solves against the identity would compute; the one solve does not
+    # which solves against the identity would compute; the one solve does
+    # not (370 factorizations)
     ladder = TruncationLadder((2048, 4096, 8192))
-    rep, solves = band_work(monkeypatch, CUBIC, SamplingSet.constant(0.2), ladder)
+    rep, factorizations, solves = band_work(monkeypatch, CUBIC, SamplingSet.constant(0.2),
+                                            ladder)
     assert solves == [(size - 2 * rep.trim, 1) for size in ladder.sizes]
+    assert factorizations <= 400
 
 
 def test_verdict_band_work_budget_tabulated_blocks(monkeypatch):
@@ -634,14 +641,34 @@ def test_verdict_band_work_budget_tabulated_blocks(monkeypatch):
     # solves only the trailing rows of each block of at most
     # BAND_SOLVE_BLOCK identity columns
     ladder = TruncationLadder((32, 64, 128))
-    rep, solves = band_work(monkeypatch, ORACLE_GENERATORS["tabulated-decay"],
-                            BUDGET_SET, ladder)
+    rep, _, solves = band_work(monkeypatch, ORACLE_GENERATORS["tabulated-decay"],
+                               BUDGET_SET, ladder)
     block = linalg.BAND_SOLVE_BLOCK
     assert max(cols for _rows, cols in solves) <= block
     expected = sum((n - s) * min(block, n - s)
                    for n in (size - 2 * rep.trim for size in ladder.sizes)
                    for s in range(0, n, block))
     assert sum(rows * cols for rows, cols in solves) == expected
+
+
+def test_near_critical_report_values_are_pinned():
+    # Degree 5 at c = 0.49 sits near the critical shift: the pencil's
+    # lambda_min (item a) is about 2e-3 of ||G||, and a banded Cholesky of
+    # G - sigma S succeeds or fails unpredictably over about 1e-12 relative
+    # around it, so where a bisection ends inside that band depends on its
+    # bracket.  The values are pinned so that a change of bracket rule, of
+    # LAPACK or of BLAS shows up as a move here.  ref is lambda_min of the
+    # same pencils bisected with an 80-bit long-double band Cholesky.
+    rep = stable_sampling_verdict(Generator(degree=5), SamplingSet.constant(0.49),
+                                  BUDGET_LADDER)
+    pinned = [(128, 0.006906792879342156, 0.9999999999988365, 6.148492567689678e-05),
+              (256, 0.0031224508142654846, 0.9999999999999845, 2.7703437476406245e-05),
+              (512, 0.0022404981126389833, 1.0, 1.986300143683173e-05)]
+    ref = [0.0069067928793437655, 0.0031224508142655536, 0.002240498112639907]
+    item_e = {item.id: item.quantities for item in rep.items}["e"]
+    got = [(size, lo, hi, e) for (size, lo, hi), (_, e) in zip(rep.direct_bounds, item_e)]
+    np.testing.assert_allclose(got, pinned, rtol=1e-14, atol=0)
+    np.testing.assert_allclose([lo for _, lo, _ in rep.direct_bounds], ref, rtol=5e-13, atol=0)
 
 
 #: Points that are not in increasing order: delta = +0.7 at even and -0.7 at
@@ -758,11 +785,56 @@ def test_generator_suitability_gate():
     # the cubic's shift Gram has lambda_min about 0.054 (symbol minimum):
     # above the default tol, below tol = 1
     ladder = TruncationLadder((32, 64))
-    with pytest.raises(GeneratorUnsuitableError,
-                       match="integer shifts fail the Riesz check"):
+    with pytest.raises(GeneratorUnsuitableError) as failure:
         stable_sampling_verdict(CUBIC, SamplingSet.constant(0.0), ladder, tol=1.0)
+    # the gate is one factorization; the eigenvalue is bisected for the message
+    assert str(failure.value) == ("integer shifts fail the Riesz check: smallest Gram "
+                                  "eigenvalue 5.435e-02 <= 1e+00")
     rep = stable_sampling_verdict(CUBIC, SamplingSet.constant(0.0), ladder)
     assert rep.generator_continuous is True
+
+
+def _clustered_deltas():
+    """32 explicit deltas (bound 2) that move the points of indices -2 .. 2
+    to within 2e-5 of 0, so five samples of the generator land there."""
+    d = np.zeros(32)
+    k = np.arange(-2, 3)
+    d[16 + k] = -k + 1e-5 * k
+    return SamplingSet.from_deltas(d)
+
+
+@pytest.mark.parametrize("scale, x, what", [
+    # the shift Gram integrates |g|^2: 1e320
+    (1e160, SamplingSet.constant(0.0), "shift Gram"),
+    # the shift Gram stays below 3.5 s^2 < 1.8e308; G[0, 0] sums five
+    # samples of about s^2 = 4e307 each
+    (math.sqrt(4e307), _clustered_deltas(), "autocorrelation Gram"),
+], ids=["shift-row", "gram-band"])
+def test_overflowing_gram_is_a_numerical_failure(monkeypatch, scale, x, what):
+    # finite samples whose Gram band leaves the float range fail before any
+    # bisection, with no RuntimeWarning (warnings are errors here)
+    g = Generator(kind="tabulated", samples=scale * np.array([0.0, 0.5, 1.0, 0.5, 0.0]),
+                  step=0.5)
+    calls = []
+    monkeypatch.setattr(linalg, "band_min_eig",
+                        recorded(calls, "band_min_eig", linalg.band_min_eig))
+    with pytest.raises(NumericalFailureError,
+                       match=f"^{what} entries overflow the float range$"):
+        stable_sampling_verdict(g, x, TruncationLadder((16, 32)))
+    assert calls == []
+
+
+def test_riesz_gate_runs_before_the_gram_band_is_built(monkeypatch):
+    # the gram-band case above with a tol its shift Gram fails: the gate
+    # decides (exit 2, not the overflow's exit 3) and G is never built
+    g = Generator(kind="tabulated",
+                  samples=math.sqrt(4e307) * np.array([0.0, 0.5, 1.0, 0.5, 0.0]), step=0.5)
+    calls = []
+    monkeypatch.setattr(sampling, "_interior_gram_band",
+                        recorded(calls, "gram", sampling._interior_gram_band))
+    with pytest.raises(GeneratorUnsuitableError, match="Riesz check"):
+        stable_sampling_verdict(g, _clustered_deltas(), TruncationLadder((16, 32)), tol=1e308)
+    assert calls == []
 
 
 def test_sampling_report_json_and_csv():
