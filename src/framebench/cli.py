@@ -30,20 +30,10 @@ import numpy as np
 
 from . import (__version__, equivalence, fields, frames, linalg, localization, rdual,
                sampling)
-from .errors import (
-    BadExponentError,
-    DimensionMismatchError,
-    FramebenchError,
-    InsufficientDataError,
-)
+from .errors import FramebenchError, InputError, InsufficientDataError
 from .ladder import LADDER_DECAY_FACTOR
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-
-
-class InputError(ValueError):
-    """Malformed configuration or unreadable input file."""
 
 
 def _load_json(path: str) -> dict:
@@ -127,7 +117,7 @@ def _section(what: str, entry, parse):
         return parse(entry)
     except KeyError as exc:
         raise InputError(f"bad {what}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, BadExponentError, DimensionMismatchError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"bad {what}: {exc}") from exc
 
 
@@ -298,6 +288,13 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, the seed rule of ``fields``."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framebench",
@@ -307,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", required=True,
                         help="output file (directory for 'fixtures')")
-    parser.add_argument("--seed", type=int, default=None, help="seed recorded "
+    parser.add_argument("--seed", type=_seed, default=None, help="seed recorded "
                         "in the report and used by random generators")
     parser.add_argument("--tol-frame", type=_tolerance, default=frames.TOL_FRAME,
                         help="lower-bound threshold for frame/Riesz verdicts")
@@ -325,11 +322,11 @@ def main(argv=None) -> int:
         _write_files({path: report if isinstance(report, str)
                       else _json_text(dict(report, meta=meta))
                       for path, report in files.items()})
-    except (FramebenchError, ValueError) as exc:
-        # each library error states its exit code; InputError and malformed
-        # values in the config are input errors
-        code = getattr(exc, "exit_code", EXIT_INPUT)
-        label = {EXIT_INPUT: "error", 3: "numerical failure"}.get(code, "precondition failure")
+    except (FramebenchError, ValueError, MemoryError) as exc:
+        # each library error states its exit code; any other ValueError and
+        # a size whose arrays cannot be allocated are input errors
+        code = getattr(exc, "exit_code", InputError.exit_code)
+        label = {2: "error", 3: "numerical failure"}.get(code, "precondition failure")
         print(f"{label}: {exc}", file=sys.stderr)
         return code
     return EXIT_OK

@@ -4,6 +4,10 @@ Every contract violation gets its own class so callers can tell input
 problems, precondition failures and genuine numerical breakdowns apart.  Each
 class states its command-line exit status once, as ``exit_code``: 2 input
 error, 3 numerical failure, 4 precondition failure (the default).
+
+``InputError`` is the one exit-2 class, and the other input errors derive
+from it.  Every input error is a ``ValueError``: the command line maps any
+``ValueError``, a malformed config value included, to exit 2.
 """
 
 
@@ -11,6 +15,12 @@ class FramebenchError(Exception):
     """Base class for all library errors."""
 
     exit_code = 4  # command-line exit status: precondition failure
+
+
+class InputError(FramebenchError, ValueError):
+    """Malformed input: a config, file or argument the computation cannot take."""
+
+    exit_code = 2  # input error
 
 
 class NonSquareError(FramebenchError):
@@ -31,27 +41,21 @@ class NumericalFailureError(FramebenchError):
     exit_code = 3  # numerical failure
 
 
-class DimensionMismatchError(FramebenchError):
+class DimensionMismatchError(InputError):
     """Operands live in incompatible dimensions."""
-
-    exit_code = 2  # input error
 
 
 class NotAFrameError(FramebenchError):
     """Lower frame bound is numerically zero at this truncation."""
 
 
-class LadderTooShortError(FramebenchError):
+class LadderTooShortError(InputError):
     """A truncation ladder needs at least two strictly increasing sizes, each
     large enough for the computation that uses it."""
 
-    exit_code = 2  # input error
 
-
-class BadExponentError(FramebenchError):
+class BadExponentError(InputError):
     """Polynomial-decay exponent outside the admissible range."""
-
-    exit_code = 2  # input error
 
 
 class InsufficientDataError(FramebenchError):

@@ -21,7 +21,8 @@ takes the default written in the record's dataclass, and nowhere else.
 
 The one dtype rule: a real array is float64 and a complex one complex128
 (``require_numbers``), and ``[re, im]`` pairs decode as float64 when every
-imaginary part is exactly 0 (``require_pairs``), so real input stays real.
+imaginary part is exactly 0 (``require_pairs``), so real input stays real;
+``to_pairs`` writes an array back as such pairs.
 """
 
 import math
@@ -106,3 +107,10 @@ def require_pairs(field: str, values) -> np.ndarray:
                          f"got shape {pairs.shape}")
     z = np.ascontiguousarray(pairs, dtype=float).view(np.complex128).reshape(-1)
     return z if z.imag.any() else z.real.copy()
+
+
+def to_pairs(values) -> list:
+    """The entries of ``values`` in row-major order as ``[re, im]`` pairs,
+    the list that ``require_pairs`` reads back."""
+    z = np.asarray(values).reshape(-1)
+    return np.stack([z.real, z.imag], axis=1).tolist()

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields, linalg
-from .errors import (DimensionMismatchError, LadderTooShortError, NotAFrameError,
-                     NumericalFailureError)
+from .errors import DimensionMismatchError, LadderTooShortError, NotAFrameError
 
 #: Lower bounds at or below this are reported as numerically zero.
 TOL_FRAME = 1e-10
@@ -61,12 +60,11 @@ class VectorFamily:
 
     def to_json(self) -> dict:
         """Serialize to the interchange schema (row-major [re, im] pairs)."""
-        flat = self.coeffs.reshape(-1)
         return {
             "label": self.label,
             "ambient_dim": self.ambient_dim,
             "member_count": self.member_count,
-            "coeffs": np.stack([flat.real, flat.imag], axis=1).tolist(),
+            "coeffs": fields.to_pairs(self.coeffs),
         }
 
     @classmethod
@@ -131,17 +129,6 @@ def _check_same_ambient(psi: VectorFamily, phi: VectorFamily):
         )
 
 
-def _finite_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``; one that leaves the float range is a numerical failure."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a @ b
-    if not np.isfinite(out).all():
-        raise NumericalFailureError(
-            "Gram or frame-operator entries of these coefficients overflow "
-            "the float range")
-    return out
-
-
 def cross_gram(psi: VectorFamily, phi: VectorFamily) -> np.ndarray:
     """Cross Gram matrix with entry (k, l) = <phi_l, psi_k>.
 
@@ -149,7 +136,8 @@ def cross_gram(psi: VectorFamily, phi: VectorFamily) -> np.ndarray:
     map of ``phi``; its conjugate transpose is ``cross_gram(phi, psi)``.
     """
     _check_same_ambient(psi, phi)
-    return _finite_product(psi.coeffs.conj().T, phi.coeffs)
+    return linalg._finite("Gram or frame-operator entries of these coefficients",
+                          np.matmul, psi.coeffs.conj().T, phi.coeffs)
 
 
 def gram(psi: VectorFamily) -> np.ndarray:
@@ -179,7 +167,8 @@ def synthesis(psi: VectorFamily, c) -> np.ndarray:
 
 def frame_operator(psi: VectorFamily) -> np.ndarray:
     """Frame operator as an N x N matrix (synthesis composed with analysis)."""
-    return _finite_product(psi.coeffs, psi.coeffs.conj().T)
+    return linalg._finite("Gram or frame-operator entries of these coefficients",
+                          np.matmul, psi.coeffs, psi.coeffs.conj().T)
 
 
 def frame_bounds(psi: VectorFamily) -> FrameBounds:

@@ -64,6 +64,12 @@ def consensus(verdicts) -> str:
     return agreed.pop() if len(agreed) == 1 else VERDICT_BORDERLINE
 
 
+def witness_value(v):
+    """A witness value as reports write it: the string singular for the
+    infinite singular flag of a condition witness, else the float."""
+    return "singular" if math.isinf(v) else float(v)
+
+
 @dataclass(frozen=True)
 class Witness:
     """Per-witness ladder quantities and the trend verdict.
@@ -100,9 +106,6 @@ class Witness:
             "id": self.id,
             "quote": self.statement,
             "proxy_note": self.proxy_note,
-            "quantities": [
-                [int(s), "singular" if math.isinf(v) else float(v)]
-                for s, v in self.quantities
-            ],
+            "quantities": [[int(s), witness_value(v)] for s, v in self.quantities],
             "verdict": self.verdict,
         }

@@ -85,6 +85,25 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _finite(what: str, compute, *args) -> np.ndarray:
+    """``compute(*args)``; a result past the float range is a numerical
+    failure, reported as "``what`` overflow the float range"."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute(*args)
+    if not np.isfinite(out).all():
+        raise NumericalFailureError(f"{what} overflow the float range")
+    return out
+
+
+def _solved(what: str, solve, *args):
+    """``solve(*args)``; a LAPACK failure is a numerical failure whose
+    message starts with ``what``."""
+    try:
+        return solve(*args)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"{what}: {exc}") from exc
+
+
 def _require_square(m: np.ndarray):
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}, square required")
@@ -134,10 +153,7 @@ def hermitian_eig(a) -> SpectralDecomposition:
     bounded by ``TOL_EIG * ||A||_2``.
     """
     m = _require_hermitian(as_matrix(a))
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in LAPACK
-        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
+    w, v = _solved("eigensolver did not converge", np.linalg.eigh, m)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
@@ -146,11 +162,8 @@ def hermitian_eigvals(a) -> np.ndarray:
 
     The input is checked and symmetrized as in ``hermitian_eig``.
     """
-    m = _require_hermitian(as_matrix(a))
-    try:
-        return np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in LAPACK
-        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
+    return _solved("eigensolver did not converge", np.linalg.eigvalsh,
+                   _require_hermitian(as_matrix(a)))
 
 
 def line_norms(a, p) -> np.ndarray:
@@ -215,14 +228,8 @@ def condition_p(a, p) -> float:
     sv = np.linalg.svd(m, compute_uv=False)
     if p == 2:
         return math.inf if is_singular(sv) else float(sv[0] / sv[-1])
-
-    def inverse():
-        try:
-            return np.linalg.inv(m)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"inversion failed: {exc}") from exc
-
-    return condition_1_inf(m, sv, inverse)[0 if p == 1 else 1]
+    pair = condition_1_inf(m, sv, lambda: _solved("inversion failed", np.linalg.inv, m))
+    return pair[0 if p == 1 else 1]
 
 
 def condition_1_inf(m: np.ndarray, singular_values, inverse) -> Tuple[float, float]:

@@ -46,11 +46,11 @@ from .errors import (
     GeneratorUnsuitableError,
     LadderTooShortError,
     NotSeparatedError,
-    NumericalFailureError,
     PerturbationViolationError,
 )
 from .frames import TruncationLadder
-from .ladder import LADDER_DECAY_FACTOR, VERDICT_PASS, Witness, consensus, verdicts_agree
+from .ladder import (LADDER_DECAY_FACTOR, VERDICT_PASS, Witness, consensus, verdicts_agree,
+                     witness_value)
 
 SEP_MIN = 1e-6
 
@@ -159,8 +159,7 @@ class Generator:
         return {
             "kind": "tabulated",
             "grid": {
-                "samples": np.stack([self.samples.real, self.samples.imag],
-                                    axis=1).tolist(),
+                "samples": fields.to_pairs(self.samples),
                 "step": self.step,
                 "decay_s": self.decay_s,
             },
@@ -520,16 +519,6 @@ def _interior_gram_band(g: Generator, pts: np.ndarray, width: int,
     return band
 
 
-def _finite_band(what: str, build, *args) -> np.ndarray:
-    """``build(*args)``; one that leaves the float range is a numerical
-    failure (the rule of ``frames._finite_product``)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        band = build(*args)
-    if not np.isfinite(band).all():
-        raise NumericalFailureError(f"{what} entries overflow the float range")
-    return band
-
-
 @dataclass(frozen=True)
 class SamplingReport:
     """Stable-sampling verdict with per-item ladders.
@@ -572,11 +561,8 @@ class SamplingReport:
         header = "size," + ",".join(f"item_{it.id}" for it in self.items)
         lines = [header]
         for idx, size in enumerate(self.ladder):
-            cells = [str(size)]
-            for it in self.items:
-                v = it.quantities[idx][1]
-                cells.append("singular" if math.isinf(v) else repr(v))
-            lines.append(",".join(cells))
+            lines.append(",".join([str(size), *(str(witness_value(it.quantities[idx][1]))
+                                                for it in self.items)]))
         return "\n".join(lines) + "\n"
 
 
@@ -652,7 +638,7 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
     # size takes their central principal sections.
     interior = largest - 2 * trim
     band_rows = min(2 * width, interior - 1) + 1
-    row = _finite_band("shift Gram", _shift_row, g, band_rows)
+    row = linalg._finite("shift Gram entries", _shift_row, g, band_rows)
     shift_all = np.repeat(row[:, None], interior, axis=1)
     if not linalg.band_definite(shift_all, tol):
         shift_min = linalg.band_min_eig(shift_all)
@@ -660,8 +646,8 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
             f"integer shifts fail the Riesz check: smallest Gram eigenvalue "
             f"{max(shift_min, 0.0):.3e} <= {tol:.0e}"
         )
-    g_all = _finite_band("autocorrelation Gram", _interior_gram_band,
-                         g, pts, width, trim)
+    g_all = linalg._finite("autocorrelation Gram entries", _interior_gram_band,
+                           g, pts, width, trim)
 
     # beta(t - k) is the B-spline on the unit-spaced knots from
     # k - (d + 1) / 2 to k + (d + 1) / 2 (d the degree), so for points

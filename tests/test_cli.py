@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from framebench import cli, equivalence, frames, linalg, localization, sampling
+from framebench import cli, equivalence, errors, frames, linalg, localization, sampling
 from framebench.frames import VectorFamily
 
 
@@ -347,6 +347,13 @@ def explicit_rule(deltas, **bound):
      [], "error: ambient dims differ: 3 vs 4"),
     ("sampling", {**SAMPLING, "ladder": [4, 8]}, [],
      "error: window 4 leaves fewer than 2 interior indices"),
+    # --seed follows the seed rule of the config fields, whatever the family
+    ("battery", BATTERY, ["--seed", "-1"],
+     "argument --seed: must be a non-negative integer, got '-1'"),
+    ("battery", {**BATTERY, "family": {"kind": "perturbed-onb"}}, ["--seed", "-1"],
+     "argument --seed: must be a non-negative integer, got '-1'"),
+    ("battery", BATTERY, ["--seed", "1.5"],
+     "argument --seed: must be a non-negative integer, got '1.5'"),
 ], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative",
         "unknown-profile-kind", "jaffard-s-below-1", "schur-delta-negative",
         "unknown-generator-kind", "unknown-delta-rule", "family-not-object",
@@ -375,7 +382,8 @@ def explicit_rule(deltas, **bound):
         "unknown-fixtures-field", "ladder-flag", "deltas-beside-delta-rule",
         "top-level-bound", "tabulated-without-grid", "samples-flat-reals",
         "weight-scale", "rdual-member-count", "rdual-ambient-dim",
-        "sampling-window-without-interior"])
+        "sampling-window-without-interior", "seed-negative", "seed-negative-perturbed-onb",
+        "seed-float"])
 def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, extra,
                                                   named):
     cfg = tmp_path / "cfg.json"
@@ -385,6 +393,63 @@ def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, ext
     assert res.returncode == 2, res.stderr
     assert named in res.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+#: ``framebench.cli`` with the address space limited to 3 GiB: far above what
+#: any valid config here needs, far below the arrays that the sizes ask for.
+CLI_IN_3_GIB = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30,) * 2); "
+                "from framebench.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("command, config, shape", [
+    ("battery", {**BATTERY, "ladder": [8, 16, 1000000]}, "(1000000, 1000000)"),
+    ("fixtures", {"sizes": [1000000]}, "(1000000, 1000000)"),
+    ("sampling", {**SAMPLING, "delta_rule": SEEDED, "ladder": [16, 32, 10**12]},
+     "(1000000000000,)"),
+], ids=["battery-ladder", "fixture-sizes", "sampling-ladder"])
+def test_oversized_sizes_exit_2_without_output(tmp_path, command, config, shape):
+    # sizes that fit int64 but whose arrays no memory holds: one error line
+    # that keeps numpy's shape, no traceback.  The child runs under an
+    # address-space limit, so the test never depends on the host's memory.
+    pytest.importorskip("resource")
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, config)
+    res = subprocess.run([sys.executable, "-c", CLI_IN_3_GIB, command, "--config", str(cfg),
+                          "--out", str(tmp_path / "x.json")], capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: Unable to allocate ")
+    assert f"shape {shape}" in res.stderr
+    assert res.stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+#: Exit code of every class in ``errors`` by README's exit-code list: 2 input
+#: error, 3 numerical failure, 4 precondition failure (every other class).
+EXIT_CODES = {errors.InputError: 2, errors.DimensionMismatchError: 2,
+              errors.LadderTooShortError: 2, errors.BadExponentError: 2,
+              errors.NumericalFailureError: 3}
+LABELS = {2: "error", 3: "numerical failure", 4: "precondition failure"}
+
+
+@pytest.mark.parametrize("cls", [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)
+], ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_documented_code(tmp_path, monkeypatch, capsys,
+                                                          cls):
+    code = EXIT_CODES.get(cls, 4)
+    assert cls.exit_code == code
+    # an input error is a ValueError, and only an input error is
+    assert issubclass(cls, ValueError) == (code == 2)
+
+    def fail(config, args):
+        raise cls("reason")
+
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {})
+    monkeypatch.setitem(cli._COMMANDS, "analyze", fail)
+    assert cli.main(["analyze", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.json")]) == code
+    assert capsys.readouterr().err == f"{LABELS[code]}: reason\n"
 
 
 @pytest.mark.parametrize("profile", [

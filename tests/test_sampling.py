@@ -7,6 +7,7 @@ dense matrices ``autocorrelation_gram`` and ``shift_gram`` for the banded
 verdict.
 """
 
+from dataclasses import replace
 import json
 import math
 import subprocess
@@ -847,3 +848,15 @@ def test_sampling_report_json_and_csv():
     lines = csv.strip().splitlines()
     assert lines[0] == "size,item_a,item_b,item_c,item_d,item_e"
     assert len(lines) == 3
+    # the singular flag of a condition witness is math.inf; the JSON item and
+    # the same cell of the witness CSV both write it as "singular"
+    c = rep.item("c")
+    flagged = replace(c, quantities=(c.quantities[0], (64, math.inf)))
+    rep = replace(rep, items=tuple(flagged if it is c else it for it in rep.items))
+    assert rep.to_json()["items"][2]["quantities"] == [[32, c.quantities[0][1]],
+                                                      [64, "singular"]]
+    rows = [line.split(",") for line in rep.witness_csv().splitlines()]
+    assert rows[0][3] == "item_c"
+    assert rows[1][3] == repr(c.quantities[0][1])
+    assert rows[2][3] == "singular"
+    assert "singular" not in rows[2][:3] + rows[2][4:]
