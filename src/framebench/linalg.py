@@ -339,26 +339,30 @@ def band_min_eig(a, b=None, upper=None) -> float:
     (up, to the first that fails, if u itself factors); that bracket is
     bisected until its midpoint equals an end, and the smallest sigma found
     at which the factorization fails is returned.  So a hint is only ever a
-    trial point: a wrong one costs factorizations, never the answer.  A
-    non-finite band, B or hint raises ``ValueError``.  The largest
-    eigenvalue is ``-band_min_eig(-a, b)``.
+    trial point: where the factorization's success is monotone in sigma, a
+    wrong one costs factorizations, never the answer; next to a nearly
+    critical pencil rounding decides it over about 1e-12 relative, and the
+    answer moves that much with the bracket.  With B = I a step shifts the
+    diagonal of a copy of A.  A non-finite band, B or hint raises
+    ``ValueError``.  The largest eigenvalue is ``-band_min_eig(-a, b)``.
     """
     a = np.asfortranarray(np.asarray_chkfinite(a))
     upper = math.inf if upper is None else fields.require_finite("upper", upper)
-    if b is None:  # the identity band; off its diagonal A - sigma 0 = A exactly
-        b = np.zeros_like(a)
-        b[0] = 1
-    elif not band_definite(b):
+    if b is not None and not band_definite(b):
         raise NotPositiveDefiniteError("pencil needs a positive definite B")
-    b = np.asfortranarray(b)
-    work = np.empty(a.shape, dtype=np.result_type(a, b, 1.0), order="F")
+    b = None if b is None else np.asfortranarray(b)
+    work = np.empty(a.shape, dtype=np.result_type(a, 1.0 if b is None else b, 1.0), order="F")
     pbtrf = _band_lapack("pbtrf", work)
 
     def definite(sigma):
-        np.subtract(a, np.multiply(sigma, b, out=work), out=work)
+        if b is None:  # A - sigma I differs from A only on its diagonal
+            work[...] = a
+            work[0] -= sigma
+        else:
+            np.subtract(a, np.multiply(sigma, b, out=work), out=work)
         return pbtrf(work, lower=1, overwrite_ab=1)[1] == 0
 
-    top = min(float(np.min(a[0].real / b[0].real)), upper)
+    top = min(float(np.min(a[0].real if b is None else a[0].real / b[0].real)), upper)
     scale = abs(top) or band_norm(a)
     if scale == 0.0:  # A = 0, whose every eigenvalue is 0
         return 0.0

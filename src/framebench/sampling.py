@@ -14,7 +14,13 @@ width support_radius + ceil(C) is trimmed on each side).
 P[l, k] vanishes unless |l - k| <= ceil(support_radius + C), so P^H P and
 the shift Gram are band matrices.  ``stable_sampling_verdict`` builds only
 their bands and takes every witness from the banded Hermitian kernels of
-``linalg``: each bisection step costs n times the squared bandwidth.  The
+``linalg``: each bisection step costs n times the squared bandwidth.  So a
+band is stored only through its last diagonal that holds a nonzero entry
+of G or of the shift Gram, which is often below the bound
+2 ceil(support_radius + C): a B-spline of degree >= 1 vanishes at
+|t| >= support_radius, so no point couples two shifts that far apart (the
+cubic at C = 0.2 has bandwidth 3, not 6), and a tabulated profile may
+vanish well inside its grid.  The
 windows of a ladder nest, so the bands are built once, for the largest
 window, and by Courant-Fischer each bisection after the first size starts
 from its predecessor's result; the Riesz check of the integer shifts is one
@@ -490,14 +496,20 @@ def shift_gram(g: Generator, window: int) -> np.ndarray:
     return np.where(lag >= 0, row[lag], np.conj(row)[-lag])
 
 
+def _band_rows(band: np.ndarray) -> int:
+    """Rows of a band (or lags of a shift row) through its last nonzero one."""
+    return int(np.flatnonzero(band.reshape(len(band), -1).any(axis=1)).max(initial=0)) + 1
+
+
 def _interior_gram_band(g: Generator, pts: np.ndarray, width: int,
                         trim: int) -> np.ndarray:
     """Lower band of the interior of P^H P for the window sampled at ``pts``.
 
     P[l, k] = g(x_l - k) vanishes unless |l - k| <= ``width``, so only the
     n x (2 width + 1) values of P near its diagonal are evaluated, at the
-    same arguments ``sampling_matrix`` uses; the Gram has bandwidth
-    2 width, clamped to the interior size minus one.
+    same arguments ``sampling_matrix`` uses; the band has 2 width + 1 rows,
+    clamped to the interior size, of which the trailing ones may be all
+    zero (the verdict cuts them, see the module docstring).
     """
     n = pts.size
     span = 2 * width + 1
@@ -603,12 +615,13 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
     G = P^H P (a boundary band of width support_radius + ceil(C) trimmed on
     each side) is built in band storage once, for the largest window: each
     smaller window's interior G is, entry for entry, its central principal
-    section, and so is each interior shift Gram of the largest one's.  Per
-    size the witnesses are the smallest eigenvalue of G (item e), its
-    1-norm condition number (item c; G is Hermitian, so item d, the
-    max-norm one, is the same number) and the extremal generalized
-    eigenvalues of the pencil (interior G, interior shift Gram) as direct
-    sampling bounds (item a).  Item (b) carries the consensus verdict,
+    section, and so is each interior shift Gram of the largest one's.  Both
+    are stored through the last nonzero diagonal of either (the pencil needs
+    one bandwidth).  Per size the witnesses are the smallest eigenvalue of
+    G (item e), its 1-norm condition number (item c; G is Hermitian, so
+    item d, the max-norm one, is the same number) and the extremal
+    generalized eigenvalues of the pencil (interior G, interior shift Gram)
+    as direct sampling bounds (item a).  Item (b) carries the consensus verdict,
     annotated duality-derived.
 
     A shift row or G past the float range is a ``NumericalFailureError``.
@@ -634,12 +647,13 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
     largest = ladder.sizes[-1]
     pts = x.points(largest)
     width = math.ceil(g.support_radius + x.bound)
-    # The largest interior G and shift Gram, in band storage; every smaller
-    # size takes their central principal sections.
+    # The largest interior G and shift Gram, in band storage through their
+    # last nonzero diagonal; every smaller size takes their central
+    # principal sections.
     interior = largest - 2 * trim
-    band_rows = min(2 * width, interior - 1) + 1
-    row = linalg._finite("shift Gram entries", _shift_row, g, band_rows)
-    shift_all = np.repeat(row[:, None], interior, axis=1)
+    row = linalg._finite("shift Gram entries", _shift_row, g,
+                         min(2 * width, interior - 1) + 1)
+    shift_all = np.repeat(row[:_band_rows(row), None], interior, axis=1)
     if not linalg.band_definite(shift_all, tol):
         shift_min = linalg.band_min_eig(shift_all)
         raise GeneratorUnsuitableError(
@@ -648,6 +662,10 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
         )
     g_all = linalg._finite("autocorrelation Gram entries", _interior_gram_band,
                            g, pts, width, trim)
+    # the pencil (G, shift Gram) takes the wider of the two bands
+    band_rows = max(len(shift_all), _band_rows(g_all))
+    g_all = g_all[:band_rows]
+    shift_all = np.repeat(row[:band_rows, None], interior, axis=1)
 
     # beta(t - k) is the B-spline on the unit-spaced knots from
     # k - (d + 1) / 2 to k + (d + 1) / 2 (d the degree), so for points

@@ -592,7 +592,9 @@ def test_verdict_budget_no_dense_work(monkeypatch):
 
 def band_work(monkeypatch, g, x, ladder):
     """The verdict, stable and consistent, with the number of ``pbtrf``
-    calls and the ``pbtrs`` right-hand-side shapes it solved for.
+    calls, the ``pbtrs`` right-hand-side shapes it solved for, and the
+    (rows, order) of every band handed to ``pbtrf`` or ``pbtrs``; a
+    ``pbtrs`` band is the factor of the ``pbtrf`` band before it.
 
     Per call it makes 9 bisections, 3 per size: lambda_min(G) and the two
     pencil ends, each warm-started from the previous size.  The largest
@@ -605,25 +607,50 @@ def band_work(monkeypatch, g, x, ladder):
 
     def recorded_band_lapack(name, a):
         fn = band_lapack(name, a)
-        return (recorded(calls, name, fn, lambda ab, rhs, **kw: rhs.shape)
-                if name == "pbtrs" else recorded(calls, name, fn))
+        return (recorded(calls, name, fn, lambda ab, rhs, **kw: (len(ab), rhs.shape))
+                if name == "pbtrs" else recorded(calls, name, fn, lambda ab, **kw: ab.shape))
 
     monkeypatch.setattr(linalg, "_band_lapack", recorded_band_lapack)
     rep = stable_sampling_verdict(g, x, ladder)
     assert rep.stable and rep.consistent
     assert sum(name == "band_min_eig" for name, _ in calls) == 9
+    bands = []
+    for name, amount in calls:
+        if name == "pbtrf":
+            bands.append(amount)
+        elif name == "pbtrs":
+            bands.append((amount[0], bands[-1][1]))
     return (rep, sum(name == "pbtrf" for name, _ in calls),
-            [shape for name, shape in calls if name == "pbtrs"])
+            [amount[1] for name, amount in calls if name == "pbtrs"], bands)
+
+
+def true_band_rows(g, x, ladder, trim):
+    """{interior order: 1 + true bandwidth} per size: the largest |i - j|
+    of a nonzero entry of the dense interior autocorrelation Gram or shift
+    Gram."""
+    out = {}
+    for size in ladder.sizes:
+        inner = slice(trim, size - trim)
+        dense = (autocorrelation_gram(g, x, size), shift_gram(g, size))
+        lags = [np.subtract(*np.nonzero(m[inner, inner])) for m in dense]
+        out[size - 2 * trim] = 1 + int(np.max(np.abs(np.concatenate(lags))))
+    return out
 
 
 def test_verdict_band_work_budget(monkeypatch):
     # a B-spline's G is totally positive, so its inverse norm takes one
     # solve with one right-hand side per size: 878 rows on this ladder.
     # The bisections after the first size start from the previous size's
-    # eigenvalues (421 factorizations)
-    rep, factorizations, solves = band_work(monkeypatch, CUBIC, BUDGET_SET, BUDGET_LADDER)
+    # eigenvalues (421 factorizations).  Every band is stored through its
+    # last nonzero diagonal: P[l, k] = beta(x_l - k) vanishes at |x_l - k| >= 2,
+    # so G and the shift Gram have bandwidth 3, not 2 ceil(2 + 0.2) = 6.
+    rep, factorizations, solves, bands = band_work(monkeypatch, CUBIC, BUDGET_SET,
+                                                   BUDGET_LADDER)
     assert solves == [(size - 2 * rep.trim, 1) for size in BUDGET_LADDER.sizes]
     assert factorizations <= 440
+    rows = true_band_rows(CUBIC, BUDGET_SET, BUDGET_LADDER, rep.trim)
+    assert set(rows.values()) == {4}
+    assert all(band_rows == rows[n] for band_rows, n in bands)
 
 
 def test_verdict_band_work_budget_long_ladder(monkeypatch):
@@ -631,8 +658,8 @@ def test_verdict_band_work_budget_long_ladder(monkeypatch):
     # which solves against the identity would compute; the one solve does
     # not (370 factorizations)
     ladder = TruncationLadder((2048, 4096, 8192))
-    rep, factorizations, solves = band_work(monkeypatch, CUBIC, SamplingSet.constant(0.2),
-                                            ladder)
+    rep, factorizations, solves, _ = band_work(monkeypatch, CUBIC, SamplingSet.constant(0.2),
+                                               ladder)
     assert solves == [(size - 2 * rep.trim, 1) for size in ladder.sizes]
     assert factorizations <= 400
 
@@ -640,16 +667,24 @@ def test_verdict_band_work_budget_long_ladder(monkeypatch):
 def test_verdict_band_work_budget_tabulated_blocks(monkeypatch):
     # a tabulated generator carries no total positivity: its inverse norm
     # solves only the trailing rows of each block of at most
-    # BAND_SOLVE_BLOCK identity columns
+    # BAND_SOLVE_BLOCK identity columns.  Its bands are stored through their
+    # last nonzero diagonal: the hat's grid reaches 2, but its samples vanish
+    # at |t| >= 1, so its bandwidth is 1 (the decay's 19 is clamped to the
+    # 10 interior indices of the smallest size).
     ladder = TruncationLadder((32, 64, 128))
-    rep, _, solves = band_work(monkeypatch, ORACLE_GENERATORS["tabulated-decay"],
-                               BUDGET_SET, ladder)
     block = linalg.BAND_SOLVE_BLOCK
-    assert max(cols for _rows, cols in solves) <= block
-    expected = sum((n - s) * min(block, n - s)
-                   for n in (size - 2 * rep.trim for size in ladder.sizes)
-                   for s in range(0, n, block))
-    assert sum(rows * cols for rows, cols in solves) == expected
+    for name, expected_rows in (("tabulated-decay", {10, 20}), ("tabulated-hat", {2})):
+        g = ORACLE_GENERATORS[name]
+        with monkeypatch.context() as patch:
+            rep, _, solves, bands = band_work(patch, g, BUDGET_SET, ladder)
+        assert max(cols for _rows, cols in solves) <= block
+        expected = sum((n - s) * min(block, n - s)
+                       for n in (size - 2 * rep.trim for size in ladder.sizes)
+                       for s in range(0, n, block))
+        assert sum(rows * cols for rows, cols in solves) == expected
+        rows = true_band_rows(g, BUDGET_SET, ladder, rep.trim)
+        assert set(rows.values()) == expected_rows, name
+        assert all(band_rows == rows[n] for band_rows, n in bands), name
 
 
 def test_near_critical_report_values_are_pinned():
