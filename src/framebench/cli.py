@@ -135,22 +135,10 @@ def _profile(config: dict) -> localization.LocalizationProfile:
                     localization.LocalizationProfile.from_json)
 
 
-def _int_sizes(what: str, sizes) -> list:
-    """``sizes`` itself if it is a list of integers.  Anything else, a string
-    or a list holding a float or a bool included, is an ``InputError`` that
-    names ``what``: no value is rounded or coerced to a size (the rule of
-    ``fields``, which every other numeric config field follows), nor past
-    int64 (``frames.TruncationLadder.require_fit``)."""
-    if not (isinstance(sizes, list) and all(fields.is_integer(s) for s in sizes)):
-        raise InputError(f"bad {what} {sizes!r}: expected a list of integers")
-    frames.TruncationLadder.require_fit(what, sizes)
-    return sizes
-
-
 def _ladder(config: dict) -> frames.TruncationLadder:
     if "ladder" not in config:
         raise InputError("config is missing the 'ladder' entry")
-    return frames.TruncationLadder(tuple(_int_sizes("ladder", config["ladder"])))
+    return frames.TruncationLadder(fields.require_sizes("ladder", config["ladder"]))
 
 
 def cmd_analyze(config, args):
@@ -193,28 +181,24 @@ def cmd_rdual(config, args):
     }}
 
 
-_BATTERY_GENERATORS = ("onb", "counterexample", "perturbed-onb")
+#: The (optional, required) fields of each battery family kind.
+_BATTERY_KINDS = {"onb": ((), ()), "counterexample": ((), ()),
+                  "perturbed-onb": (("epsilon", "seed"), ())}
 
 
 def _battery_generator(entry: dict, seed):
     """The family generator of a battery ``family`` entry, and the seed it
     draws with: the entry's ``seed``, else ``--seed``, else 0 for
     ``perturbed-onb``; ``--seed`` for the kinds that draw nothing."""
-    kind = entry.get("kind", "onb")
-    fields.require_fields(entry, ("kind", "epsilon", "seed") if kind == "perturbed-onb"
-                          else ("kind",))
+    kind = fields.require_tagged(entry, _BATTERY_KINDS, "battery family kind", "onb")
     if kind == "onb":
         return (lambda n: (frames.VectorFamily.onb(n, label="onb"),
                            frames.VectorFamily.onb(n, label="reference-onb"))), seed
     if kind == "counterexample":
         return equivalence.counterexample_family, seed
-    if kind == "perturbed-onb":
-        eps = float(fields.require_finite("epsilon", entry.get("epsilon", 0.3)))
-        s = fields.require_integer("seed", entry.get("seed", seed or 0), minimum=0)
-        return (lambda n: equivalence.perturbed_onb_family(n, epsilon=eps, seed=s)), s
-    raise ValueError(
-        f"unknown battery family kind {kind!r}; pick one of {_BATTERY_GENERATORS}"
-    )
+    eps = float(fields.require_finite("epsilon", entry.get("epsilon", 0.3)))
+    s = fields.require_integer("seed", entry.get("seed", seed or 0), minimum=0)
+    return (lambda n: equivalence.perturbed_onb_family(n, epsilon=eps, seed=s)), s
 
 
 def cmd_battery(config, args):
@@ -240,12 +224,10 @@ def cmd_sampling(config, args):
 
 
 def cmd_fixtures(config, args):
-    sizes = config.get("sizes")
-    if not sizes:
-        raise InputError("fixtures config needs a nonempty 'sizes' list")
-    sizes = _int_sizes("fixture sizes", sizes)
-    if any(s < 1 for s in sizes):
-        raise InputError(f"fixture sizes must be >= 1, got {sizes}")
+    sizes = fields.require_sizes("fixture sizes", config.get("sizes", []))
+    if not sizes or min(sizes) < 1:
+        raise InputError("fixtures config needs a nonempty 'sizes' list of sizes >= 1, "
+                         f"got {list(sizes)}")
     files = {}
     for n in sizes:
         psi, phi = equivalence.counterexample_family(n)

@@ -12,7 +12,10 @@ compute; the CLI adds the config section and exits 2.
 
 A config object holds only the fields that its record defines for its
 kind (``require_fields``): a key outside them, a misspelled one included, is
-a ``ValueError`` that names it, never dropped in favour of a default.
+a ``ValueError`` that names it, never dropped in favour of a default.  A
+tagged section's tag is checked first, against the one table of kinds and
+fields that its record keeps (``require_tagged``, ``require_kind``), and a
+size list holds integers below 2^63, numpy's index bound (``require_sizes``).
 
 The records that own the fields apply the rule in their constructors, and
 store real fields as floats; their ``from_json`` checks the keys and hands
@@ -77,6 +80,37 @@ def require_fields(obj: dict, optional=(), *, required=(), section: str = "") ->
             raise ValueError(f"unknown field {key!r}{where}; expected one of "
                              + ", ".join(map(repr, (*required, *optional))))
     return obj
+
+
+def require_kind(what: str, tag, kinds) -> str:
+    """``tag`` if it is a string naming one of ``kinds``, a record's table of
+    kinds, else a ``ValueError`` that names the tag and lists the kinds."""
+    if not isinstance(tag, str) or tag not in kinds:
+        raise ValueError(f"unknown {what} {tag!r}; expected one of "
+                         + ", ".join(map(repr, kinds)))
+    return tag
+
+
+def require_tagged(obj: dict, kinds: dict, what: str, default: str, key="kind", section=""):
+    """The tag ``obj[key]`` (``default`` when absent) of a config section,
+    checked by ``require_kind`` before ``require_fields`` checks the
+    section's keys against the tag's ``(optional, required)`` fields."""
+    tag = require_kind(what, obj.get(key, default), kinds)
+    optional, required = kinds[tag]
+    require_fields(obj, (key, *optional), required=required, section=section)
+    return tag
+
+
+def require_sizes(field: str, sizes) -> tuple:
+    """``sizes`` as a tuple of Python ints if it is a list, tuple or 1-D array
+    of integers (no bool) below 2^63, else a ``ValueError`` naming the field."""
+    if isinstance(sizes, np.ndarray) and sizes.ndim == 1:
+        sizes = sizes.tolist()
+    if not (isinstance(sizes, (list, tuple)) and all(map(is_integer, sizes))):
+        raise ValueError(f"bad {field} {sizes!r}: expected a list of integers")
+    if any(s >= 2**63 for s in sizes):
+        raise ValueError(f"bad {field} {list(sizes)!r}: every size must be below 2^63")
+    return tuple(map(int, sizes))
 
 
 def _holds_bool(values) -> bool:

@@ -103,23 +103,16 @@ class TruncationLadder:
     sizes: tuple = (16, 32, 64)
 
     def __post_init__(self):
-        sizes = tuple(int(fields.require_integer("sizes", s)) for s in self.sizes)
-        self.require_fit("sizes", sizes)
+        sizes = fields.require_sizes("sizes", self.sizes)
         if len(sizes) < 2:
             raise LadderTooShortError("a ladder needs at least two sizes")
         if any(s < 1 for s in sizes) or any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise LadderTooShortError(f"sizes must be positive and strictly increasing: {sizes}")
+            raise LadderTooShortError(
+                f"a ladder's sizes must be positive and strictly increasing: {list(sizes)}")
         object.__setattr__(self, "sizes", sizes)
 
     def __iter__(self):
         return iter(self.sizes)
-
-    @staticmethod
-    def require_fit(what: str, sizes) -> None:
-        """Every size indexes numpy arrays, so it must fit in int64: a
-        ``ValueError`` naming ``what`` otherwise (ladder and fixture sizes)."""
-        if any(s >= 2**63 for s in sizes):
-            raise ValueError(f"bad {what} {list(sizes)!r}: every size must be below 2^63")
 
 
 def _check_same_ambient(psi: VectorFamily, phi: VectorFamily):

@@ -40,8 +40,8 @@ HEURISTIC_NOTE = (
 )
 
 
-#: The numbers of each weight form.
-_FORM_FIELDS = {"polynomial": ("delta",), "subexponential": ("rate", "power")}
+#: The (optional, required) numbers of each weight form, its growth first.
+_WEIGHT_FORMS = {"polynomial": (("delta",), ()), "subexponential": (("rate", "power"), ())}
 
 
 @dataclass(frozen=True)
@@ -61,21 +61,18 @@ class WeightSpec:
     power: float = 0.5
 
     def __post_init__(self):
+        fields.require_kind("weight form", self.form, _WEIGHT_FORMS)
         for name in ("delta", "rate", "power"):
             object.__setattr__(self, name,
                                float(fields.require_finite(name, getattr(self, name))))
         if self.form == "polynomial":
             if self.delta <= 0:
                 raise BadExponentError(f"polynomial weight needs delta > 0, got {self.delta}")
-        elif self.form == "subexponential":
-            if self.rate < 0:
-                raise ValueError(f"subexponential rate must be >= 0, got {self.rate}")
-            if not 0 < self.power < 1:
-                raise BadExponentError(
-                    f"subexponential power must lie in (0, 1), got {self.power}"
-                )
-        else:
-            raise ValueError(f"unknown weight form {self.form!r}")
+        elif self.rate < 0:
+            raise ValueError(f"subexponential rate must be >= 0, got {self.rate}")
+        elif not 0 < self.power < 1:
+            raise BadExponentError(
+                f"subexponential power must lie in (0, 1), got {self.power}")
 
     def __call__(self, x):
         ax = np.abs(np.asarray(x, dtype=float))
@@ -92,9 +89,13 @@ class WeightSpec:
     def from_json(cls, obj: dict) -> "WeightSpec":
         """The ``weight`` object of a Schur profile: ``form`` and the numbers
         of that form."""
-        # an unknown form has no numbers here, and the constructor rejects it
-        numbers = _FORM_FIELDS.get(obj.get("form", cls.form), ())
-        return cls(**fields.require_fields(obj, ("form", *numbers), section="weight"))
+        fields.require_tagged(fields.require_object("weight", obj), _WEIGHT_FORMS,
+                              "weight form", cls.form, key="form", section="weight")
+        return cls(**obj)
+
+
+#: The (optional, required) fields of each profile kind.
+_PROFILE_KINDS = {"jaffard": (("s",), ()), "schur": (("weight",), ())}
 
 
 @dataclass(frozen=True)
@@ -106,14 +107,12 @@ class LocalizationProfile:
     weight: WeightSpec = WeightSpec()
 
     def __post_init__(self):
-        if self.kind == "jaffard":
+        if fields.require_kind("profile kind", self.kind, _PROFILE_KINDS) == "jaffard":
             object.__setattr__(self, "s", float(fields.require_finite("s", self.s)))
             if self.s <= 1:
                 raise BadExponentError(
                     f"polynomial sup norm needs s > 1 for the 1-D index model, got {self.s}"
                 )
-        elif self.kind != "schur":
-            raise ValueError(f"unknown profile kind {self.kind!r}")
 
     def norm(self, a) -> float:
         if self.kind == "jaffard":
@@ -127,14 +126,11 @@ class LocalizationProfile:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LocalizationProfile":
-        """``{"kind": "jaffard", "s"}`` or ``{"kind": "schur", "weight"}``; the
-        constructor rejects any other kind."""
-        schur = obj.get("kind", cls.kind) == "schur"
-        params = dict(fields.require_fields(obj, ("kind", "weight" if schur else "s")))
-        if "weight" in params:
-            params["weight"] = WeightSpec.from_json(
-                fields.require_object("weight", params["weight"]))
-        return cls(**params)
+        """``{"kind": "jaffard", "s"}`` or ``{"kind": "schur", "weight"}``."""
+        fields.require_tagged(obj, _PROFILE_KINDS, "profile kind", cls.kind)
+        if "weight" in obj:
+            obj = dict(obj, weight=WeightSpec.from_json(obj["weight"]))
+        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -188,7 +184,7 @@ def schur_norm(a, weight: WeightSpec) -> float:
     behind the operator 1-/inf-norms, so with the constant weight 1 this
     equals max(pnorm_operator(a, 1), pnorm_operator(a, inf)) bit for bit.
     """
-    field = _FORM_FIELDS[weight.form][0]
+    field = _WEIGHT_FORMS[weight.form][0][0]
     mw = _weighted_moduli(a, weight, f"{field!r} = {getattr(weight, field):g}")
     return float(max(np.max(linalg.line_norms(mw, 1)),
                      np.max(linalg.line_norms(mw.T, 1))))

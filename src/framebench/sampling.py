@@ -81,6 +81,10 @@ def bspline_eval(degree: int, t):
     return out if out.shape else float(out)
 
 
+#: The (optional, required) fields of each generator kind.
+_KINDS = {"bspline": (("degree",), ()), "tabulated": ((), ("grid",))}
+
+
 @dataclass(frozen=True)
 class Generator:
     """Shift-invariant-space generator: centered B-spline or tabulated.
@@ -98,12 +102,12 @@ class Generator:
     decay_s: float = 2.0
 
     def __post_init__(self):
-        if self.kind == "bspline":
+        if fields.require_kind("generator kind", self.kind, _KINDS) == "bspline":
             if fields.require_integer("degree", self.degree) < 0:
                 raise GeneratorUnsuitableError(f"degree must be >= 0, got {self.degree}")
-        elif self.kind == "tabulated":
+        else:
             if self.samples is None:
-                raise GeneratorUnsuitableError("tabulated generator needs samples")
+                raise ValueError("a tabulated generator needs 'samples'")
             s = np.array(fields.require_numbers("samples", self.samples))
             for name in ("step", "decay_s"):
                 object.__setattr__(self, name,
@@ -123,8 +127,6 @@ class Generator:
             s.flags.writeable = False
             object.__setattr__(self, "samples", s)
             self._check_decay_claim()
-        else:
-            raise GeneratorUnsuitableError(f"unknown generator kind {self.kind!r}")
 
     def _grid(self) -> np.ndarray:
         n = self.samples.size
@@ -176,16 +178,12 @@ class Generator:
         """A B-spline ``{"kind", "degree"}``, or a tabulated generator whose
         ``samples`` (``[re, im]`` pairs), ``step`` and ``decay_s`` sit in a
         ``grid`` object, as ``to_json`` writes them."""
-        kind = obj.get("kind", cls.kind)
-        if kind == "bspline":
-            return cls(**fields.require_fields(obj, ("kind", "degree")))
-        if kind != "tabulated":
-            raise ValueError(f"unknown generator kind {kind!r}")
-        fields.require_fields(obj, ("kind",), required=("grid",))
+        if fields.require_tagged(obj, _KINDS, "generator kind", cls.kind) == "bspline":
+            return cls(**obj)
         params = fields.require_fields(fields.require_object("grid", obj["grid"]),
                                        ("step", "decay_s"), required=("samples",),
                                        section="grid")
-        return cls(**dict(params, kind=kind,
+        return cls(**dict(params, kind="tabulated",
                           samples=fields.require_pairs("samples", params["samples"])))
 
 
@@ -304,6 +302,11 @@ def _seeded_uniform_draw(seed: int, keys: np.ndarray, bound: float) -> np.ndarra
     return -bound + (bound - -bound) * ((out >> 11) * 2.0 ** -53)
 
 
+#: The (optional, required) fields of each delta rule.
+_RULES = {"constant": (("value",), ()), "seeded-uniform": (("seed",), ("bound",)),
+          "explicit": (("bound",), ("deltas",))}
+
+
 @dataclass(frozen=True)
 class SamplingSet:
     """Perturbed integer sampling points x_k = k + delta_k with |delta_k| <= C.
@@ -335,6 +338,7 @@ class SamplingSet:
     explicit: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        fields.require_kind("sampling rule", self.rule, _RULES)
         if self.bound is not None:
             bound = float(fields.require_finite("bound", self.bound))
             if bound < 0.0:
@@ -349,7 +353,7 @@ class SamplingSet:
                 raise ValueError("the seeded-uniform rule needs a bound")
             object.__setattr__(self, "seed",
                                int(fields.require_integer("seed", self.seed, minimum=0)))
-        elif self.rule == "explicit":
+        else:
             d = np.array(fields.require_numbers("deltas", self.explicit), dtype=float)
             if d.ndim != 1:
                 raise ValueError("explicit deltas must be 1-D")
@@ -357,8 +361,6 @@ class SamplingSet:
             object.__setattr__(self, "explicit", d)
             if self.bound is None:
                 object.__setattr__(self, "bound", float(np.max(np.abs(d))) if d.size else 0.0)
-        else:
-            raise PerturbationViolationError(f"unknown sampling rule {self.rule!r}")
 
     @classmethod
     def constant(cls, value: float) -> "SamplingSet":
@@ -417,19 +419,11 @@ class SamplingSet:
         ``kind`` is the ``rule`` field and ``deltas`` the ``explicit`` one.
         An explicit rule leaves ``bound`` out for max |delta|; a ``null``
         bound is a ``ValueError``, as for any rule."""
-        kind = obj.get("kind", cls.rule)
-        if kind == "constant":
-            params = fields.require_fields(obj, ("kind", "value"))
-        elif kind == "seeded-uniform":
-            params = fields.require_fields(obj, ("kind", "seed"), required=("bound",))
-        elif kind == "explicit":
-            params = fields.require_fields(obj, ("kind", "bound"), required=("deltas",))
-        else:
-            raise ValueError(f"unknown sampling rule {kind!r}")
-        if params.get("bound", 0.0) is None:
+        fields.require_tagged(obj, _RULES, "sampling rule", cls.rule)
+        if obj.get("bound", 0.0) is None:
             raise ValueError("'bound' must be a number, got None")
         renamed = {"kind": "rule", "deltas": "explicit"}
-        return cls(**{renamed.get(key, key): value for key, value in params.items()})
+        return cls(**{renamed.get(key, key): value for key, value in obj.items()})
 
 
 def sampling_matrix(g: Generator, x: SamplingSet, window: int) -> np.ndarray:
@@ -641,9 +635,9 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
     for size in ladder:
         if size - 2 * trim < 2:
             raise LadderTooShortError(
-                f"window {size} leaves fewer than 2 interior indices after "
-                f"trimming {trim} per side"
-            )
+                f"window {size} leaves fewer than 2 interior indices after trimming "
+                f"ceil({g.support_radius:g}) + ceil({x.bound:g}) per side: the "
+                "generator's support radius and the delta rule's bound")
     largest = ladder.sizes[-1]
     pts = x.points(largest)
     width = math.ceil(g.support_radius + x.bound)

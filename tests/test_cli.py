@@ -354,6 +354,21 @@ def explicit_rule(deltas, **bound):
      "argument --seed: must be a non-negative integer, got '-1'"),
     ("battery", BATTERY, ["--seed", "1.5"],
      "argument --seed: must be a non-negative integer, got '1.5'"),
+    # a tagged section reads its tag before any other field, so an unknown
+    # kind is named, with the known ones, instead of a field of that kind
+    ("battery", {**BATTERY, "family": {"kind": "random", "epsilon": 0.3}}, [],
+     "bad battery family: unknown battery family kind 'random'; expected one of "
+     "'onb', 'counterexample', 'perturbed-onb'"),
+    ("battery", {**BATTERY, "profile": {"kind": "bogus", "x": 2}}, [],
+     "bad localization profile: unknown profile kind 'bogus'; expected one of "
+     "'jaffard', 'schur'"),
+    ("battery", {**BATTERY, "profile": {"kind": "schur", "weight": {
+        "form": "gaussian", "sigma": 1}}}, [],
+     "bad localization profile: unknown weight form 'gaussian'; expected one of "
+     "'polynomial', 'subexponential'"),
+    ("battery", {**BATTERY, "profile": {"kind": "schur", "weight": {"form": []}}}, [],
+     "bad localization profile: unknown weight form []; expected one of "
+     "'polynomial', 'subexponential'"),
 ], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative",
         "unknown-profile-kind", "jaffard-s-below-1", "schur-delta-negative",
         "unknown-generator-kind", "unknown-delta-rule", "family-not-object",
@@ -383,7 +398,8 @@ def explicit_rule(deltas, **bound):
         "top-level-bound", "tabulated-without-grid", "samples-flat-reals",
         "weight-scale", "rdual-member-count", "rdual-ambient-dim",
         "sampling-window-without-interior", "seed-negative", "seed-negative-perturbed-onb",
-        "seed-float"])
+        "seed-float", "family-kind-random-with-epsilon", "profile-kind-bogus-with-x",
+        "weight-form-gaussian-with-sigma", "weight-form-list"])
 def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, extra,
                                                   named):
     cfg = tmp_path / "cfg.json"

@@ -261,9 +261,10 @@ def test_truncation_ladder_validation():
         TruncationLadder((0, 4))
     assert tuple(TruncationLadder((4, 8))) == (4, 8)
     # sizes are never rounded or coerced: a float, a bool and a string are
-    # each a ValueError naming the field; numpy integers are integers
+    # each a ValueError naming the field, in the one wording of the size
+    # rule that the CLI ladder shares; numpy integers are integers
     for sizes in ((8.7, 16.2), (True, 8), ("8", "16")):
-        with pytest.raises(ValueError, match="'sizes' must be an integer"):
+        with pytest.raises(ValueError, match=r"^bad sizes .*: expected a list of integers$"):
             TruncationLadder(sizes)
     ladder = TruncationLadder(np.array([4, 8]))
     assert ladder.sizes == (4, 8) and all(type(s) is int for s in ladder.sizes)

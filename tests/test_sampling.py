@@ -18,7 +18,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
-from framebench import cli, frames, linalg, sampling
+from framebench import cli, frames, linalg, localization, sampling
 from framebench.errors import (
     GeneratorUnsuitableError,
     LadderTooShortError,
@@ -225,6 +225,8 @@ def test_sampling_set_validation():
         "samples": [[0.5, 0.0]] * 4 + [[True, 0.0]]}}), "'samples' must hold numbers only"),
     (lambda: SamplingSet(rule="seeded-uniform", bound="0.2"), "'bound' must be a number"),
     (lambda: Generator(kind="bspline", degree=2.9), "'degree' must be an integer"),
+    # a missing field is an input error too, as in a config
+    (lambda: Generator(kind="tabulated"), "a tabulated generator needs 'samples'"),
     (lambda: Generator(kind="tabulated", samples=bspline_eval(1, np.arange(-3.0, 4.0)),
                        step=math.nan), "'step' must be finite"),
     (lambda: Generator(kind="tabulated", samples=bspline_eval(1, np.arange(-3.0, 4.0)),
@@ -234,6 +236,24 @@ def test_sampling_dataclasses_reject_bad_numbers(build, message):
     # checked at construction, before any point is drawn or evaluated
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("record, tag_field, from_json_key", [
+    (Generator, "kind", "kind"), (SamplingSet, "rule", "kind"),
+    (localization.LocalizationProfile, "kind", "kind"),
+    (localization.WeightSpec, "form", "form"),
+], ids=["generator", "sampling-set", "profile", "weight"])
+@pytest.mark.parametrize("tag", ["wavelet", "", None, 1, [], {"a": 1}])
+def test_unknown_tag_is_one_input_error(record, tag_field, from_json_key, tag):
+    # the constructor and from_json apply the one kind rule of ``fields``:
+    # a ValueError that names the tag and lists the known kinds
+    with pytest.raises(ValueError) as built:
+        record(**{tag_field: tag})
+    with pytest.raises(ValueError) as parsed:
+        record.from_json({from_json_key: tag})
+    assert type(built.value) is type(parsed.value) is ValueError
+    assert str(built.value) == str(parsed.value)
+    assert f" {tag!r}; expected one of " in str(built.value)
 
 
 def test_seeded_uniform_deltas_nest_across_windows():
