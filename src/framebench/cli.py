@@ -125,6 +125,8 @@ def _load_family(config: dict, key: str) -> frames.VectorFamily:
     if key not in config:
         raise InputError(f"config is missing the {key!r} entry")
     entry = config[key]
+    if entry == "":  # a path that names no file at all
+        raise InputError(f"bad family under {key!r}: no such file: ''")
     if isinstance(entry, str):
         entry = _load_json(entry)
     return _section(f"family under {key!r}", entry, frames.VectorFamily.from_json)

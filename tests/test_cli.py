@@ -369,6 +369,10 @@ def explicit_rule(deltas, **bound):
     ("battery", {**BATTERY, "profile": {"kind": "schur", "weight": {"form": []}}}, [],
      "bad localization profile: unknown weight form []; expected one of "
      "'polynomial', 'subexponential'"),
+    # an empty family path names its section and shows the path
+    ("rdual", {"psi": "", "phi": VectorFamily.onb(3).to_json()}, [],
+     "error: bad family under 'psi': no such file: ''"),
+    ("analyze", {"family": ""}, [], "error: bad family under 'family': no such file: ''"),
 ], ids=["empty-ladder", "unknown-weight-form", "tol-nan", "tol-inf", "tol-negative",
         "unknown-profile-kind", "jaffard-s-below-1", "schur-delta-negative",
         "unknown-generator-kind", "unknown-delta-rule", "family-not-object",
@@ -399,7 +403,8 @@ def explicit_rule(deltas, **bound):
         "weight-scale", "rdual-member-count", "rdual-ambient-dim",
         "sampling-window-without-interior", "seed-negative", "seed-negative-perturbed-onb",
         "seed-float", "family-kind-random-with-epsilon", "profile-kind-bogus-with-x",
-        "weight-form-gaussian-with-sigma", "weight-form-list"])
+        "weight-form-gaussian-with-sigma", "weight-form-list", "rdual-empty-psi-path",
+        "analyze-empty-family-path"])
 def test_bad_battery_input_exits_2_without_output(tmp_path, command, config, extra,
                                                   named):
     cfg = tmp_path / "cfg.json"

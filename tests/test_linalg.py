@@ -1,16 +1,19 @@
 """Kernel tests: eigendecomposition, powers, p-norms, condition, gain probe.
 
 Derived expectations come from independent oracles implemented here:
-characteristic-polynomial bisection, closed-form Toeplitz eigenvalues, and a
-mesh search over the 1-norm sphere.
+characteristic-polynomial bisection, closed-form Toeplitz eigenvalues, a
+mesh search over the 1-norm sphere, and the plain gallop-and-bisect of a
+band pencil's smallest eigenvalue, which ``band_min_eig`` shortens with its
+Rayleigh-quotient jump.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from framebench import linalg
 from framebench.errors import (
@@ -470,19 +473,130 @@ HINTS = {"none": lambda lam: None, "exact": lambda lam: lam,
          "zero": lambda lam: 0.0, "below": lambda lam: lam - 1.0 - abs(lam)}
 
 
+def plain_band_min_eig(a, b=None, upper=None):
+    """The oracle of ``band_min_eig``: the same gallop from the same upper
+    bound, then a plain bisection to adjacent floats, with no jump."""
+    a = np.asfortranarray(a)
+    if b is not None and not linalg.band_definite(b):
+        raise NotPositiveDefiniteError("pencil needs a positive definite B")
+    work = np.empty(a.shape, dtype=np.result_type(a, 1.0 if b is None else b, 1.0), order="F")
+    pbtrf = linalg._band_lapack("pbtrf", work)
+
+    def definite(sigma):
+        if b is None:
+            work[...] = a
+            work[0] -= sigma
+        else:
+            np.subtract(a, np.multiply(sigma, b, out=work), out=work)
+        return pbtrf(work, lower=1, overwrite_ab=1)[1] == 0
+
+    top = min(float(np.min(a[0].real if b is None else a[0].real / b[0].real)),
+              math.inf if upper is None else upper)
+    scale = abs(top) or linalg.band_norm(a)
+    if scale == 0.0:
+        return 0.0
+    below = definite(top)
+    edge = top
+    for step in itertools.chain(linalg.BAND_GALLOP, (4.0 ** k for k in itertools.count(1))):
+        sigma = top + step * scale if below else top - step * scale
+        if definite(sigma) != below:
+            break
+        edge = sigma
+    lo, hi = (edge, sigma) if below else (sigma, edge)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if definite(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def band_calls(monkeypatch, kernel, *args):
+    """``kernel(*args)`` and the ``pbtrf`` and ``pbtrs`` calls it made, in
+    order, as (name, info) pairs."""
+    calls = []
+    band_lapack = linalg._band_lapack
+
+    def recorded(name, a):
+        fn = band_lapack(name, a)
+
+        def call(*call_args, **kwargs):
+            out = fn(*call_args, **kwargs)
+            calls.append((name, out[1]))
+            return out
+        return call
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_band_lapack", recorded)
+        return kernel(*args), calls
+
+
+def factorizations(calls):
+    return sum(name == "pbtrf" for name, _ in calls)
+
+
 @given(band_pencils(), st.sampled_from(list(HINTS)))
-@settings(max_examples=120, deadline=None, derandomize=True)
-def test_band_min_eig_hint_changes_cost_not_answer(pencil, hint):
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_band_min_eig_hint_changes_cost_not_answer(monkeypatch, pencil, hint):
+    # Every trial point, the jump's too, is decided by a factorization, so
+    # the answer is the plain bisection's up to the rounding of nearly
+    # critical shifts, and a Rayleigh quotient that certifies nothing costs
+    # at most its two factorizations.
     a_band, a, b_band, b = pencil
     spectrum = pencil_spectrum(a, b)
     lam = float(spectrum[0])
     scale = np.max(np.abs(spectrum))
-    got = linalg.band_min_eig(a_band, b_band, HINTS[hint](lam))
+    upper = HINTS[hint](lam)
+    got, calls = band_calls(monkeypatch, linalg.band_min_eig, a_band, b_band, upper)
+    expected, plain = band_calls(monkeypatch, plain_band_min_eig, a_band, b_band, upper)
     assert abs(got - lam) <= 1e-13 * scale
+    assert abs(got - expected) <= 1e-13 * scale
+    assert factorizations(calls) <= factorizations(plain) + 2
+    assert sum(name == "pbtrs" for name, _ in calls) in (0, linalg.BAND_JUMP_SOLVES)
     if b_band is None:  # B = I only shifts the diagonal: the identity band's answer
         identity = np.zeros_like(a_band)
         identity[0] = 1.0
-        assert linalg.band_min_eig(a_band, identity, HINTS[hint](lam)) == got
+        assert linalg.band_min_eig(a_band, identity, upper) == got
+
+
+@given(band_pencils())
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_band_min_eig_jump_ends_a_separated_bisection(monkeypatch, pencil):
+    # The pencil is shifted so that lambda_min is its eigenvalue of largest
+    # modulus, 2 (lambda_max - lambda_min) below 0: a factorization's
+    # rounding, which grows with ||A|| + |sigma| ||B||, is then a small part
+    # of |lambda|, and the jump's bracket, BAND_JUMP_WIDTH |rho| wide,
+    # certifies.  Inverse iteration from within BAND_JUMP_AT |lambda| of
+    # lambda converges at once where the next eigenvalue is 1e-3 |lambda|
+    # away or more.  A diagonal pencil is left out: its upper bound
+    # min_j a_jj / b_jj is its eigenvalue, so the gallop brackets it within
+    # 2^-42 |lambda| and no Rayleigh quotient lands inside.
+    a_band, a, b_band, b = pencil
+    spectrum = pencil_spectrum(a, b)
+    shift = 2.0 * spectrum[-1] - spectrum[0]
+    if b_band is None:
+        a_band, a = a_band.copy(), a - shift * np.eye(len(a))
+        a_band[0] -= shift
+    else:
+        a_band, a = a_band - shift * b_band, a - shift * b
+    spectrum = pencil_spectrum(a, b)
+    lam = float(spectrum[0])
+    if len(a_band) == 1 or spectrum[1] - lam < 1e-3 * abs(lam):
+        return
+    got, calls = band_calls(monkeypatch, linalg.band_min_eig, a_band, b_band)
+    expected, plain = band_calls(monkeypatch, plain_band_min_eig, a_band, b_band)
+    assert abs(got - lam) <= 1e-13 * abs(lam)
+    assert abs(got - expected) <= 1e-13 * abs(lam)
+    # up to its jump the bisection makes the oracle's trial points; from
+    # there it takes at most half the oracle's factorizations
+    jump = calls.index(("pbtrs", 0))
+    assert calls[:jump] == plain[:jump]
+    assert calls[jump:jump + linalg.BAND_JUMP_SOLVES] == [("pbtrs", 0)] * linalg.BAND_JUMP_SOLVES
+    assert factorizations(calls[jump:]) <= factorizations(plain[jump:]) / 2
 
 
 def with_zero_diagonals(band, extra):

@@ -364,6 +364,21 @@ def test_shift_gram_matches_scipy_toeplitz_bitwise():
         assert np.array_equal(shift_gram(g, 9), expected)
 
 
+@pytest.mark.parametrize("degree", range(8))
+def test_bspline_shift_row_is_the_degree_2d_plus_1_spline(degree):
+    # the row is built from d + 1 cached nonzero entries padded with zeros;
+    # it must be the closed form's very floats, however long the row, and
+    # a caller's writes must not reach the cache
+    g = Generator(degree=degree)
+    for length in (1, degree + 1, degree + 2, 3 * degree + 7):
+        m = np.arange(length, dtype=float)
+        row = sampling._shift_row(g, length)
+        assert row.tobytes() == np.asarray(bspline_eval(2 * degree + 1, m)).tobytes()
+        row[0] = -1.0
+    assert sampling._shift_row(g, 1)[0] == bspline_eval(2 * degree + 1, 0.0)
+    assert not sampling._bspline_shift_entries(degree).flags.writeable
+
+
 def test_shift_gram_tabulated_cubic_converges_at_second_order():
     # linear interpolation of the cubic B-spline is accurate to O(step^2),
     # and the exact Gram of the interpolant inherits that rate
@@ -611,15 +626,19 @@ def test_verdict_budget_no_dense_work(monkeypatch):
 
 
 def band_work(monkeypatch, g, x, ladder):
-    """The verdict, stable and consistent, with the number of ``pbtrf``
-    calls, the ``pbtrs`` right-hand-side shapes it solved for, and the
-    (rows, order) of every band handed to ``pbtrf`` or ``pbtrs``; a
-    ``pbtrs`` band is the factor of the ``pbtrf`` band before it.
+    """The verdict, stable and consistent, and what its band kernels did:
+    the number of ``pbtrf`` calls, the right-hand-side shapes of
+    ``band_condition``'s ``pbtrs`` solves, the number of bisections that
+    jumped, and the (rows, order) of every band handed to ``pbtrf`` or
+    ``pbtrs``; a ``pbtrs`` band is the factor of the ``pbtrf`` band before
+    it.
 
     Per call it makes 9 bisections, 3 per size: lambda_min(G) and the two
     pencil ends, each warm-started from the previous size.  The largest
     interior shift Gram gates the generator with one factorization, and
-    lambda_max(G) is not needed off the singular threshold."""
+    lambda_max(G) is not needed off the singular threshold.  A bisection
+    jumps at most once, with ``BAND_JUMP_SOLVES`` solves for one vector
+    each."""
     calls = []
     monkeypatch.setattr(linalg, "band_min_eig",
                         recorded(calls, "band_min_eig", linalg.band_min_eig))
@@ -627,21 +646,44 @@ def band_work(monkeypatch, g, x, ladder):
 
     def recorded_band_lapack(name, a):
         fn = band_lapack(name, a)
-        return (recorded(calls, name, fn, lambda ab, rhs, **kw: (len(ab), rhs.shape))
-                if name == "pbtrs" else recorded(calls, name, fn, lambda ab, **kw: ab.shape))
+        if name == "pbtrf":
+            return recorded(calls, name, fn, lambda ab, **kw: ab.shape)
+        frame = sys._getframe(1)  # the kernel that solves: band_min_eig or band_condition
+        while frame.f_code.co_name not in ("band_min_eig", "band_condition"):
+            frame = frame.f_back
+        return recorded(calls, f"pbtrs:{frame.f_code.co_name}", fn,
+                        lambda ab, rhs, **kw: (len(ab), rhs.shape))
 
     monkeypatch.setattr(linalg, "_band_lapack", recorded_band_lapack)
     rep = stable_sampling_verdict(g, x, ladder)
     assert rep.stable and rep.consistent
     assert sum(name == "band_min_eig" for name, _ in calls) == 9
-    bands = []
+    bands, jumps = [], []
     for name, amount in calls:
         if name == "pbtrf":
             bands.append(amount)
-        elif name == "pbtrs":
+        elif name == "band_min_eig":
+            jumps.append([])
+        else:
             bands.append((amount[0], bands[-1][1]))
+            if name == "pbtrs:band_min_eig":
+                jumps[-1].append(amount[1])
+                assert amount[1] == (bands[-1][1],)
+    assert all(len(solves) in (0, linalg.BAND_JUMP_SOLVES) for solves in jumps)
     return (rep, sum(name == "pbtrf" for name, _ in calls),
-            [amount[1] for name, amount in calls if name == "pbtrs"], bands)
+            [amount[1] for name, amount in calls if name == "pbtrs:band_condition"],
+            sum(map(bool, jumps)), bands)
+
+
+def plain_factorizations(monkeypatch, g, x, ladder):
+    """``pbtrf`` calls of the same verdict with the jump switched off:
+    with ``BAND_JUMP_AT`` = 0 no bracket is narrow enough, so every
+    bisection runs plain to adjacent floats."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "BAND_JUMP_AT", 0.0)
+        _, factorizations, _, jumps, _ = band_work(patch, g, x, ladder)
+    assert jumps == 0
+    return factorizations
 
 
 def true_band_rows(g, x, ladder, trim):
@@ -661,13 +703,19 @@ def test_verdict_band_work_budget(monkeypatch):
     # a B-spline's G is totally positive, so its inverse norm takes one
     # solve with one right-hand side per size: 878 rows on this ladder.
     # The bisections after the first size start from the previous size's
-    # eigenvalues (421 factorizations).  Every band is stored through its
-    # last nonzero diagonal: P[l, k] = beta(x_l - k) vanishes at |x_l - k| >= 2,
-    # so G and the shift Gram have bandwidth 3, not 2 ceil(2 + 0.2) = 6.
-    rep, factorizations, solves, bands = band_work(monkeypatch, CUBIC, BUDGET_SET,
-                                                   BUDGET_LADDER)
+    # eigenvalues, and each ends with a Rayleigh-quotient jump: no jump costs
+    # more than its two trial points, and where the bottom of the spectrum
+    # is separated, as here, the jumps cut the plain bisections'
+    # factorizations by 40% and more (421 -> 241).  Every band is stored
+    # through its last nonzero diagonal: P[l, k] = beta(x_l - k) vanishes at
+    # |x_l - k| >= 2, so G and the shift Gram have bandwidth 3, not
+    # 2 ceil(2 + 0.2) = 6.
+    rep, factorizations, solves, jumps, bands = band_work(monkeypatch, CUBIC, BUDGET_SET,
+                                                          BUDGET_LADDER)
     assert solves == [(size - 2 * rep.trim, 1) for size in BUDGET_LADDER.sizes]
-    assert factorizations <= 440
+    plain = plain_factorizations(monkeypatch, CUBIC, BUDGET_SET, BUDGET_LADDER)
+    assert jumps == 9
+    assert factorizations <= 0.6 * plain
     rows = true_band_rows(CUBIC, BUDGET_SET, BUDGET_LADDER, rep.trim)
     assert set(rows.values()) == {4}
     assert all(band_rows == rows[n] for band_rows, n in bands)
@@ -676,11 +724,15 @@ def test_verdict_band_work_budget(monkeypatch):
 def test_verdict_band_work_budget_long_ladder(monkeypatch):
     # well conditioned on a long ladder, G^-1 decays into subnormal numbers,
     # which solves against the identity would compute; the one solve does
-    # not (370 factorizations)
+    # not.  A constant shift makes G Toeplitz, whose lowest eigenvalues
+    # crowd together as n grows, so inverse iteration barely turns its
+    # vector and most jumps certify nothing: each costs at most its two
+    # trial points (369 factorizations, 370 plain)
     ladder = TruncationLadder((2048, 4096, 8192))
-    rep, factorizations, solves, _ = band_work(monkeypatch, CUBIC, SamplingSet.constant(0.2),
-                                               ladder)
+    x = SamplingSet.constant(0.2)
+    rep, factorizations, solves, jumps, _ = band_work(monkeypatch, CUBIC, x, ladder)
     assert solves == [(size - 2 * rep.trim, 1) for size in ladder.sizes]
+    assert factorizations <= plain_factorizations(monkeypatch, CUBIC, x, ladder) + 2 * jumps
     assert factorizations <= 400
 
 
@@ -696,7 +748,7 @@ def test_verdict_band_work_budget_tabulated_blocks(monkeypatch):
     for name, expected_rows in (("tabulated-decay", {10, 20}), ("tabulated-hat", {2})):
         g = ORACLE_GENERATORS[name]
         with monkeypatch.context() as patch:
-            rep, _, solves, bands = band_work(patch, g, BUDGET_SET, ladder)
+            rep, _, solves, _, bands = band_work(patch, g, BUDGET_SET, ladder)
         assert max(cols for _rows, cols in solves) <= block
         expected = sum((n - s) * min(block, n - s)
                        for n in (size - 2 * rep.trim for size in ladder.sizes)
