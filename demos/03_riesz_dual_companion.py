@@ -58,7 +58,9 @@ def companion_pair(size):
     return rdual(psi_c, phi_c), phi_c
 
 
-loc = fb.mutual_localization(companion_pair, profile, ladder)
+loc = fb.localization.decay_report(
+    profile, ladder.sizes,
+    [profile.norm(fb.cross_gram(*companion_pair(size))) for size in ladder])
 print("companion vs reference:", loc.verdict)
 print("profile norms         :",
       ", ".join(f"{s}:{v:.4f}" for s, v in loc.ladder_norms))

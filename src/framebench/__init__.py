@@ -5,13 +5,14 @@ Submodules
 linalg
     Dense kernels (dtype rule of ``fields``): Hermitian eigendecomposition
     and its fractional powers, row p-norms (``line_norms``) and the operator
-    p-norms built on them, condition numbers, gain probes, band kernels.
+    p-norms built on them, the 1-/max-norm condition pair from a given
+    inverse, gain probes, band kernels.
 frames
-    Vector families against an ambient ONB, Gram matrices, frame/Riesz
-    bounds, canonical duals, frame-operator powers.
+    Vector families against an ambient ONB, Gram matrices, the frame
+    operator, frame/Riesz bounds.
 localization
-    Off-diagonal decay norms (polynomial sup norm, weighted Schur norm) and
-    ladder-based localization evidence.
+    Off-diagonal decay norms (polynomial sup norm, weighted Schur norm),
+    decay-exponent fits and the ladder verdict on per-size norms.
 rdual
     Riesz-dual sequences and the frame-vs-Riesz duality verdict.
 ladder
@@ -22,7 +23,7 @@ equivalence
     harmonic-decay counterexample fixture.
 sampling
     Shift-invariant spaces: B-spline and tabulated generators, perturbed
-    integer sampling sets, autocorrelation Grams and stable-sampling verdicts.
+    integer sampling sets and stable-sampling verdicts from banded Grams.
 fields
     The one rule for numeric config fields, dataclass numbers and dtypes.
 cli
@@ -43,40 +44,27 @@ from .frames import (
     FrameBounds,
     TruncationLadder,
     VectorFamily,
-    analysis,
-    canonical_dual,
     cross_gram,
     frame_bounds,
     frame_operator,
     gram,
-    power_transform,
     riesz_bounds,
-    synthesis,
 )
 from .ladder import Witness
-from .linalg import (
-    SpectralDecomposition,
-    condition_p,
-    hermitian_eig,
-    pnorm_operator,
-)
+from .linalg import SpectralDecomposition, hermitian_eig, pnorm_operator
 from .localization import (
     DecayReport,
     LocalizationProfile,
     WeightSpec,
     fit_decay_exponent,
     jaffard_norm,
-    mutual_localization,
     schur_norm,
 )
 from .sampling import (
     Generator,
     SamplingReport,
     SamplingSet,
-    autocorrelation_gram,
     bspline_eval,
     generator_eval,
-    sampling_matrix,
-    shift_gram,
     stable_sampling_verdict,
 )

@@ -170,17 +170,20 @@ def cmd_analyze(config, args):
     }}
 
 
+def _companion(omega: frames.VectorFamily) -> dict:
+    """The report entries of a Riesz-dual companion: the family and the
+    diagonal of its Gram."""
+    return {"omega": omega.to_json(),
+            "omega_gram_diagonal": [float(v) for v in
+                                    np.real(np.diag(frames.gram(omega)))]}
+
+
 def cmd_rdual(config, args):
     psi = _load_family(config, "psi")
     phi = _load_family(config, "phi")
     omega = rdual.rdual(psi, phi, tol=args.tol_frame)
     duality = rdual.duality_verdict(psi, omega, args.tol_frame)
-    return {args.out: {
-        "omega": omega.to_json(),
-        "omega_gram_diagonal": [float(v) for v in
-                                np.real(np.diag(frames.gram(omega)))],
-        "duality": duality.to_json(),
-    }}
+    return {args.out: dict(_companion(omega), duality=duality.to_json())}
 
 
 #: The (optional, required) fields of each battery family kind.
@@ -233,14 +236,11 @@ def cmd_fixtures(config, args):
     files = {}
     for n in sizes:
         psi, phi = equivalence.counterexample_family(n)
-        omega = rdual.rdual(psi, phi, tol=args.tol_frame)
         files[Path(args.out) / f"counterexample_N{n}.json"] = {
             "size": n,
             "psi": psi.to_json(),
             "reference": phi.to_json(),
-            "omega": omega.to_json(),
-            "omega_gram_diagonal": [float(v) for v in
-                                    np.real(np.diag(frames.gram(omega)))],
+            **_companion(rdual.rdual(psi, phi, tol=args.tol_frame)),
             "expected": equivalence.counterexample_expected(n),
         }
     return files

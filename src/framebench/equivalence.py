@@ -50,7 +50,7 @@ B^H B (values only).
 
 from dataclasses import dataclass
 import math
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -204,33 +204,21 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
 
 
 # ---------------------------------------------------------------------------
-# Counterexample fixture: harmonically shrinking members over a Riesz basis.
+# Counterexample fixture: harmonically shrinking members over the ONB.
 # At truncation N the lower frame bound is exactly 1/N^2 and the companion
 # Gram is diag(1/k^2), so every uniformity proxy fails along a ladder while
 # each fixed size still looks invertible pointwise.
 # ---------------------------------------------------------------------------
 
-def counterexample_family(size: int,
-                          reference: Optional[VectorFamily] = None
-                          ) -> Tuple[VectorFamily, VectorFamily]:
-    """The harmonic-decay fixture: psi_k = (1/k) * (dual reference)_k.
-
-    With the default orthonormal reference this is psi_k = (1/k) e_k; the
-    dual companion comes out as (1/k) times the orthonormalized reference
-    and its Gram is diag(1/k^2).
+def counterexample_family(size: int) -> Tuple[VectorFamily, VectorFamily]:
+    """The harmonic-decay fixture over the orthonormal reference:
+    psi_k = (1/k) e_k.  The dual companion comes out as (1/k) e_k too, and
+    its Gram is diag(1/k^2).
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    if reference is None:
-        phi = VectorFamily.onb(size, label="reference-onb")
-        dual = phi
-    else:
-        if reference.ambient_dim != size or reference.member_count != size:
-            raise ValueError("reference family must be square of the given size")
-        phi = reference
-        dual = frames.canonical_dual(phi)
-    weights = 1.0 / np.arange(1, size + 1)
-    psi = VectorFamily(dual.coeffs * weights, label="harmonic-decay")
+    phi = VectorFamily.onb(size, label="reference-onb")
+    psi = VectorFamily(phi.coeffs / np.arange(1, size + 1), label="harmonic-decay")
     return psi, phi
 
 

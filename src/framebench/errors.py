@@ -45,10 +45,6 @@ class DimensionMismatchError(InputError):
     """Operands live in incompatible dimensions."""
 
 
-class NotAFrameError(FramebenchError):
-    """Lower frame bound is numerically zero at this truncation."""
-
-
 class LadderTooShortError(InputError):
     """A truncation ladder needs at least two strictly increasing sizes, each
     large enough for the computation that uses it."""

@@ -12,6 +12,11 @@ pointwise-limit completion that the infinite-dimensional theory needs has no
 finite-dimensional counterpart and is deliberately not modelled).  Whether a
 family "is" a frame or a Riesz sequence is always a verdict *at this
 truncation*: a lower bound above ``TOL_FRAME``.
+
+This module forms the Gram matrices and the frame operator and takes their
+extremal eigenvalues.  No command needs a dual or a frame-operator power as
+a family: the battery (``equivalence``) and the companion (``rdual``) apply
+them in closed form, from one eigendecomposition of the reference Gram.
 """
 
 from dataclasses import dataclass
@@ -19,15 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields, linalg
-from .errors import DimensionMismatchError, LadderTooShortError, NotAFrameError
+from .errors import DimensionMismatchError, LadderTooShortError
 
 #: Lower bounds at or below this are reported as numerically zero.
 TOL_FRAME = 1e-10
-
-
-def inner(f, g) -> complex:
-    """Inner product, linear in the first argument: sum_i f_i conj(g_i)."""
-    return complex(np.vdot(np.asarray(g), np.asarray(f)))
 
 
 @dataclass(frozen=True)
@@ -138,26 +138,6 @@ def gram(psi: VectorFamily) -> np.ndarray:
     return cross_gram(psi, psi)
 
 
-def analysis(psi: VectorFamily, f) -> np.ndarray:
-    """Analysis coefficients (<f, psi_k>)_k of a vector f."""
-    v = np.asarray(f)
-    if v.shape != (psi.ambient_dim,):
-        raise DimensionMismatchError(
-            f"vector has shape {v.shape}, expected ({psi.ambient_dim},)"
-        )
-    return psi.coeffs.conj().T @ v
-
-
-def synthesis(psi: VectorFamily, c) -> np.ndarray:
-    """Synthesis sum_k c_k psi_k of a coefficient vector c."""
-    v = np.asarray(c)
-    if v.shape != (psi.member_count,):
-        raise DimensionMismatchError(
-            f"coefficients have shape {v.shape}, expected ({psi.member_count},)"
-        )
-    return psi.coeffs @ v
-
-
 def frame_operator(psi: VectorFamily) -> np.ndarray:
     """Frame operator as an N x N matrix (synthesis composed with analysis)."""
     return linalg._finite("Gram or frame-operator entries of these coefficients",
@@ -174,28 +154,3 @@ def riesz_bounds(psi: VectorFamily) -> FrameBounds:
     """Extremal eigenvalues of the Gram matrix (Riesz-sequence verdict)."""
     w = linalg.hermitian_eigvals(gram(psi))
     return FrameBounds(lower=max(float(w[0]), 0.0), upper=max(float(w[-1]), 0.0))
-
-
-def canonical_dual(psi: VectorFamily, tol: float = TOL_FRAME) -> VectorFamily:
-    """Canonical dual family: columns are S^-1 applied to the members.
-
-    Raises ``NotAFrameError`` when the lower frame bound is numerically zero
-    at this truncation.
-    """
-    dual = power_transform(psi, -1.0, tol=tol).coeffs
-    return VectorFamily(dual, label=f"dual({psi.label})" if psi.label else "dual")
-
-
-def power_transform(phi: VectorFamily, alpha: float,
-                    tol: float = TOL_FRAME) -> VectorFamily:
-    """Apply a fractional power of the frame operator to every member.
-
-    alpha = -1/2 orthonormalizes a Riesz basis; alpha = -1 gives the
-    canonical dual.
-    """
-    dec = linalg.hermitian_eig(frame_operator(phi))
-    lower = float(dec.eigenvalues[0])
-    if lower <= tol:
-        raise NotAFrameError(f"lower frame bound {max(lower, 0.0):.3e} <= {tol:.0e}")
-    lab = f"S^{alpha:g}({phi.label})" if phi.label else f"S^{alpha:g}"
-    return VectorFamily(dec.power(alpha) @ phi.coeffs, label=lab)

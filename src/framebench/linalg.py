@@ -28,12 +28,12 @@ right-hand side, n rows; any other band solves only the trailing rows of
 each block of identity columns, which Hermitian symmetry makes enough
 (about n^2 / 2 right-hand-side rows, not n^2).
 
-One LAPACK for dense work: every dense factorization (eigensolves, SVD,
-inverse) goes through ``numpy.linalg``.  numpy and scipy each bundle their
-own OpenBLAS build, and switching from one to the other between calls is
-slow: on a 256 x 256 complex matrix, a numpy ``eigh`` followed by a numpy
-SVD takes about 55 ms, but 145 ms when the SVD is scipy's ``svdvals``
-(2-core Xeon VM).
+One LAPACK for dense work: the one dense factorization, the Hermitian
+eigensolve, goes through ``numpy.linalg``; no kernel makes an SVD or an LU.
+numpy and scipy each bundle their own OpenBLAS build, and switching from
+one to the other between calls is slow: on a 256 x 256 complex matrix, a
+numpy ``eigh`` followed by a numpy SVD takes about 55 ms, but 145 ms when
+the SVD is scipy's ``svdvals`` (2-core Xeon VM).
 
 The band kernels take their routines from ``_band_lapack``, which on first
 use loads the extension ``scipy.linalg._flapack`` by itself, without running
@@ -108,14 +108,11 @@ def _solved(what: str, solve, *args):
         raise NumericalFailureError(f"{what}: {exc}") from exc
 
 
-def _require_square(m: np.ndarray):
+def _require_hermitian(m: np.ndarray) -> np.ndarray:
+    """Check squareness and asymmetry against TOL_HERM and return the
+    symmetrized matrix."""
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}, square required")
-
-
-def _require_hermitian(m: np.ndarray) -> np.ndarray:
-    """Check asymmetry against TOL_HERM and return the symmetrized matrix."""
-    _require_square(m)
     diff = m - m.conj().T
     asym = np.max(np.abs(diff)) if m.size else 0.0
     if asym > TOL_HERM:
@@ -220,31 +217,14 @@ def is_singular(singular_values) -> bool:
     return bool(sv.min() <= TOL_SING * sv.max())
 
 
-def condition_p(a, p) -> float:
-    """Condition number ||A||_p * ||A^-1||_p, or ``math.inf`` as singular flag.
-
-    A is flagged singular when sigma_min <= TOL_SING * sigma_max, i.e. the
-    threshold scales with the spectral norm.
-    """
-    _check_norm_index(p)
-    m = as_matrix(a)
-    _require_square(m)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if p == 2:
-        return math.inf if is_singular(sv) else float(sv[0] / sv[-1])
-    pair = condition_1_inf(m, sv, lambda: _solved("inversion failed", np.linalg.inv, m))
-    return pair[0 if p == 1 else 1]
-
-
 def condition_1_inf(m: np.ndarray, singular_values, inverse) -> Tuple[float, float]:
     """||A||_1 ||A^-1||_1 and ||A||_inf ||A^-1||_inf, or ``(inf, inf)``.
 
-    ``m`` is square and finite, unchecked here: ``condition_p`` validates
-    it, and the battery built it.  ``singular_values`` give the singular flag
-    (see ``is_singular``); on it both numbers are ``math.inf``.  Off it,
-    ``inverse()`` returns A^-1 (validated) and is called only then, so a
-    caller may pass an LU inverse (``condition_p``) or one built in closed
-    form (the battery builds it from an eigendecomposition).
+    ``m`` is square and finite, unchecked here: the battery built it.
+    ``singular_values`` give the singular flag (see ``is_singular``); on it
+    both numbers are ``math.inf``.  Off it, ``inverse()`` returns A^-1
+    (validated) and is called only then: the battery builds it in closed
+    form, from an eigendecomposition, never by an LU.
     """
     if is_singular(singular_values):
         return math.inf, math.inf

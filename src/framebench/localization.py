@@ -7,20 +7,20 @@ solid: shrinking entries in modulus can only shrink the norm.
 
 Membership of an infinite matrix in a decay algebra is undecidable from
 finitely many truncations.  The ladder verdicts below are therefore explicit
-heuristics: a family generator rebuilds the families at every ladder size,
-the profile norm is recorded per size, and the trend decides between
-``localized``, ``growth-detected`` and ``inconclusive``.  Every report labels
-the verdict as heuristic evidence.
+heuristics: ``decay_report`` takes the profile norm of the matrix rebuilt at
+every ladder size (the battery's reference check records that of the
+reference Gram), and the trend decides between ``localized``,
+``growth-detected`` and ``inconclusive``.  Every report labels the verdict
+as heuristic evidence.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from . import fields, frames, linalg
+from . import fields, linalg
 from .errors import BadExponentError, InsufficientDataError
-from .frames import TruncationLadder, VectorFamily
 
 #: Ladder norms whose max/min ratio stays below 1 + TOL_GROWTH count as flat.
 TOL_GROWTH = 0.05
@@ -218,23 +218,6 @@ def decay_report(profile: LocalizationProfile, sizes, norms) -> DecayReport:
         fitted_exponent=_fit_ladder_exponent(sizes, norms),
         verdict=_ladder_verdict(norms),
     )
-
-
-FamilyPairGen = Callable[[int], Tuple[VectorFamily, VectorFamily]]
-
-
-def mutual_localization(family_gen: FamilyPairGen, profile: LocalizationProfile,
-                        ladder: TruncationLadder) -> DecayReport:
-    """Profile norm of the cross Gram of ``family_gen(size)`` along a ladder.
-
-    The callback rebuilds both families at every size so the ladder probes a
-    consistent definition instead of re-truncating one fixed matrix.
-    """
-    norms = []
-    for size in ladder:
-        psi, phi = family_gen(size)
-        norms.append(profile.norm(frames.cross_gram(psi, phi)))
-    return decay_report(profile, ladder.sizes, norms)
 
 
 def fit_decay_exponent(a) -> float:

@@ -29,13 +29,11 @@ about 223 factorizations, not 400.  The Riesz check of the integer shifts
 is one factorization.  The exact inverse norm costs one banded
 factorization plus, for a B-spline (whose Gram is totally positive, so its
 inverse has checkerboard signs), one solve of n rows, and for a tabulated
-generator solves of about n^2 / 2 right-hand-side rows.
-``sampling_matrix``, ``autocorrelation_gram`` and ``shift_gram`` are the
-dense constructions of the same matrices, kept for demonstrations and as
-the test oracle; they are numpy only.  The verdict is the one path that
-loads anything of scipy: on their first call the band kernels load its
-compiled LAPACK module, ``scipy.linalg._flapack``, without the
-``scipy.linalg`` package (see ``linalg``).
+generator solves of about n^2 / 2 right-hand-side rows.  No dense n x n
+matrix is formed.  The verdict is the one path that loads anything of
+scipy: on their first call the band kernels load its compiled LAPACK
+module, ``scipy.linalg._flapack``, without the ``scipy.linalg`` package
+(see ``linalg``).
 
 Seeded-uniform deltas follow numpy's stream: delta_k is the first
 ``default_rng((seed, k mod 2^32)).uniform(-bound, bound)`` draw.  The whole
@@ -52,6 +50,7 @@ import numpy as np
 
 from . import fields, frames, linalg
 from .errors import (
+    BadExponentError,
     GeneratorUnsuitableError,
     LadderTooShortError,
     NotSeparatedError,
@@ -95,7 +94,10 @@ class Generator:
     Tabulated generators carry samples on a uniform grid centered at 0 with
     step ``step`` and a claimed polynomial decay exponent ``decay_s`` > 1.
     The claim is validated at construction: the decay constant is fitted on
-    the inner half of the grid and tested on the outer half.
+    the inner half of the grid and tested on the outer half.  A degree
+    below 0, a step <= 0 and a ``decay_s`` <= 1 (a ``BadExponentError``)
+    are input errors; fewer than 5 samples, or samples that break the
+    claim, make a ``GeneratorUnsuitableError``.
     """
 
     kind: str = "bspline"
@@ -106,8 +108,7 @@ class Generator:
 
     def __post_init__(self):
         if fields.require_kind("generator kind", self.kind, _KINDS) == "bspline":
-            if fields.require_integer("degree", self.degree) < 0:
-                raise GeneratorUnsuitableError(f"degree must be >= 0, got {self.degree}")
+            fields.require_integer("degree", self.degree, minimum=0)
         else:
             if self.samples is None:
                 raise ValueError("a tabulated generator needs 'samples'")
@@ -117,16 +118,15 @@ class Generator:
                                    float(fields.require_finite(name, getattr(self, name))))
             if s.ndim != 1:
                 raise ValueError("tabulated samples must be 1-D")
+            if self.step <= 0:
+                raise ValueError(f"'step' must be > 0, got {self.step}")
+            if self.decay_s <= 1:
+                raise BadExponentError(
+                    f"tabulated decay needs 'decay_s' > 1, got {self.decay_s}")
             if s.size < 5:
                 raise GeneratorUnsuitableError("need a 1-D grid of >= 5 samples")
-            if self.step <= 0:
-                raise GeneratorUnsuitableError(f"step must be > 0, got {self.step}")
             if not math.isfinite((s.size - 1) * self.step):
                 raise ValueError(f"'step' = {self.step:g} puts the grid past the float range")
-            if self.decay_s <= 1:
-                raise GeneratorUnsuitableError(
-                    f"decay exponent must exceed 1, got {self.decay_s}"
-                )
             s.flags.writeable = False
             object.__setattr__(self, "samples", s)
             self._check_decay_claim()
@@ -429,31 +429,6 @@ class SamplingSet:
         return cls(**{renamed.get(key, key): value for key, value in obj.items()})
 
 
-def sampling_matrix(g: Generator, x: SamplingSet, window: int) -> np.ndarray:
-    """Point-evaluation matrix P[l, k] = g(x_l - k) over the centered window.
-
-    Row l is the analysis pattern of the point-evaluation functional at x_l
-    against the integer shifts: applied to shift coefficients it returns the
-    sample value at x_l.
-    """
-    pts = x.points(window)
-    ints = x.window(window)
-    return generator_eval(g, np.subtract.outer(pts, ints))
-
-
-def autocorrelation_gram(g: Generator, x: SamplingSet, window: int) -> np.ndarray:
-    """Normal matrix P^H P of the sampling matrix (Hermitian PSD).
-
-    Entry (k, n) sums g(x_l - k) conj(g(x_l - n)) over the window; this is
-    the Gram of the dual-companion family of the sampling functionals, built
-    here directly (the summation order is whatever the matrix product uses,
-    and callers comparing against P^H P reproduce it exactly by computing
-    the same product).
-    """
-    p = sampling_matrix(g, x, window)
-    return p.conj().T @ p
-
-
 @functools.lru_cache(maxsize=None)
 def _bspline_shift_entries(degree: int) -> np.ndarray:
     """The nonzero entries m = 0 .. degree of a degree-``degree`` B-spline's
@@ -490,21 +465,6 @@ def _shift_row(g: Generator, length: int) -> np.ndarray:
     return row
 
 
-def shift_gram(g: Generator, window: int) -> np.ndarray:
-    """Gram matrix of the integer shifts of the generator over the window.
-
-    Entry (k, l) is the L2 inner product of the shifts by l and by k, a
-    Hermitian Toeplitz matrix.  B-splines use the exact closed form;
-    tabulated generators are integrated exactly, cell by cell between the
-    merged breakpoints of the two linear interpolants.
-    """
-    row = _shift_row(g, window)
-    # row[m] integrates g(t) conj(g(t - m)); entry (k, l) is row[k - l] on and
-    # below the diagonal and conj(row)[l - k] above it.
-    lag = np.subtract.outer(np.arange(window), np.arange(window))
-    return np.where(lag >= 0, row[lag], np.conj(row)[-lag])
-
-
 def _band_rows(band: np.ndarray) -> int:
     """Rows of a band (or lags of a shift row) through its last nonzero one."""
     return int(np.flatnonzero(band.reshape(len(band), -1).any(axis=1)).max(initial=0)) + 1
@@ -515,8 +475,8 @@ def _interior_gram_band(g: Generator, pts: np.ndarray, width: int,
     """Lower band of the interior of P^H P for the window sampled at ``pts``.
 
     P[l, k] = g(x_l - k) vanishes unless |l - k| <= ``width``, so only the
-    n x (2 width + 1) values of P near its diagonal are evaluated, at the
-    same arguments ``sampling_matrix`` uses; the band has 2 width + 1 rows,
+    n x (2 width + 1) values of P near its diagonal are evaluated, each at
+    its argument x_l - k; the band has 2 width + 1 rows,
     clamped to the interior size, of which the trailing ones may be all
     zero (the verdict cuts them, see the module docstring).
     """

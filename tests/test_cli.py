@@ -1,13 +1,17 @@
 """CLI contract tests: configs in, reports out, exit codes, determinism."""
 
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import framebench
 from framebench import cli, equivalence, errors, frames, linalg, localization, sampling
 from framebench.frames import VectorFamily
 
@@ -259,6 +263,13 @@ def explicit_rule(deltas, **bound):
     # numbers are never rounded or parsed from strings
     ("sampling", {**SAMPLING, "generator": {"kind": "bspline", "degree": 2.9}}, [],
      "bad generator config: 'degree' must be an integer, got 2.9"),
+    # a generator number out of its range names the field too
+    ("sampling", {**SAMPLING, "generator": {"kind": "bspline", "degree": -1}}, [],
+     "bad generator config: 'degree' must be >= 0, got -1"),
+    ("sampling", {**SAMPLING, "generator": hat_table(step=0.0)}, [],
+     "bad generator config: 'step' must be > 0, got 0.0"),
+    ("sampling", {**SAMPLING, "generator": hat_table(decay_s=1.0)}, [],
+     "bad generator config: tabulated decay needs 'decay_s' > 1, got 1.0"),
     ("sampling", {**SAMPLING, "delta_rule": {**SEEDED, "seed": 1.7}}, [],
      "bad delta rule: 'seed' must be an integer, got 1.7"),
     ("sampling", {**SAMPLING, "delta_rule": {**SEEDED, "seed": True}}, [],
@@ -387,7 +398,8 @@ def explicit_rule(deltas, **bound):
         "tabulated-step-nan", "jaffard-s-nan", "jaffard-s-inf", "schur-delta-inf",
         "schur-rate-nan", "tabulated-step-overflow", "tabulated-decay-overflow",
         "jaffard-weight-overflow", "schur-delta-overflow", "schur-rate-overflow",
-        "degree-float", "delta-seed-float", "delta-seed-bool",
+        "degree-float", "degree-negative", "tabulated-step-zero", "tabulated-decay-1",
+        "delta-seed-float", "delta-seed-bool",
         "delta-seed-negative", "perturbed-onb-seed-float", "bound-string",
         "value-string", "epsilon-string", "samples-nan", "samples-strings",
         "deltas-strings", "deltas-mixed-bool", "samples-mixed-bool",
@@ -747,3 +759,54 @@ def test_fixtures_match_in_process_construction_bitwise(tmp_path):
     assert bundle["omega"] == omega.to_json()
     diag = [float(v) for v in np.real(np.diag(frames.gram(omega)))]
     assert bundle["omega_gram_diagonal"] == diag
+
+
+# --------------------------------------------------------------------------
+# reach: every public library function serves a command
+# --------------------------------------------------------------------------
+
+#: One small config for each command, battery family kind, generator kind and
+#: delta rule that draws.
+REACH = [
+    ("analyze", {"family": LONG_RANGE,
+                 "profile": {"kind": "schur", "weight": {"delta": 1.0}}}),
+    ("rdual", {"psi": VectorFamily(np.eye(4) + 0.1 * np.eye(4, k=1)).to_json(),
+               "phi": VectorFamily.onb(4).to_json()}),
+    ("battery", BATTERY),
+    ("battery", {**BATTERY, "family": {"kind": "counterexample"}}),
+    ("battery", {**BATTERY, "family": {"kind": "perturbed-onb", "seed": 1}}),
+    ("sampling", {**SAMPLING, "delta_rule": SEEDED}),
+    ("sampling", {**SAMPLING, "generator": HAT_TABLE,
+                  "delta_rule": explicit_rule((0.2 * np.sin(np.arange(64))).tolist())}),
+    ("fixtures", {"sizes": [4, 8]}),
+]
+
+
+def test_every_public_library_function_serves_a_command(tmp_path):
+    # module-level functions only; methods (a record's from_json, say) and
+    # private helpers are not probed
+    public = {}
+    for info in pkgutil.iter_modules(framebench.__path__):
+        module = importlib.import_module(f"framebench.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isfunction(obj) and not name.startswith("_")
+                    and obj.__module__ == module.__name__):
+                public[obj.__code__] = f"{info.name}.{name}"
+    entered = set()
+
+    def probe(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    for i, (command, config) in enumerate(REACH):
+        cfg = tmp_path / f"cfg{i}.json"
+        write_json(cfg, config)
+        sys.setprofile(probe)
+        try:
+            code = cli.main([command, "--config", str(cfg),
+                             "--out", str(tmp_path / f"out{i}.json")])
+        finally:
+            sys.setprofile(None)
+        assert code == 0, (command, config)
+    missed = sorted(name for c, name in public.items() if c not in entered)
+    assert not missed, f"no command enters {missed}"

@@ -63,7 +63,6 @@ KERNELS = {
     "hermitian_eigvals": (linalg.hermitian_eigvals, _A),
     "pnorm_operator": (lambda a: [linalg.pnorm_operator(a, p)
                                   for p in linalg.NORM_INDICES], _A),
-    "condition_p": (lambda a: [linalg.condition_p(a, p) for p in linalg.NORM_INDICES], _A),
     "band_min_eig": (lambda ab: [linalg.band_min_eig(ab), -linalg.band_min_eig(-ab)], _AB),
     "band_condition-block": (lambda ab: [linalg.band_condition(ab)], _TP),
     "band_condition-checkerboard": (

@@ -15,9 +15,9 @@ from framebench.localization import (
     WeightSpec,
     fit_decay_exponent,
     jaffard_norm,
-    mutual_localization,
     schur_norm,
 )
+from oracles import mutual_localization, shift_gram
 
 UNIT_WEIGHT = WeightSpec(form="subexponential", rate=0.0)
 
@@ -237,7 +237,7 @@ def test_constructors_store_real_fields_as_floats():
 
 
 # --------------------------------------------------------------------------
-# mutual localization ladders
+# cross-Gram localization ladders (the oracle loop over decay_report)
 # --------------------------------------------------------------------------
 
 PROFILE = LocalizationProfile(kind="jaffard", s=2.0)
@@ -300,7 +300,7 @@ def test_fit_identity_insufficient():
 
 
 def test_fit_cubic_bspline_shift_gram():
-    g = sampling.shift_gram(sampling.Generator(kind="bspline", degree=3), 64)
+    g = shift_gram(sampling.Generator(kind="bspline", degree=3), 64)
     fitted = fit_decay_exponent(g)
     assert fitted >= 3.0
     assert fitted <= localization.MAX_DECAY_EXPONENT

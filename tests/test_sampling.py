@@ -3,8 +3,8 @@
 Oracles: repeated box convolution on a fine grid, stencil self-convolution,
 exact piecewise-polynomial shift inner products, the Fourier-symbol minimum
 on a dense frequency grid, the frame-coordinate Riesz-dual route, and the
-dense matrices ``autocorrelation_gram`` and ``shift_gram`` for the banded
-verdict.
+dense matrices of ``oracles`` (sampling matrix, autocorrelation Gram, shift
+Gram, condition numbers) for the banded verdict.
 """
 
 from dataclasses import replace
@@ -32,13 +32,11 @@ from framebench.rdual import rdual
 from framebench.sampling import (
     Generator,
     SamplingSet,
-    autocorrelation_gram,
     bspline_eval,
     generator_eval,
-    sampling_matrix,
-    shift_gram,
     stable_sampling_verdict,
 )
+from oracles import autocorrelation_gram, condition_p, sampling_matrix, shift_gram
 
 CUBIC = Generator(kind="bspline", degree=3)
 BOX = Generator(kind="bspline", degree=0)
@@ -128,7 +126,7 @@ def test_tabulated_samples_shape():
 
 
 # --------------------------------------------------------------------------
-# sampling matrix
+# the dense sampling-matrix oracle
 # --------------------------------------------------------------------------
 
 def test_sampling_matrix_box_identity():
@@ -268,7 +266,7 @@ def test_seeded_uniform_deltas_nest_across_windows():
 
 
 # --------------------------------------------------------------------------
-# autocorrelation Gram
+# the dense autocorrelation-Gram oracle
 # --------------------------------------------------------------------------
 
 def test_autocorrelation_box_identity():
@@ -316,7 +314,7 @@ def test_autocorrelation_matches_frame_coordinate_route():
 
 
 # --------------------------------------------------------------------------
-# shift Gram
+# the dense shift-Gram oracle
 # --------------------------------------------------------------------------
 
 def test_shift_gram_box_identity():
@@ -505,7 +503,7 @@ def test_verdict_items_cde_match_plain_path(x):
         # the complex128 dense oracle this gate was set against: at n = 128,
         # c = 0.5 (lambda_min ~ 1e-4) the real eigh rounds item e 1.2e-12 away
         gi = autocorrelation_gram(CUBIC, x, size)[interior, interior].astype(np.complex128)
-        expected = [linalg.condition_p(gi, 1), linalg.condition_p(gi, math.inf),
+        expected = [condition_p(gi, 1), condition_p(gi, math.inf),
                     max(float(linalg.hermitian_eig(gi).eigenvalues[0]), 0.0)]
         got = [rep.item(k).quantities[idx][1] for k in "cde"]
         assert np.allclose(got, expected, rtol=1e-12, atol=0.0), size
@@ -521,7 +519,7 @@ def dense_witnesses(g, x, ladder, trim):
         lam = linalg.hermitian_eig(gi).eigenvalues
         gen = sla.eigh(gi, shift, eigvals_only=True)
         out.append((max(float(gen[0]), 0.0), float(gen[-1]),
-                    linalg.condition_p(gi, 1), linalg.condition_p(gi, math.inf),
+                    condition_p(gi, 1), condition_p(gi, math.inf),
                     max(float(lam[0]), 0.0)))
     return out
 
