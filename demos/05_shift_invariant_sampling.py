@@ -49,7 +49,7 @@ print("== random jitter up to 0.2 keeps the cubic stable ==")
 jitter = fb.SamplingSet.seeded_uniform(0.2, seed=4)
 rep_j = fb.stable_sampling_verdict(cubic, jitter, ladder)
 print(f"stable: {rep_j.stable}   lambda_min at last window: "
-      f"{rep_j.item('e').final():.5f}")
+      f"{rep_j.item('e').quantities[-1][1]:.5f}")
 
 print()
 print("== the box generator: one sample per cell, Gram exactly identity ==")

@@ -67,7 +67,7 @@ class NotSeparatedError(FramebenchError):
 
 
 class GeneratorUnsuitableError(FramebenchError):
-    """Generator fails the decay or stable-shifts requirements."""
+    """Generator breaks its decay claim, or its symbol minimum is not certified above tol."""
 
 
 class PreconditionEvidenceError(FramebenchError):

@@ -55,9 +55,6 @@ class VectorFamily:
     def member_count(self) -> int:
         return self.coeffs.shape[1]
 
-    def member(self, k: int) -> np.ndarray:
-        return self.coeffs[:, k]
-
     def to_json(self) -> dict:
         """Serialize to the interchange schema (row-major [re, im] pairs)."""
         return {

@@ -98,9 +98,6 @@ class Witness:
             kind=kind,
         )
 
-    def final(self) -> float:
-        return self.quantities[-1][1]
-
     def to_json(self) -> dict:
         return {
             "id": self.id,

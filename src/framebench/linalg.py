@@ -331,11 +331,10 @@ def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def band_definite(a, shift: float = 0.0) -> bool:
-    """True when every eigenvalue of the Hermitian band A exceeds ``shift``:
-    one factorization of A - shift I.  A non-finite band is a ValueError."""
+def band_definite(a) -> bool:
+    """True when the Hermitian band A is positive definite: one
+    factorization.  A non-finite band is a ValueError."""
     work = np.array(np.asarray_chkfinite(a), dtype=np.result_type(a, 1.0), order="F")
-    work[0] -= shift
     return _band_lapack("pbtrf", work)(work, lower=1, overwrite_ab=1)[1] == 0
 
 

@@ -25,8 +25,8 @@ windows of a ladder nest, so the bands are built once, for the largest
 window, and by Courant-Fischer each bisection after the first size starts
 from its predecessor's result; each ends with a Rayleigh-quotient jump, so
 a benchmark verdict (cubic, |delta| <= 0.2, ladder 128, 256, 512) makes
-about 223 factorizations, not 400.  The Riesz check of the integer shifts
-is one factorization.  The exact inverse norm costs one banded
+about 222 factorizations, not 400; the Riesz check of the integer shifts,
+on their symbol, makes none.  The exact inverse norm costs one banded
 factorization plus, for a B-spline (whose Gram is totally positive, so its
 inverse has checkerboard signs), one solve of n rows, and for a tabulated
 generator solves of about n^2 / 2 right-hand-side rows.  No dense n x n
@@ -465,6 +465,32 @@ def _shift_row(g: Generator, length: int) -> np.ndarray:
     return row
 
 
+def _symbol_min(g: Generator, row, tol: float, largest: int) -> Tuple[float, float]:
+    """Bounds lo <= min A <= hi on the symbol A(xi) = sum_m a_m
+    e^(2 pi i m xi) of the shift row a, the integer shifts' lower Riesz bound
+    (Christensen, Frames and Riesz Bases, 2016).  A B-spline's, at xi = 1/2,
+    is t_d, the coefficient of x^(2d+1) in tan x: tan' = 1 + tan^2 gives
+    t_0 = 1 and (2n+1) t_n = sum_(j<n) t_j t_(n-1-j), positive terms that
+    fall with n.  Otherwise hi is A's minimum on the grid j / M, within
+    1 / (2M) of the minimizer, where A' = 0, so lo = hi - pi^2 sum_m m^2
+    |a_m| / M^2 up to rounding; M, a power of two >= 8 lags, doubles while
+    (lo, hi) straddles ``tol`` and M <= ``largest``, the largest window."""
+    if g.kind == "bspline":
+        t = np.ones(1)
+        while t.size <= g.degree and t[-1] > 0.0:
+            t = np.append(t, t @ t[::-1] / (2 * t.size + 1))
+        return float(t[-1]), float(t[-1])
+    lag = np.arange(row.size)
+    m = 1 << (8 * row.size - 1).bit_length()
+    while True:
+        phase = np.exp(2j * math.pi / m * np.arange(m))[np.outer(np.arange(m), lag) % m]
+        hi = float(2.0 * np.min((phase @ row).real) - row[0].real)
+        lo = hi - math.pi ** 2 * np.sum(lag ** 2 * np.abs(row)) / m ** 2
+        if lo > tol or hi <= tol or 2 * m > largest:
+            return lo, hi
+        m *= 2
+
+
 def _band_rows(band: np.ndarray) -> int:
     """Rows of a band (or lags of a shift row) through its last nonzero one."""
     return int(np.flatnonzero(band.reshape(len(band), -1).any(axis=1)).max(initial=0)) + 1
@@ -594,12 +620,11 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
     annotated duality-derived.
 
     A shift row or G past the float range is a ``NumericalFailureError``.
-    The largest interior shift Gram gates the generator, before any band of
-    G is built, with one factorization of A - tol I: by Cauchy interlacing,
-    if it factors, every size's smallest shift-Gram eigenvalue exceeds
-    ``tol``; if not, the integer shifts are no Riesz basis
-    (``GeneratorUnsuitableError``; only its message bisects the
-    eigenvalue).  By
+    Before any band is built, the minimum of the shift row's symbol (the
+    shifts' lower Riesz bound, at or below every shift-Gram section's
+    lambda_min) gates the generator: unless it is certified above ``tol``
+    the shifts are no Riesz basis (``GeneratorUnsuitableError``).  A
+    B-spline's is decided by its degree, before its shift row is built.  By
     Courant-Fischer, lambda_min of G and of the pencil only fall along the
     ladder and lambda_max of the pencil only rises, so each size's three
     bisections take the previous size's results as ``upper`` hints.
@@ -616,25 +641,22 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
     largest = ladder.sizes[-1]
     pts = x.points(largest)
     width = math.ceil(g.support_radius + x.bound)
-    # The largest interior G and shift Gram, in band storage through their
-    # last nonzero diagonal; every smaller size takes their central
-    # principal sections.
-    interior = largest - 2 * trim
-    row = linalg._finite("shift Gram entries", _shift_row, g,
-                         min(2 * width, interior - 1) + 1)
-    shift_all = np.repeat(row[:_band_rows(row), None], interior, axis=1)
-    if not linalg.band_definite(shift_all, tol):
-        shift_min = linalg.band_min_eig(shift_all)
+    shift_row = functools.partial(linalg._finite, "shift Gram entries", _shift_row, g,
+                                  2 * width + 1)
+    row = None if g.kind == "bspline" else shift_row()
+    lo, hi = linalg._finite("shift Gram symbol bounds", _symbol_min, g, row, tol, largest)
+    if lo <= tol:
+        found = f"{hi:.3e} <=" if lo == hi else f"in [{lo:.3e}, {hi:.3e}], not certified above"
         raise GeneratorUnsuitableError(
-            f"integer shifts fail the Riesz check: smallest Gram eigenvalue "
-            f"{max(shift_min, 0.0):.3e} <= {tol:.0e}"
-        )
+            f"integer shifts fail the Riesz check: symbol minimum {found} {tol:g}")
+    row = shift_row() if row is None else row
+    # The largest interior G and shift Gram, banded through the last nonzero
+    # diagonal of either; every smaller size takes their central sections.
     g_all = linalg._finite("autocorrelation Gram entries", _interior_gram_band,
                            g, pts, width, trim)
-    # the pencil (G, shift Gram) takes the wider of the two bands
-    band_rows = max(len(shift_all), _band_rows(g_all))
+    band_rows = max(_band_rows(row[:len(g_all)]), _band_rows(g_all))
     g_all = g_all[:band_rows]
-    shift_all = np.repeat(row[:band_rows, None], interior, axis=1)
+    shift_all = np.repeat(row[:band_rows, None], largest - 2 * trim, axis=1)
 
     # beta(t - k) is the B-spline on the unit-spaced knots from
     # k - (d + 1) / 2 to k + (d + 1) / 2 (d the degree), so for points

@@ -130,7 +130,7 @@ def test_criterion_5_bspline_sampling_unperturbed():
     rep = stable_sampling_verdict(Generator(kind="bspline", degree=3),
                                   SamplingSet.constant(0.0),
                                   TruncationLadder((64, 128, 256)))
-    lam_final = rep.item("e").final()
+    lam_final = rep.item("e").quantities[-1][1]
     assert abs(lam_final - 1.0 / 9.0) <= 0.02 / 9.0
     assert rep.stable
     assert {rep.item(k).verdict for k in "cde"} == {"pass"}

@@ -631,8 +631,8 @@ def test_sampling_cli_rejects_bad_generator(tmp_path):
 
 
 def test_sampling_cli_zero_generator_fails_riesz_check(tmp_path, capsys):
-    # integer shifts of the zero function span nothing: the verdict's shift
-    # Gram gate exits 4 before any autocorrelation band is built
+    # integer shifts of the zero function span nothing: the verdict's gate,
+    # whose symbol minimum is 0, exits 4 before any autocorrelation band is built
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {**SAMPLING, "generator": {
         "kind": "tabulated",

@@ -33,7 +33,7 @@ def naive_cross_gram(psi, phi):
     g = np.empty((psi.member_count, phi.member_count), dtype=complex)
     for k in range(psi.member_count):
         for l in range(phi.member_count):
-            g[k, l] = inner(phi.member(l), psi.member(k))
+            g[k, l] = inner(phi.coeffs[:, l], psi.coeffs[:, k])
     return g
 
 
@@ -102,8 +102,8 @@ def test_frame_operator_is_synthesis_after_analysis_columnwise():
     s = frames.frame_operator(psi)
     for j in range(5):
         # analysis: the coefficients <e_j, psi_k>; synthesis: their sum over psi_k
-        coeffs = [inner(np.eye(5)[j], psi.member(k)) for k in range(5)]
-        col = sum(c * psi.member(k) for k, c in enumerate(coeffs))
+        coeffs = [inner(np.eye(5)[j], psi.coeffs[:, k]) for k in range(5)]
+        col = sum(c * psi.coeffs[:, k] for k, c in enumerate(coeffs))
         assert np.allclose(s[:, j], col, atol=1e-13)
 
 

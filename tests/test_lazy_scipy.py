@@ -1,8 +1,9 @@
 """Of scipy, only the compiled LAPACK module ``scipy.linalg._flapack`` is
 loaded, by the band kernels, so no command pays for the ``scipy.linalg``
-package and only the sampling command loads anything of scipy; nor does a
-tabulated sampling run load ``numpy.ma``.  Each check runs in a fresh
-interpreter."""
+package and only the sampling command loads anything of scipy; no command
+loads ``numpy.fft`` (the Riesz gate bounds the generator's symbol without
+it), nor does a tabulated sampling run load ``numpy.ma``.  Each check runs
+in a fresh interpreter."""
 
 import json
 import subprocess
@@ -52,14 +53,16 @@ def test_cli_command_loads_scipy_linalg_only_for_sampling(tmp_path, command,
     cfg = write_json(tmp_path / "cfg.json", command_config(command, tmp_path))
     out = fresh_python(
         "import sys; from framebench import cli; code = cli.main(sys.argv[1:]); "
-        "print(code, sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))",
+        "print(code, sorted(k for k in sys.modules "
+        "if k.split('.')[0] == 'scipy' or k == 'numpy.fft'))",
         command, "--config", cfg, "--out", str(tmp_path / "out"))
     assert out == f"0 {['scipy.linalg._flapack'] if loads_scipy else []}"
 
 
 def test_tabulated_sampling_loads_no_numpy_ma(tmp_path):
     # the tabulated shift Gram merges its breakpoints without numpy.unique,
-    # which imports numpy.ma on first use
+    # which imports numpy.ma on first use, and its symbol is bounded on a
+    # grid without numpy.fft
     cfg = write_json(tmp_path / "cfg.json", {
         **command_config("sampling", tmp_path),
         "generator": {"kind": "tabulated", "grid": {
@@ -67,9 +70,10 @@ def test_tabulated_sampling_loads_no_numpy_ma(tmp_path):
             "step": 0.5, "decay_s": 2.0}}})
     out = fresh_python(
         "import sys; from framebench import cli; code = cli.main(sys.argv[1:]); "
-        "print(code, 'numpy.ma' in sys.modules)",
+        "print(code, [k for k in ('numpy.ma', 'numpy.fft', 'scipy.special') "
+        "if k in sys.modules])",
         "sampling", "--config", cfg, "--out", str(tmp_path / "out"))
-    assert out == "0 False"
+    assert out == "0 []"
 
 
 @pytest.mark.parametrize("first", ["band-kernel", "scipy.linalg"])

@@ -436,9 +436,10 @@ def test_band_min_eig_rejects_non_finite_input(bad):
 
 @pytest.mark.parametrize("shift, definite", [(-1e-12, True), (0.0, False), (1e-12, False)])
 def test_band_definite_is_one_cholesky_of_the_shifted_band(shift, definite):
-    # diag(0, 1, 2) plus a zero off-diagonal: lambda_min = 0 exactly
+    # diag(0, 1, 2) - shift I plus a zero off-diagonal: lambda_min = -shift
     ab = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
-    assert linalg.band_definite(ab, shift) is definite
+    ab[0] -= shift
+    assert linalg.band_definite(ab) is definite
 
 
 @st.composite
@@ -624,7 +625,10 @@ def test_zero_diagonals_change_no_band_result(pencil, extra):
         assert (linalg.band_min_eig(wide_a, wide_b, upper)
                 == linalg.band_min_eig(a_band, b_band, upper)), kind
         if upper is not None:
-            assert linalg.band_definite(wide_a, upper) is linalg.band_definite(a_band, upper)
+            shifted = [band.copy() for band in (wide_a, a_band)]
+            for band in shifted:
+                band[0] -= upper
+            assert linalg.band_definite(shifted[0]) is linalg.band_definite(shifted[1])
     # a strictly diagonally dominant band is positive definite
     definite = a_band.copy()
     definite[0] += linalg.band_norm(a_band) + 1.0

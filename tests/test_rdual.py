@@ -42,7 +42,7 @@ def naive_rdual(psi, phi):
     out = np.zeros((n, phi.member_count), dtype=complex)
     for k in range(phi.member_count):
         for l in range(psi.member_count):
-            out[:, k] += inner(psi.member(l), phi.member(k)) * gamma.member(l)
+            out[:, k] += inner(psi.coeffs[:, l], phi.coeffs[:, k]) * gamma.coeffs[:, l]
     return out
 
 

@@ -8,14 +8,17 @@ Gram, condition numbers) for the banded verdict.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.special import zeta
 from hypothesis import given, settings, strategies as st
 
 from framebench import cli, frames, linalg, localization, sampling
@@ -632,11 +635,10 @@ def band_work(monkeypatch, g, x, ladder):
     it.
 
     Per call it makes 9 bisections, 3 per size: lambda_min(G) and the two
-    pencil ends, each warm-started from the previous size.  The largest
-    interior shift Gram gates the generator with one factorization, and
-    lambda_max(G) is not needed off the singular threshold.  A bisection
-    jumps at most once, with ``BAND_JUMP_SOLVES`` solves for one vector
-    each."""
+    pencil ends, each warm-started from the previous size.  The gate on the
+    generator's symbol makes none, and lambda_max(G) is not needed off the
+    singular threshold.  A bisection jumps at most once, with
+    ``BAND_JUMP_SOLVES`` solves for one vector each."""
     calls = []
     monkeypatch.setattr(linalg, "band_min_eig",
                         recorded(calls, "band_min_eig", linalg.band_min_eig))
@@ -888,16 +890,117 @@ def test_verdict_trim_guard():
 
 
 def test_generator_suitability_gate():
-    # the cubic's shift Gram has lambda_min about 0.054 (symbol minimum):
-    # above the default tol, below tol = 1
+    # the cubic's symbol minimum is 17/315 = 0.05397: above the default tol,
+    # below tol = 1
     ladder = TruncationLadder((32, 64))
     with pytest.raises(GeneratorUnsuitableError) as failure:
         stable_sampling_verdict(CUBIC, SamplingSet.constant(0.0), ladder, tol=1.0)
-    # the gate is one factorization; the eigenvalue is bisected for the message
-    assert str(failure.value) == ("integer shifts fail the Riesz check: smallest Gram "
-                                  "eigenvalue 5.435e-02 <= 1e+00")
+    assert str(failure.value) == ("integer shifts fail the Riesz check: symbol minimum "
+                                  "5.397e-02 <= 1")
     rep = stable_sampling_verdict(CUBIC, SamplingSet.constant(0.0), ladder)
     assert rep.generator_continuous is True
+
+
+def tan_coefficients(count):
+    """t_0 .. t_(count - 1) of tan x = sum_n t_n x^(2n+1), in exact
+    fractions, from tan' = 1 + tan^2."""
+    t = [Fraction(1)]
+    for n in range(1, count):
+        t.append(sum(t[j] * t[n - 1 - j] for j in range(n)) / (2 * n + 1))
+    return t
+
+
+@pytest.mark.parametrize("degree", range(11))
+def test_bspline_symbol_minimum_is_a_tan_coefficient(degree):
+    lo, hi = sampling._symbol_min(Generator(degree=degree), None, frames.TOL_FRAME, 0)
+    exact = tan_coefficients(degree + 1)[degree]
+    assert lo == hi
+    assert abs(Fraction(lo) - exact) <= Fraction(1e-15) * exact
+    # the closed form at xi = 1/2, and the shift row's symbol there, whose
+    # alternating sum cancels (6e-13 relative at degree 10)
+    n = 2 * degree + 2
+    assert lo == pytest.approx(2 * (2 / math.pi) ** n * (1 - 2.0 ** -n) * zeta(n), rel=1e-14)
+    row = sampling._shift_row(Generator(degree=degree), degree + 1)
+    alternating = row[0] + 2 * np.sum((-1.0) ** np.arange(1, degree + 1) * row[1:])
+    assert lo == pytest.approx(alternating, rel=1e-11)
+
+
+def test_shift_gram_sections_fall_to_the_symbol_minimum():
+    # every section's lambda_min bounds the symbol minimum from above, and
+    # converges to it as the section grows
+    lo, _ = sampling._symbol_min(CUBIC, None, frames.TOL_FRAME, 0)
+    minima = [float(np.linalg.eigvalsh(shift_gram(CUBIC, n))[0]) for n in (64, 128, 512)]
+    np.testing.assert_allclose(minima, [5.430e-2, 5.405e-2, 5.397e-2], rtol=0, atol=5e-6)
+    assert lo < minima[2] < minima[1] < minima[0]
+    assert minima[2] - lo < 0.02 * (minima[0] - lo)
+
+
+@pytest.mark.parametrize("name", ["tabulated-hat", "tabulated-decay", "tabulated-complex",
+                                  "zero"])
+def test_tabulated_symbol_bounds_hold_the_fine_grid_minimum(name):
+    g = {**ORACLE_GENERATORS, "zero": Generator(kind="tabulated", samples=np.zeros(5))}[name]
+    row = sampling._shift_row(g, math.ceil(2 * g.support_radius))
+    lo, hi = sampling._symbol_min(g, row, frames.TOL_FRAME, 10 ** 6)
+    n = 2 ** 16
+    symbol = row[0].real + 2 * (np.exp(2j * np.pi * np.outer(np.arange(n) / n,
+                                                              np.arange(1, row.size)))
+                                @ row[1:]).real
+    fine = float(np.min(symbol))
+    assert lo <= fine <= hi + 1e-15
+    if name == "tabulated-hat":  # the linear B-spline, whose minimum is t_1
+        assert fine == pytest.approx(1 / 3, rel=1e-15) and hi == pytest.approx(1 / 3, rel=1e-15)
+    if name == "zero":
+        assert (lo, hi) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("degree, tol, sizes, message", [
+    (26, frames.TOL_FRAME, (32, 70), "symbol minimum 5.135e-11 <= 1e-10"),
+    (25, 1.3e-10, (60, 90), "symbol minimum 1.267e-10 <= 1.3e-10"),
+])
+def test_riesz_gate_rejects_generators_whose_sections_pass(degree, tol, sizes, message):
+    # the largest interior shift-Gram section clears tol, but the symbol
+    # minimum, the integer shifts' lower Riesz bound, does not
+    g = Generator(degree=degree)
+    section = shift_gram(g, sizes[-1] - 2 * math.ceil(g.support_radius))
+    assert np.linalg.eigvalsh(section)[0] > tol
+    with pytest.raises(GeneratorUnsuitableError) as failure:
+        stable_sampling_verdict(g, SamplingSet.constant(0.0), TruncationLadder(sizes), tol=tol)
+    assert str(failure.value) == f"integer shifts fail the Riesz check: {message}"
+
+
+def test_riesz_gate_states_the_interval_it_cannot_decide():
+    # tol between the hat's certified lower bound at the largest grid the
+    # band allows (M = 64) and its minimum 1/3: no verdict, exit 4
+    g = ORACLE_GENERATORS["tabulated-hat"]
+    with pytest.raises(GeneratorUnsuitableError) as failure:
+        stable_sampling_verdict(g, SamplingSet.constant(0.0), TruncationLadder((16, 32)),
+                                tol=0.333)
+    assert str(failure.value) == ("integer shifts fail the Riesz check: symbol minimum in "
+                                  "[3.329e-01, 3.333e-01], not certified above 0.333")
+    # a longer ladder leaves room for a finer grid, which decides
+    rep = stable_sampling_verdict(g, SamplingSet.constant(0.0), TruncationLadder((64, 128)),
+                                  tol=0.333)
+    assert rep.generator_continuous
+
+
+def test_large_degree_exits_4_before_any_shift_row(tmp_path, monkeypatch, capsys):
+    # t_1000 underflows to 0: the gate decides from the degree alone
+    calls = []
+    for module, name in ((sampling, "_bspline_shift_entries"),
+                         (sampling, "_interior_gram_band"), (linalg, "band_min_eig")):
+        monkeypatch.setattr(module, name, recorded(calls, name, getattr(module, name)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"generator": {"kind": "bspline", "degree": 1000},
+                               "ladder": [1008, 2016]}), encoding="utf-8")
+    start = time.perf_counter()
+    code = cli.main(["sampling", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert (code, calls) == (4, [])
+    assert time.perf_counter() - start < 0.1
+    assert ("integer shifts fail the Riesz check: symbol minimum 0.000e+00 <= 1e-10"
+            in capsys.readouterr().err)
+
+
+HAT5 = np.array([0.0, 0.5, 1.0, 0.5, 0.0])
 
 
 def _clustered_deltas():
@@ -909,32 +1012,34 @@ def _clustered_deltas():
     return SamplingSet.from_deltas(d)
 
 
-@pytest.mark.parametrize("scale, x, what", [
+@pytest.mark.parametrize("samples, x, what", [
     # the shift Gram integrates |g|^2: 1e320
-    (1e160, SamplingSet.constant(0.0), "shift Gram"),
+    (1e160 * HAT5, SamplingSet.constant(0.0), "shift Gram entries"),
     # the shift Gram stays below 3.5 s^2 < 1.8e308; G[0, 0] sums five
     # samples of about s^2 = 4e307 each
-    (math.sqrt(4e307), _clustered_deltas(), "autocorrelation Gram"),
-], ids=["shift-row", "gram-band"])
-def test_overflowing_gram_is_a_numerical_failure(monkeypatch, scale, x, what):
+    (math.sqrt(4e307) * HAT5, _clustered_deltas(), "autocorrelation Gram entries"),
+    # the shift row stays below 7.5e306, but the symbol's certified lower
+    # bound subtracts pi^2 sum_m m^2 |a_m| / M^2 from pi^2 sum_m m^2 |a_m| =
+    # 3.1e308
+    (math.sqrt(1e307) * (1.0 + np.abs(_HALF13)) ** -2.0, SamplingSet.constant(0.0),
+     "shift Gram symbol bounds"),
+], ids=["shift-row", "gram-band", "symbol"])
+def test_overflowing_gram_is_a_numerical_failure(monkeypatch, samples, x, what):
     # finite samples whose Gram band leaves the float range fail before any
     # bisection, with no RuntimeWarning (warnings are errors here)
-    g = Generator(kind="tabulated", samples=scale * np.array([0.0, 0.5, 1.0, 0.5, 0.0]),
-                  step=0.5)
+    g = Generator(kind="tabulated", samples=samples, step=0.5)
     calls = []
     monkeypatch.setattr(linalg, "band_min_eig",
                         recorded(calls, "band_min_eig", linalg.band_min_eig))
-    with pytest.raises(NumericalFailureError,
-                       match=f"^{what} entries overflow the float range$"):
+    with pytest.raises(NumericalFailureError, match=f"^{what} overflow the float range$"):
         stable_sampling_verdict(g, x, TruncationLadder((16, 32)))
     assert calls == []
 
 
 def test_riesz_gate_runs_before_the_gram_band_is_built(monkeypatch):
-    # the gram-band case above with a tol its shift Gram fails: the gate
-    # decides (exit 2, not the overflow's exit 3) and G is never built
-    g = Generator(kind="tabulated",
-                  samples=math.sqrt(4e307) * np.array([0.0, 0.5, 1.0, 0.5, 0.0]), step=0.5)
+    # the gram-band case above with a tol its symbol fails: the gate
+    # decides (exit 4, not the overflow's exit 3) and G is never built
+    g = Generator(kind="tabulated", samples=math.sqrt(4e307) * HAT5, step=0.5)
     calls = []
     monkeypatch.setattr(sampling, "_interior_gram_band",
                         recorded(calls, "gram", sampling._interior_gram_band))
