@@ -32,8 +32,8 @@ print(f"is a frame at this truncation: {bounds.is_frame()}")
 
 print()
 print("== canonical dual and perfect reconstruction ==")
-spectrum = fb.hermitian_eig(fb.frame_operator(phi))
-dual = fb.VectorFamily(spectrum.power(-1.0) @ phi.coeffs, label="dual")
+w, v = fb.hermitian_eig(fb.frame_operator(phi))  # S = v diag(w) v^H
+dual = fb.VectorFamily((v * np.power(w, -1.0)) @ v.conj().T @ phi.coeffs, label="dual")
 f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 coord_f = dual.coeffs.conj().T @ f  # analysis: <f, dual_k>
 rec = phi.coeffs @ coord_f  # synthesis over phi
@@ -41,7 +41,7 @@ print(f"reconstruction error |D_phi C_dual f - f| = {np.linalg.norm(rec - f):.2e
 
 print()
 print("== orthonormalization by a frame-operator power ==")
-ortho = fb.VectorFamily(spectrum.power(-0.5) @ phi.coeffs)
+ortho = fb.VectorFamily((v * np.power(w, -0.5)) @ v.conj().T @ phi.coeffs)
 print("Gram of S^-1/2 phi == identity:",
       fb.pnorm_operator(fb.gram(ortho) - np.eye(n), 2) < 1e-10)
 

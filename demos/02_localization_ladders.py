@@ -16,18 +16,13 @@ ladder = fb.TruncationLadder((8, 16, 32, 64, 128))
 profile = fb.LocalizationProfile(kind="jaffard", s=2.0)
 
 
-def ladder_report(family_gen):
-    """The decay report of the cross Gram of ``family_gen(size)`` along the ladder."""
+def show(name, family_gen):
+    """The profile norms of the cross Gram of ``family_gen(size)`` along the
+    ladder, and their verdict."""
     norms = [profile.norm(fb.cross_gram(*family_gen(size))) for size in ladder]
-    return fb.localization.decay_report(profile, ladder.sizes, norms)
-
-
-def show(name, report):
-    norms = ", ".join(f"{s}:{v:.3f}" for s, v in report.ladder_norms)
     print(f"  {name}")
-    print(f"    ladder norms  {norms}")
-    print(f"    fitted growth exponent {report.fitted_exponent:+.3f}  "
-          f"verdict: {report.verdict}")
+    print("    ladder norms  " + ", ".join(f"{s}:{v:.3f}" for s, v in zip(ladder, norms)))
+    print(f"    verdict: {fb.localization.ladder_verdict(norms)}")
 
 
 print("== polynomial sup norm vs matching decay ==")
@@ -38,11 +33,10 @@ print(f"entries (1+|k-l|)^-2 against exponent 2: norm = "
 print()
 print("== ladder verdicts for three family pairs ==")
 show("orthonormal pair (diagonal cross Gram)",
-     ladder_report(lambda n: (fb.VectorFamily.onb(n), fb.VectorFamily.onb(n))))
+     lambda n: (fb.VectorFamily.onb(n), fb.VectorFamily.onb(n)))
 
 show("harmonically shrinking members (still diagonal)",
-     ladder_report(lambda n: (fb.VectorFamily(np.diag(1.0 / np.arange(1, n + 1))),
-                              fb.VectorFamily.onb(n))))
+     lambda n: (fb.VectorFamily(np.diag(1.0 / np.arange(1, n + 1))), fb.VectorFamily.onb(n)))
 
 
 def slow_pair(n):
@@ -50,8 +44,7 @@ def slow_pair(n):
     return fb.VectorFamily((1.0 + off) ** -1.5), fb.VectorFamily.onb(n)
 
 
-show("entries decaying like (1+|k-l|)^-1.5 against exponent 2 (too slow)",
-     ladder_report(slow_pair))
+show("entries decaying like (1+|k-l|)^-1.5 against exponent 2 (too slow)", slow_pair)
 
 print()
 print("== weighted Schur norm ==")

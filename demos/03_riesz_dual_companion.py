@@ -58,9 +58,7 @@ def companion_pair(size):
     return rdual(psi_c, phi_c), phi_c
 
 
-loc = fb.localization.decay_report(
-    profile, ladder.sizes,
-    [profile.norm(fb.cross_gram(*companion_pair(size))) for size in ladder])
-print("companion vs reference:", loc.verdict)
+norms = [profile.norm(fb.cross_gram(*companion_pair(size))) for size in ladder]
+print("companion vs reference:", fb.localization.ladder_verdict(norms))
 print("profile norms         :",
-      ", ".join(f"{s}:{v:.4f}" for s, v in loc.ladder_norms))
+      ", ".join(f"{s}:{v:.4f}" for s, v in zip(ladder, norms)))

@@ -3,16 +3,16 @@
 Submodules
 ----------
 linalg
-    Dense kernels (dtype rule of ``fields``): Hermitian eigendecomposition
-    and its fractional powers, row p-norms (``line_norms``) and the operator
-    p-norms built on them, the 1-/max-norm condition pair from a given
-    inverse, gain probes, band kernels.
+    Dense kernels (dtype rule of ``fields``): Hermitian eigenpairs and the
+    inverse square root from them, row p-norms (``line_norms``) and the
+    operator p-norms built on them, the 1-/max-norm condition pair from a
+    given inverse, gain probes, band kernels.
 frames
     Vector families against an ambient ONB, Gram matrices, the frame
     operator, frame/Riesz bounds.
 localization
     Off-diagonal decay norms (polynomial sup norm, weighted Schur norm),
-    decay-exponent fits and the ladder verdict on per-size norms.
+    the decay-exponent fit and the ladder verdict on per-size norms.
 rdual
     Riesz-dual sequences and the frame-vs-Riesz duality verdict.
 ladder
@@ -51,9 +51,8 @@ from .frames import (
     riesz_bounds,
 )
 from .ladder import Witness
-from .linalg import SpectralDecomposition, hermitian_eig, pnorm_operator
+from .linalg import hermitian_eig, pnorm_operator
 from .localization import (
-    DecayReport,
     LocalizationProfile,
     WeightSpec,
     fit_decay_exponent,

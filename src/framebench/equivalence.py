@@ -132,19 +132,19 @@ class EquivalenceReport:
 def _reference_steps(family_gen, profile, ladder, tol):
     """Check the reference phi at every size (``rdual``'s Riesz-basis and
     index-set checks), then the localization of the G_phi that check formed
-    along the ladder; return ``(psi, phi, spectrum of G_phi)`` per size."""
+    along the ladder; return ``(psi, phi, w, v)``, (w, v) the eigenpairs of
+    G_phi, per size."""
     steps, norms = [], []
     for size in ladder:
         psi, phi = family_gen(size)
-        g, spectrum = rdual._check_rdual_inputs(psi, phi, tol)
-        steps.append((psi, phi, spectrum))
+        g, w, v = rdual._check_rdual_inputs(psi, phi, tol)
+        steps.append((psi, phi, w, v))
         norms.append(profile.norm(g))
-    evidence = localization.decay_report(profile, ladder.sizes, norms)
-    if evidence.verdict != localization.VERDICT_LOCALIZED:
+    verdict = localization.ladder_verdict(norms)
+    if verdict != localization.VERDICT_LOCALIZED:
         raise PreconditionEvidenceError(
             "reference family failed its localization evidence check: "
-            f"ladder verdict {evidence.verdict!r}, norms "
-            f"{[v for _, v in evidence.ladder_norms]}"
+            f"ladder verdict {verdict!r}, norms {norms}"
         )
     return steps
 
@@ -165,20 +165,19 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
     kind, statement and note of ``_WITNESSES[id]``, makes witness ``id``.
     """
     rows = []
-    for psi, phi, spectrum in _reference_steps(family_gen, profile, ladder, tol):
-        ref, v = phi.coeffs, spectrum.eigenvectors
-        ref_inv = (v / spectrum.eigenvalues) @ (ref @ v).conj().T  # dual^H = phi^-1
+    for psi, phi, w, v in _reference_steps(family_gen, profile, ladder, tol):
+        ref_inv = linalg._finite(  # dual^H = phi^-1; 1 / w overflows for a subnormal w
+            "reference inverse entries", lambda: (v / w) @ (phi.coeffs @ v).conj().T)
 
-        eig = linalg.hermitian_eig(frames.frame_operator(psi))
-        lam_psi, u = eig.eigenvalues, eig.eigenvectors
-        left, right = ref_inv @ u, u.conj().T @ ref
+        lam_psi, u = linalg.hermitian_eig(frames.frame_operator(psi))
+        left, right = ref_inv @ u, u.conj().T @ phi.coeffs
         cond2, cond3 = linalg.condition_1_inf(
             (left * lam_psi) @ right, lam_psi, lambda: (left / lam_psi) @ right)
 
         cross = frames.cross_gram(psi, phi)
         gain4 = linalg.gain_probe(cross, math.inf)
         cross_conj = cross.conj()
-        gain6 = linalg.gain_probe(spectrum.power(-0.5) @ cross_conj, math.inf)
+        gain6 = linalg.gain_probe(linalg.inverse_sqrt(w, v) @ cross_conj, math.inf)
 
         g_conj = cross_conj.T @ cross  # B^H B = conj(G_omega)
         lam_g = linalg.hermitian_eigvals(g_conj)  # also checks g_conj

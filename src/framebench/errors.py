@@ -28,11 +28,11 @@ class NonSquareError(FramebenchError):
 
 
 class NonHermitianError(FramebenchError):
-    """Hermitian symmetry violated beyond the absolute tolerance."""
+    """Hermitian symmetry violated beyond the tolerance relative to the entries."""
 
 
 class NotPositiveDefiniteError(FramebenchError):
-    """Smallest eigenvalue at or below the positive-definiteness tolerance."""
+    """A matrix that must be positive definite is not: the B of a band pencil."""
 
 
 class NumericalFailureError(FramebenchError):

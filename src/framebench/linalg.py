@@ -4,6 +4,8 @@ All functions operate on plain row-major ``numpy`` arrays of the dtype rule
 of ``fields`` and are pure: no shared state, safe to call concurrently.
 Operator p-norms are restricted to p in {1, 2, inf}; those three are what
 every invertibility and gain diagnostic in the package needs.
+``inverse_sqrt`` builds A^-1/2 from the eigenpairs of ``hermitian_eig``;
+the caller decides, against its own tolerance, that A is definite.
 
 Every sum of absolute values along a row or a column goes through one
 kernel, ``line_norms``: it reduces each row of a C-contiguous copy of |A|,
@@ -45,7 +47,6 @@ importtime``, 2-core VM), so no command pays for the package, and only
 ``sampling`` loads anything of scipy at all.
 """
 
-from dataclasses import dataclass
 import importlib.machinery
 import importlib.util
 import itertools
@@ -67,8 +68,7 @@ from .errors import (
 
 # Tolerance budget, chosen so double-precision dense solvers pass on n <= 4096.
 TOL_EIG = 1e-10     # relative: eigen-reconstruction and unitarity residuals
-TOL_HERM = 1e-12    # absolute: max-abs asymmetry allowed before symmetrizing
-TOL_PD = 1e-12      # absolute: smallest eigenvalue must exceed this for powers
+TOL_HERM = 1e-12    # relative to max |A|: asymmetry allowed before symmetrizing
 TOL_SING = 1e-12    # relative to the spectral norm: singularity flag threshold
 TOL_CALC = 1e-8     # relative: composed-operation consistency (sqrt squared, ...)
 
@@ -109,53 +109,35 @@ def _solved(what: str, solve, *args):
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
-    """Check squareness and asymmetry against TOL_HERM and return the
-    symmetrized matrix."""
+    """Check squareness and asymmetry against TOL_HERM max |A| and return
+    the symmetrized matrix."""
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}, square required")
     diff = m - m.conj().T
-    asym = np.max(np.abs(diff)) if m.size else 0.0
-    if asym > TOL_HERM:
-        raise NonHermitianError(
-            f"max |A - A^H| = {asym:.3e} exceeds tol_herm = {TOL_HERM:.0e}"
-        )
+    asym, scale = np.max(np.abs(diff)), np.max(np.abs(m))
+    if asym > TOL_HERM * scale:
+        raise NonHermitianError(f"max |A - A^H| = {asym:.3e} exceeds tol_herm * max |A| "
+                                f"= {TOL_HERM:.0e} * {scale:.3e}")
     return m - 0.5 * diff
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Hermitian eigendecomposition: ascending eigenvalues, unitary columns."""
+def hermitian_eig(a) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``(w, v)`` of a Hermitian matrix: ascending real
+    eigenvalues w, and unitary v whose column k pairs with w[k].
 
-    eigenvalues: np.ndarray   # real, ascending
-    eigenvectors: np.ndarray  # unitary, column k pairs with eigenvalues[k]
-
-    def power(self, alpha: float) -> np.ndarray:
-        """A^alpha = V diag(w**alpha) V^H of a positive definite matrix.
-
-        Raises ``NotPositiveDefiniteError`` when the smallest eigenvalue is
-        at or below ``TOL_PD`` — fractional powers need the spectrum
-        strictly inside the right half line.
-        """
-        w = self.eigenvalues
-        if w[0] <= TOL_PD:
-            raise NotPositiveDefiniteError(
-                f"smallest eigenvalue {w[0]:.3e} <= tol_pd = {TOL_PD:.0e}"
-            )
-        v = self.eigenvectors
-        return (v * np.power(w, alpha)) @ v.conj().T
-
-
-def hermitian_eig(a) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    The input must be Hermitian within ``TOL_HERM`` (max-abs); it is
-    symmetrized via (A + A^H)/2 before the solve.  Eigenvalues come back
-    ascending, and the reconstruction residual ||A - V diag(w) V^H||_2 is
-    bounded by ``TOL_EIG * ||A||_2``.
+    The input must be Hermitian within ``TOL_HERM`` (relative to its
+    largest entry); it is symmetrized via (A + A^H)/2 before the solve.
+    The reconstruction residual ||A - V diag(w) V^H||_2 is bounded by
+    ``TOL_EIG * ||A||_2``.
     """
     m = _require_hermitian(as_matrix(a))
-    w, v = _solved("eigensolver did not converge", np.linalg.eigh, m)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+    return _solved("eigensolver did not converge", np.linalg.eigh, m)
+
+
+def inverse_sqrt(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A^-1/2 = (v w^-1/2) v^H from the eigenpairs ``(w, v)`` of a
+    Hermitian A whose eigenvalues the caller has checked to be positive."""
+    return (v * np.power(w, -0.5)) @ v.conj().T
 
 
 def hermitian_eigvals(a) -> np.ndarray:

@@ -6,16 +6,15 @@ and the weighted Schur norm (max of weighted row/column sup-sums).  Both are
 solid: shrinking entries in modulus can only shrink the norm.
 
 Membership of an infinite matrix in a decay algebra is undecidable from
-finitely many truncations.  The ladder verdicts below are therefore explicit
-heuristics: ``decay_report`` takes the profile norm of the matrix rebuilt at
-every ladder size (the battery's reference check records that of the
-reference Gram), and the trend decides between ``localized``,
-``growth-detected`` and ``inconclusive``.  Every report labels the verdict
-as heuristic evidence.
+finitely many truncations, so ``ladder_verdict`` is a heuristic: from the
+profile norms of one matrix rebuilt at every ladder size (the battery's
+reference check records those of the reference Gram), the trend decides
+between ``localized``, ``growth-detected`` and ``inconclusive``.  No report
+prints the verdict; a battery whose reference is not ``localized`` fails
+with a message that names it and the norms.
 """
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -32,13 +31,6 @@ MAX_DECAY_EXPONENT = 745.0
 VERDICT_LOCALIZED = "localized"
 VERDICT_GROWTH = "growth-detected"
 VERDICT_INCONCLUSIVE = "inconclusive"
-
-HEURISTIC_NOTE = (
-    "ladder-ratio heuristic: finitely many truncations cannot decide "
-    "membership in an infinite-dimensional decay algebra; treat the verdict "
-    "as evidence, not proof"
-)
-
 
 #: The (optional, required) numbers of each weight form, its growth first.
 _WEIGHT_FORMS = {"polynomial": (("delta",), ()), "subexponential": (("rate", "power"), ())}
@@ -133,26 +125,6 @@ class LocalizationProfile:
         return cls(**obj)
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    """Profile norms along a ladder plus the trend verdict."""
-
-    profile: LocalizationProfile
-    ladder_norms: Tuple[Tuple[int, float], ...]
-    fitted_exponent: float
-    verdict: str
-    note: str = HEURISTIC_NOTE
-
-    def to_json(self) -> dict:
-        return {
-            "profile": self.profile.to_json(),
-            "ladder": [[int(s), float(v)] for s, v in self.ladder_norms],
-            "fitted_exponent": self.fitted_exponent,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
-
-
 def _offsets(rows: int, cols: int) -> np.ndarray:
     return np.abs(np.subtract.outer(np.arange(rows), np.arange(cols)))
 
@@ -190,7 +162,9 @@ def schur_norm(a, weight: WeightSpec) -> float:
                      np.max(linalg.line_norms(mw.T, 1))))
 
 
-def _ladder_verdict(norms) -> str:
+def ladder_verdict(norms) -> str:
+    """The trend verdict on one matrix's profile norms along a ladder, by
+    their max/min and last/first ratios against 1 + ``TOL_GROWTH``."""
     values = np.asarray(norms, dtype=float)
     hi, lo = float(values.max()), float(values.min())
     if hi == 0.0:
@@ -200,24 +174,6 @@ def _ladder_verdict(norms) -> str:
     if values[0] > 0.0 and values[-1] > (1.0 + TOL_GROWTH) * values[0]:
         return VERDICT_GROWTH
     return VERDICT_INCONCLUSIVE
-
-
-def _fit_ladder_exponent(sizes, norms) -> float:
-    values = np.asarray(norms, dtype=float)
-    if np.any(values <= 0):
-        return 0.0
-    slope = np.polyfit(np.log(np.asarray(sizes, dtype=float)), np.log(values), 1)[0]
-    return float(slope)
-
-
-def decay_report(profile: LocalizationProfile, sizes, norms) -> DecayReport:
-    """Assemble a report from per-size profile norms."""
-    return DecayReport(
-        profile=profile,
-        ladder_norms=tuple((int(s), float(v)) for s, v in zip(sizes, norms)),
-        fitted_exponent=_fit_ladder_exponent(sizes, norms),
-        verdict=_ladder_verdict(norms),
-    )
 
 
 def fit_decay_exponent(a) -> float:

@@ -17,8 +17,10 @@ norms cannot tell the two apart since they are conjugation-invariant), so
 localization of psi against phi propagates to omega.
 
 The pair is checked once, by ``_check_rdual_inputs``, before anything is
-computed; the battery's reference steps reuse that check, its G_phi and
-the spectrum of G_phi.  The companion's Gram is ``frames.gram(omega)``, and
+computed: phi's lower Riesz bound against the caller's tol is the one
+definiteness test of the reference.  The battery's reference steps reuse
+that check, its G_phi and the eigenpairs that give G_phi^-1/2.  The
+companion's Gram is ``frames.gram(omega)``, and
 ``duality_verdict(psi, omega, tol)`` compares the two verdicts.
 """
 
@@ -33,10 +35,10 @@ from .ladder import in_borderline_band
 
 
 def _check_rdual_inputs(psi: VectorFamily, phi: VectorFamily, tol: float
-                        ) -> "tuple[np.ndarray, linalg.SpectralDecomposition]":
-    """Return G_phi = phi^H phi and its eigendecomposition once the pair is
-    checked.  For a square family G_phi and S_phi share their spectrum, so
-    its smallest eigenvalue is the lower Riesz bound tested against tol."""
+                        ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Return G_phi = phi^H phi and its eigenpairs ``(w, v)`` once the pair
+    is checked.  For a square family G_phi and S_phi share their spectrum,
+    so w[0] is the lower Riesz bound tested against tol."""
     frames._check_same_ambient(psi, phi)
     if psi.member_count != phi.member_count:
         raise DimensionMismatchError(
@@ -49,13 +51,11 @@ def _check_rdual_inputs(psi: VectorFamily, phi: VectorFamily, tol: float
             "a Riesz basis at this truncation must be square"
         )
     g = frames.gram(phi)
-    spectrum = linalg.hermitian_eig(g)
-    lower = max(float(spectrum.eigenvalues[0]), 0.0)
+    w, v = linalg.hermitian_eig(g)
+    lower = max(float(w[0]), 0.0)
     if lower <= tol:
-        raise NotRieszBasisError(
-            f"reference lower Riesz bound {lower:.3e} <= {tol:.0e}"
-        )
-    return g, spectrum
+        raise NotRieszBasisError(f"reference lower Riesz bound {lower:.3e} <= {tol:g}")
+    return g, w, v
 
 
 def rdual(psi: VectorFamily, phi: VectorFamily,
@@ -65,10 +65,12 @@ def rdual(psi: VectorFamily, phi: VectorFamily,
     Matrix form: Omega = Gamma @ G(phi, psi)^T with Gamma the coefficients
     of the orthonormalized reference S_phi^{-1/2} phi = phi G_phi^{-1/2}
     (polar decomposition).  Zero members of ``psi`` give zero columns.
+    Coefficients past the float range are a ``NumericalFailureError``.
     """
-    _, spectrum = _check_rdual_inputs(psi, phi, tol)
-    gamma = phi.coeffs @ spectrum.power(-0.5)
-    omega = gamma @ frames.cross_gram(phi, psi).T
+    _, w, v = _check_rdual_inputs(psi, phi, tol)
+    omega = linalg._finite(
+        "Riesz-dual coefficients",
+        lambda: phi.coeffs @ linalg.inverse_sqrt(w, v) @ frames.cross_gram(phi, psi).T)
     return VectorFamily(omega, label=f"rdual({psi.label})" if psi.label else "rdual")
 
 

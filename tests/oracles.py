@@ -1,10 +1,11 @@
 """Dense reference constructions that the tests check the library against.
 
 Each is plain numpy on the library's records: the inner product, the dense
-condition number (SVD and LU), frame-operator powers and the canonical dual,
-the dense sampling matrix, autocorrelation Gram and shift Gram, and the
-cross-Gram localization ladder.  The commands compute none of these; they
-take the same quantities from closed forms in spectra and bands.
+condition number (SVD and LU), Hermitian matrix powers, frame-operator
+powers and the canonical dual, the dense sampling matrix, autocorrelation
+Gram and shift Gram, and the cross-Gram localization ladder.  The commands
+compute none of these; they take the same quantities from closed forms in
+spectra and bands.
 """
 
 import math
@@ -31,11 +32,18 @@ def condition_p(a, p) -> float:
     return float(np.linalg.norm(a, p) * np.linalg.norm(np.linalg.inv(a), p))
 
 
+def hermitian_power(a, alpha: float) -> np.ndarray:
+    """A^alpha = V diag(w^alpha) V^H of a Hermitian positive definite A,
+    from numpy's ``eigh``."""
+    w, v = np.linalg.eigh(a)
+    return (v * w ** alpha) @ v.conj().T
+
+
 def power(phi: VectorFamily, alpha: float) -> VectorFamily:
     """S^alpha phi: a power of the frame operator S applied to every member
     (alpha = -1/2 orthonormalizes a Riesz basis)."""
-    w, v = np.linalg.eigh(phi.coeffs @ phi.coeffs.conj().T)
-    return VectorFamily((v * w ** alpha) @ v.conj().T @ phi.coeffs)
+    return VectorFamily(hermitian_power(phi.coeffs @ phi.coeffs.conj().T, alpha)
+                        @ phi.coeffs)
 
 
 def canonical_dual(phi: VectorFamily) -> VectorFamily:
@@ -63,7 +71,8 @@ def shift_gram(g, window: int) -> np.ndarray:
     return np.where(lag >= 0, row[lag], np.conj(row)[-lag])
 
 
-def mutual_localization(family_gen, profile, ladder) -> localization.DecayReport:
-    """The decay report of the profile norm of each size's cross Gram."""
+def mutual_localization(family_gen, profile, ladder):
+    """``(norms, verdict)``: the profile norm of each size's cross Gram and
+    their ladder verdict."""
     norms = [profile.norm(frames.cross_gram(*family_gen(size))) for size in ladder]
-    return localization.decay_report(profile, ladder.sizes, norms)
+    return norms, localization.ladder_verdict(norms)

@@ -18,7 +18,7 @@ from framebench.frames import TruncationLadder, VectorFamily
 from framebench.localization import LocalizationProfile, WeightSpec
 from framebench.rdual import duality_verdict, rdual
 from framebench.sampling import Generator, SamplingSet, stable_sampling_verdict
-from oracles import canonical_dual, condition_p, power
+from oracles import canonical_dual, condition_p, hermitian_power, power
 
 PROFILE = LocalizationProfile(kind="jaffard", s=2.0)
 
@@ -79,7 +79,7 @@ def test_criterion_2_frame_riesz_agreement():
 
 
 def test_criterion_3_functional_calculus():
-    worst_sqrt = worst_quarter = 0.0
+    worst_sqrt = worst_quarter = worst_inverse = 0.0
     for i in range(50):
         n = 16 + (i * 11) % 241  # sizes 16..256
         rng = np.random.default_rng(30_000 + i)
@@ -87,18 +87,21 @@ def test_criterion_3_functional_calculus():
                                + 1j * rng.standard_normal((n, n))) / math.sqrt(n)
         g = a.conj().T @ a
         scale = linalg.pnorm_operator(g, 2)
-        dec = linalg.hermitian_eig(g)
-        root = dec.power(0.5)
+        root = hermitian_power(g, 0.5)
         worst_sqrt = max(worst_sqrt,
                          linalg.pnorm_operator(root @ root - g, 2) / scale)
-        quarter = dec.power(-0.25)
+        quarter = hermitian_power(g, -0.25)
         prod = quarter @ quarter @ root
         worst_quarter = max(worst_quarter,
                             linalg.pnorm_operator(prod - np.eye(n), 2))
+        prod = linalg.inverse_sqrt(*linalg.hermitian_eig(g)) @ root
+        worst_inverse = max(worst_inverse,
+                            linalg.pnorm_operator(prod - np.eye(n), 2))
     assert worst_sqrt <= 1e-8
     assert worst_quarter <= 1e-7
+    assert worst_inverse <= 1e-7
     report(3, f"(sqrt residual {worst_sqrt:.2e}, quarter-power residual "
-              f"{worst_quarter:.2e})")
+              f"{worst_quarter:.2e}, inverse-root residual {worst_inverse:.2e})")
 
 
 def test_criterion_4_adjoint_duality():

@@ -500,6 +500,41 @@ def test_weights_past_the_float_range_on_zero_entries_exit_0(tmp_path, profile):
     assert res.stderr == ""
 
 
+#: psi = I over phi = diag(1, sqrt(5e-13)), whose lower Riesz bound is 5e-13.
+SMALL_REFERENCE = {"psi": VectorFamily.onb(2).to_json(),
+                   "phi": VectorFamily(np.diag([1.0, math.sqrt(5e-13)])).to_json()}
+NEAR_TOL = VectorFamily(np.diag([1.0, 1.2e-5])).to_json()
+
+
+@pytest.mark.parametrize("command, config, extra, code, err, passed", [
+    ("rdual", SMALL_REFERENCE, ["--tol-frame", "1e-14"], 0, "",
+     lambda r: r["duality"]["agree"] and r["duality"]["riesz_verdict"]),
+    ("rdual", SMALL_REFERENCE, [], 4,
+     "precondition failure: reference lower Riesz bound 5.000e-13 <= 1e-10\n", None),
+    ("rdual", {"psi": NEAR_TOL, "phi": NEAR_TOL}, ["--tol-frame", "1.45e-10"], 4,
+     "precondition failure: reference lower Riesz bound 1.440e-10 <= 1.45e-10\n", None),
+    ("rdual", {"psi": VectorFamily(1.5e308 * np.eye(2)).to_json(),
+               "phi": VectorFamily(np.array([[1.0, 1.0], [1.0, -1.0]])).to_json()}, [], 3,
+     "numerical failure: Riesz-dual coefficients overflow the float range\n", None),
+    ("battery", {**BATTERY, "family": {"kind": "perturbed-onb", "epsilon": 1000.0, "seed": 0},
+                 "ladder": [256, 513]}, [], 0, "",
+     lambda r: r["consistent"] and all(c["verdict"] == "pass" for c in r["conditions"])),
+], ids=["rdual-reference-above-tol", "rdual-reference-below-tol", "rdual-tol-message",
+        "rdual-coefficient-overflow", "battery-large-gram-asymmetry"])
+def test_reference_and_gram_checks_exit_codes(tmp_path, capsys, command, config, extra,
+                                              code, err, passed):
+    # the reference is decided once, by its lower Riesz bound against
+    # --tol-frame; Gram asymmetry is judged relative to the Gram's entries
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, config)
+    out = tmp_path / "x.json"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), *extra]) == code
+    assert capsys.readouterr().err == err
+    assert out.exists() == (code == 0)
+    if passed:
+        assert passed(json.loads(out.read_text(encoding="utf-8")))
+
+
 @pytest.mark.parametrize("command", ["analyze", "rdual"])
 @pytest.mark.parametrize("coeffs", [[[True, False]], [["1", "0"]], [[True, 0.5]]],
                          ids=["bool", "string", "mixed-bool"])
@@ -810,3 +845,21 @@ def test_every_public_library_function_serves_a_command(tmp_path):
         assert code == 0, (command, config)
     missed = sorted(name for c, name in public.items() if c not in entered)
     assert not missed, f"no command enters {missed}"
+
+
+def test_only_analyze_makes_a_least_squares_fit(tmp_path, monkeypatch):
+    # localization looks np.polyfit up at call time; its one fit is the
+    # decay_fit of analyze, and no other command pays for one
+    calls = []
+    polyfit = np.polyfit
+    monkeypatch.setattr(np, "polyfit", lambda *a, **k: calls.append(1) or polyfit(*a, **k))
+    decaying = (1.0 + np.abs(np.subtract.outer(np.arange(8), np.arange(8)))) ** -2.0
+    runs = [(c, config) for c, config in REACH if c != "analyze"]
+    runs.append(("analyze", {"family": VectorFamily(decaying).to_json()}))
+    for i, (command, config) in enumerate(runs):
+        cfg = tmp_path / f"cfg{i}.json"
+        write_json(cfg, config)
+        calls.clear()
+        assert cli.main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / f"out{i}.json")]) == 0
+        assert len(calls) == (command == "analyze"), (command, config)

@@ -59,7 +59,7 @@ _DECAY = np.random.default_rng(3).standard_normal((16, 12))
 
 #: kernel -> (function of the input, input)
 KERNELS = {
-    "hermitian_eig": (lambda a: linalg.hermitian_eig(a).eigenvalues, _A),
+    "hermitian_eig": (lambda a: linalg.hermitian_eig(a)[0], _A),
     "hermitian_eigvals": (linalg.hermitian_eigvals, _A),
     "pnorm_operator": (lambda a: [linalg.pnorm_operator(a, p)
                                   for p in linalg.NORM_INDICES], _A),

@@ -19,6 +19,7 @@ from framebench.equivalence import (
 from framebench.errors import (
     DimensionMismatchError,
     NotRieszBasisError,
+    NumericalFailureError,
     PreconditionEvidenceError,
 )
 from framebench.frames import TruncationLadder, VectorFamily
@@ -273,8 +274,24 @@ def test_battery_precondition_localization():
         e = np.full((n, n), 0.3 / n)
         return VectorFamily.onb(n), VectorFamily(np.eye(n) + e)
 
-    with pytest.raises(PreconditionEvidenceError):
+    with pytest.raises(PreconditionEvidenceError) as info:
         run_battery(gen, PROFILE, LADDER)
+    norms = [PROFILE.norm(frames.gram(gen(n)[1])) for n in LADDER]
+    assert str(info.value) == ("reference family failed its localization evidence check: "
+                               f"ladder verdict 'growth-detected', norms {norms}")
+
+
+def test_battery_subnormal_reference_eigenvalue_is_a_numerical_failure():
+    # below every float tol the reference passes, and 1 / w leaves the float
+    # range: a NumericalFailureError (exit 3), with no overflow warning
+    def gen(n):
+        d = np.ones(n)
+        d[1] = 1e-161
+        return VectorFamily.onb(n), VectorFamily(np.diag(d))
+
+    with pytest.raises(NumericalFailureError,
+                       match="^reference inverse entries overflow the float range$"):
+        run_battery(gen, PROFILE, LADDER, tol=1e-323)
 
 
 def test_battery_json_structure():

@@ -1,4 +1,4 @@
-"""Kernel tests: eigendecomposition, powers, p-norms, condition, gain probe.
+"""Kernel tests: eigenpairs, inverse square root, p-norms, condition, gain probe.
 
 Derived expectations come from independent oracles implemented here:
 characteristic-polynomial bisection, closed-form Toeplitz eigenvalues, a
@@ -9,6 +9,8 @@ Rayleigh-quotient jump.
 
 import itertools
 import math
+from pathlib import Path
+import re
 
 import numpy as np
 import pytest
@@ -42,15 +44,14 @@ def random_spd(n, seed, shift=0.5):
 # --------------------------------------------------------------------------
 
 def test_eig_identity():
-    dec = linalg.hermitian_eig(np.eye(4))
-    assert np.allclose(dec.eigenvalues, 1.0)
-    assert np.allclose(np.abs(dec.eigenvectors.conj().T @ dec.eigenvectors),
-                       np.eye(4), atol=1e-12)
+    w, v = linalg.hermitian_eig(np.eye(4))
+    assert np.allclose(w, 1.0)
+    assert np.allclose(np.abs(v.conj().T @ v), np.eye(4), atol=1e-12)
 
 
 def test_eig_diagonal_sorted_ascending():
-    dec = linalg.hermitian_eig(np.diag([1.0, 1 / 4, 1 / 9]))
-    assert np.allclose(dec.eigenvalues, [1 / 9, 1 / 4, 1.0], rtol=1e-14)
+    w, _ = linalg.hermitian_eig(np.diag([1.0, 1 / 4, 1 / 9]))
+    assert np.allclose(w, [1 / 9, 1 / 4, 1.0], rtol=1e-14)
 
 
 def charpoly_roots_3x3(a):
@@ -93,7 +94,7 @@ def charpoly_roots_3x3(a):
 def test_eig_matches_charpoly_bisection(seed):
     a = random_hermitian(3, seed)
     expected = charpoly_roots_3x3(a)
-    got = linalg.hermitian_eig(a).eigenvalues
+    got, _ = linalg.hermitian_eig(a)
     assert expected.shape == (3,)
     assert np.allclose(got, expected, atol=1e-10)
 
@@ -101,12 +102,11 @@ def test_eig_matches_charpoly_bisection(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_eig_reconstruction_and_unitarity(seed):
     a = random_hermitian(12, seed)
-    dec = linalg.hermitian_eig(a)
+    w, v = linalg.hermitian_eig(a)
     scale = max(linalg.pnorm_operator(a, 2), 1.0)
-    v = dec.eigenvectors
-    rebuilt = (v * dec.eigenvalues) @ v.conj().T
+    rebuilt = (v * w) @ v.conj().T
     assert linalg.pnorm_operator(rebuilt - a, 2) <= linalg.TOL_EIG * scale
-    gram = dec.eigenvectors.conj().T @ dec.eigenvectors
+    gram = v.conj().T @ v
     assert np.max(np.abs(gram - np.eye(12))) <= linalg.TOL_EIG
 
 
@@ -117,41 +117,38 @@ def test_eig_rejects_nonsquare_and_nonhermitian():
         linalg.hermitian_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_eig_asymmetry_tolerance_scales_with_the_entries():
+    # the same rounding-sized asymmetry passes at scale 1e6 and fails at 1
+    skew = np.array([[0.0, 1e-11], [0.0, 0.0]])
+    linalg.hermitian_eig(1e6 * np.eye(2) + skew)
+    with pytest.raises(NonHermitianError, match=r"1\.000e-11 exceeds tol_herm"):
+        linalg.hermitian_eig(np.eye(2) + skew)
+
+
+def test_readme_lists_every_tolerance_with_its_value():
+    # README's `TOL_* = value` list names exactly the TOL_* constants here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = {name: float(value)
+              for name, value in re.findall(r"`(TOL_\w+) = ([^`\s]+)`", readme)}
+    assert listed == {name: value for name, value in vars(linalg).items()
+                      if name.startswith("TOL_")}
+
+
 # --------------------------------------------------------------------------
-# SpectralDecomposition.power
+# inverse_sqrt
 # --------------------------------------------------------------------------
 
 def test_power_identity_and_scalar():
-    assert np.allclose(linalg.hermitian_eig(np.eye(3)).power(-0.5), np.eye(3))
-    assert np.allclose(linalg.hermitian_eig(np.array([[4.0]])).power(-0.5), [[0.5]])
+    assert np.allclose(linalg.inverse_sqrt(*linalg.hermitian_eig(np.eye(3))), np.eye(3))
+    assert np.allclose(linalg.inverse_sqrt(*linalg.hermitian_eig(np.array([[4.0]]))),
+                       [[0.5]])
 
 
 def test_power_sqrt_squares_back():
     a = random_spd(6, 3)
-    root = linalg.hermitian_eig(a).power(0.5)
-    err = linalg.pnorm_operator(root @ root - a, 2)
-    assert err <= 1e-8 * linalg.pnorm_operator(a, 2)
-
-
-@pytest.mark.parametrize("alpha", [-1.0, -0.5, -0.25, 0.5, 0.75])
-def test_power_inverse_pairs(alpha):
-    a = random_spd(7, 11)
-    dec = linalg.hermitian_eig(a)
-    prod = dec.power(alpha) @ dec.power(-alpha)
-    assert linalg.pnorm_operator(prod - np.eye(7), 2) <= linalg.TOL_CALC
-
-
-def test_power_alpha_one_is_identity_map():
-    a = random_spd(5, 4)
-    assert linalg.pnorm_operator(linalg.hermitian_eig(a).power(1.0) - a, 2) <= \
-        linalg.TOL_EIG * linalg.pnorm_operator(a, 2)
-
-
-def test_power_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        linalg.hermitian_eig(np.diag([1.0, -1.0])).power(0.5)
-    with pytest.raises(NotPositiveDefiniteError):
-        linalg.hermitian_eig(np.diag([1.0, 0.0])).power(-0.5)
+    root = linalg.inverse_sqrt(*linalg.hermitian_eig(a))
+    err = linalg.pnorm_operator(root @ root @ a - np.eye(6), 2)
+    assert err <= linalg.TOL_CALC
 
 
 # --------------------------------------------------------------------------
@@ -187,7 +184,7 @@ def test_pnorm_duality_property(seed):
 
 def test_pnorm_two_matches_abs_eigenvalue_for_hermitian():
     a = random_hermitian(9, 21)
-    w = linalg.hermitian_eig(a).eigenvalues
+    w, _ = linalg.hermitian_eig(a)
     top = float(np.max(np.abs(w)))
     assert abs(linalg.pnorm_operator(a, 2) - top) <= linalg.TOL_EIG * max(top, 1.0)
 

@@ -12,7 +12,7 @@ from framebench.errors import DimensionMismatchError, NotRieszBasisError
 from framebench.frames import TruncationLadder, VectorFamily
 from framebench.localization import LocalizationProfile
 from framebench.rdual import duality_verdict, rdual
-from oracles import inner, mutual_localization, power
+from oracles import hermitian_power, inner, mutual_localization, power
 
 PROFILE = LocalizationProfile(kind="jaffard", s=2.0)
 LADDER = TruncationLadder((8, 16, 32, 64))
@@ -96,6 +96,15 @@ def test_rdual_requires_riesz_basis_reference():
         rdual(VectorFamily(np.eye(4, 3)), VectorFamily.onb(4))
 
 
+def test_reference_is_decided_by_the_callers_tol_alone():
+    # lower Riesz bound 5e-13: refused at the default tol, accepted below it
+    phi = VectorFamily(np.diag([1.0, np.sqrt(5e-13)]))
+    with pytest.raises(NotRieszBasisError, match=r"5\.000e-13 <= 1e-10$"):
+        rdual(VectorFamily.onb(2), phi)
+    omega = rdual(VectorFamily.onb(2), phi, tol=1e-14)
+    assert np.allclose(omega.coeffs, np.diag([1.0, np.sqrt(5e-13)]), rtol=1e-12)
+
+
 # --------------------------------------------------------------------------
 # Gram of the dual companion
 # --------------------------------------------------------------------------
@@ -131,7 +140,7 @@ def test_riesz_bounds_of_omega_match_lifted_frame_bounds(seed):
     psi = random_family(6, seed + 77)
     omega = rdual(psi, phi)
     rb = frames.riesz_bounds(omega)
-    half = linalg.hermitian_eig(frames.frame_operator(phi)).power(0.5)
+    half = hermitian_power(frames.frame_operator(phi), 0.5)
     fb = frames.frame_bounds(VectorFamily(half @ psi.coeffs))
     assert np.isclose(rb.lower, fb.lower, rtol=1e-8, atol=1e-10)
     assert np.isclose(rb.upper, fb.upper, rtol=1e-8, atol=1e-10)
@@ -209,8 +218,8 @@ def test_localization_transfers_to_companion(family_gen):
         psi, phi = family_gen(n)
         return rdual(psi, phi), phi
 
-    rep = mutual_localization(companion_pair, PROFILE, LADDER)
-    assert rep.verdict == "localized"
+    _, verdict = mutual_localization(companion_pair, PROFILE, LADDER)
+    assert verdict == "localized"
 
 
 @pytest.mark.parametrize("seed", range(5))
