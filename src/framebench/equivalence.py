@@ -114,9 +114,6 @@ class EquivalenceReport:
     coorbit_note: str
     ladder: Tuple[int, ...]
 
-    def witness(self, condition_id: int) -> Witness:
-        return self.witnesses[condition_id - 1]
-
     def verdicts(self) -> dict:
         return {w.id: w.verdict for w in self.witnesses}
 
@@ -164,25 +161,29 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
     appends one row of the ten values; column ``id`` of the rows, with the
     kind, statement and note of ``_WITNESSES[id]``, makes witness ``id``.
     """
-    rows = []
+    rows, finite = [], linalg._finite
     for psi, phi, w, v in _reference_steps(family_gen, profile, ladder, tol):
-        ref_inv = linalg._finite(  # dual^H = phi^-1; 1 / w overflows for a subnormal w
+        ref_inv = finite(  # dual^H = phi^-1; 1 / w overflows for a subnormal w
             "reference inverse entries", lambda: (v / w) @ (phi.coeffs @ v).conj().T)
 
+        # Each product below may leave the float range, but not left = phi^-1 U:
+        # its entries are at most ||phi^-1||_2 = w[0]^-1/2, near 1e154 at worst.
         lam_psi, u = linalg.hermitian_eig(frames.frame_operator(psi))
         left, right = ref_inv @ u, u.conj().T @ phi.coeffs
         cond2, cond3 = linalg.condition_1_inf(
-            (left * lam_psi) @ right, lam_psi, lambda: (left / lam_psi) @ right)
+            finite("coordinate matrix entries", lambda: (left * lam_psi) @ right), lam_psi,
+            lambda: finite("coordinate inverse entries", lambda: (left / lam_psi) @ right))
 
         cross = frames.cross_gram(psi, phi)
         gain4 = linalg.gain_probe(cross, math.inf)
         cross_conj = cross.conj()
-        gain6 = linalg.gain_probe(linalg.inverse_sqrt(w, v) @ cross_conj, math.inf)
+        gain6 = linalg.gain_probe(finite("companion synthesis coordinate entries", np.matmul,
+                                         linalg.inverse_sqrt(w, v), cross_conj), math.inf)
 
-        g_conj = cross_conj.T @ cross  # B^H B = conj(G_omega)
+        g_conj = finite("companion Gram entries", np.matmul, cross_conj.T, cross)  # B^H B
         lam_g = linalg.hermitian_eigvals(g_conj)  # also checks g_conj
-        cond8, cond9 = linalg.condition_1_inf(
-            g_conj, lam_g, lambda: (left / lam_psi) @ left.conj().T)
+        cond8, cond9 = linalg.condition_1_inf(g_conj, lam_g, lambda: finite(
+            "companion Gram inverse entries", lambda: (left / lam_psi) @ left.conj().T))
         rows.append((max(float(lam_psi[0]), 0.0), cond2, cond3, gain4, gain4,
                      gain6, gain6, cond8, cond9, max(float(lam_g[0]), 0.0)))
 

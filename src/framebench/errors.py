@@ -36,7 +36,9 @@ class NotPositiveDefiniteError(FramebenchError):
 
 
 class NumericalFailureError(FramebenchError):
-    """An underlying dense solver failed to converge."""
+    """The arithmetic broke down: a dense solver did not converge, a banded
+    Cholesky factorization or solve failed, a result left the float range,
+    or no eigenvalue bracket fits inside it."""
 
     exit_code = 3  # numerical failure
 

@@ -164,23 +164,11 @@ class Generator:
         # still meaningful.
         return self.kind != "bspline" or self.degree >= 1
 
-    def to_json(self) -> dict:
-        if self.kind == "bspline":
-            return {"kind": "bspline", "degree": self.degree}
-        return {
-            "kind": "tabulated",
-            "grid": {
-                "samples": fields.to_pairs(self.samples),
-                "step": self.step,
-                "decay_s": self.decay_s,
-            },
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "Generator":
-        """A B-spline ``{"kind", "degree"}``, or a tabulated generator whose
-        ``samples`` (``[re, im]`` pairs), ``step`` and ``decay_s`` sit in a
-        ``grid`` object, as ``to_json`` writes them."""
+        """A B-spline ``{"kind", "degree"}``, or a tabulated generator
+        ``{"kind", "grid"}`` whose ``samples`` (``[re, im]`` pairs),
+        ``step`` and ``decay_s`` sit in the ``grid`` object."""
         if fields.require_tagged(obj, _KINDS, "generator kind", cls.kind) == "bspline":
             return cls(**obj)
         params = fields.require_fields(fields.require_object("grid", obj["grid"]),
@@ -366,16 +354,8 @@ class SamplingSet:
                 object.__setattr__(self, "bound", float(np.max(np.abs(d))) if d.size else 0.0)
 
     @classmethod
-    def constant(cls, value: float) -> "SamplingSet":
-        return cls(rule="constant", value=value)
-
-    @classmethod
     def seeded_uniform(cls, bound: float, seed: int = 0) -> "SamplingSet":
         return cls(rule="seeded-uniform", bound=bound, seed=seed)
-
-    @classmethod
-    def from_deltas(cls, deltas, bound: Optional[float] = None) -> "SamplingSet":
-        return cls(rule="explicit", explicit=deltas, bound=bound)
 
     def window(self, n: int) -> np.ndarray:
         """Centered integer window of length n."""
@@ -409,16 +389,9 @@ class SamplingSet:
             )
         return x
 
-    def to_json(self) -> dict:
-        if self.rule == "constant":
-            return {"kind": "constant", "value": self.value}
-        if self.rule == "seeded-uniform":
-            return {"kind": "seeded-uniform", "bound": self.bound, "seed": self.seed}
-        return {"kind": "explicit", "deltas": self.explicit.tolist(), "bound": self.bound}
-
     @classmethod
     def from_json(cls, obj: dict) -> "SamplingSet":
-        """``{"kind", ...}`` with the fields ``to_json`` writes for the rule;
+        """``{"kind", ...}`` with the fields of the rule in ``_RULES``;
         ``kind`` is the ``rule`` field and ``deltas`` the ``explicit`` one.
         An explicit rule leaves ``bound`` out for max |delta|; a ``null``
         bound is a ``ValueError``, as for any rule."""
@@ -544,12 +517,6 @@ class SamplingReport:
     direct_bounds: Tuple[Tuple[int, float, float], ...]
     generator_continuous: bool
     note: str
-
-    def item(self, item_id: str) -> Witness:
-        for it in self.items:
-            if it.id == item_id:
-                return it
-        raise KeyError(item_id)
 
     def to_json(self) -> dict:
         return {

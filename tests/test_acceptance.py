@@ -45,7 +45,7 @@ def test_criterion_1_counterexample_fixture():
         assert np.max(np.abs(gram_omega - expected)) <= 1e-12
     battery = run_battery(counterexample_family, PROFILE,
                           TruncationLadder((8, 16, 32, 64)))
-    verdicts = {battery.witness(i).verdict for i in (1, 8, 9, 10)}
+    verdicts = {battery.witnesses[i - 1].verdict for i in (1, 8, 9, 10)}
     assert verdicts == {"fail"}
     assert battery.consistent
     elapsed = time.perf_counter() - t0
@@ -131,12 +131,13 @@ def test_criterion_4_adjoint_duality():
 def test_criterion_5_bspline_sampling_unperturbed():
     t0 = time.perf_counter()
     rep = stable_sampling_verdict(Generator(kind="bspline", degree=3),
-                                  SamplingSet.constant(0.0),
+                                  SamplingSet(rule="constant", value=0.0),
                                   TruncationLadder((64, 128, 256)))
-    lam_final = rep.item("e").quantities[-1][1]
+    items = {it.id: it for it in rep.items}
+    lam_final = items["e"].quantities[-1][1]
     assert abs(lam_final - 1.0 / 9.0) <= 0.02 / 9.0
     assert rep.stable
-    assert {rep.item(k).verdict for k in "cde"} == {"pass"}
+    assert {items[k].verdict for k in "cde"} == {"pass"}
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     report(5, f"(interior lambda_min {lam_final:.6f} vs 1/9, {elapsed:.2f}s)")
@@ -144,15 +145,16 @@ def test_criterion_5_bspline_sampling_unperturbed():
 
 def test_criterion_6_bspline_sampling_half_shift():
     rep = stable_sampling_verdict(Generator(kind="bspline", degree=3),
-                                  SamplingSet.constant(0.5),
+                                  SamplingSet(rule="constant", value=0.5),
                                   TruncationLadder((64, 128, 256)))
-    lam = dict(rep.item("e").quantities)
+    items = {it.id: it for it in rep.items}
+    lam = dict(items["e"].quantities)
     assert lam[256] <= 1e-3
     assert lam[64] / lam[256] >= 3.0
     assert not rep.stable
-    assert {rep.item(k).verdict for k in "cd"} == {"fail"}
+    assert {items[k].verdict for k in "cd"} == {"fail"}
     for key in "cd":
-        conds = [v for _, v in rep.item(key).quantities]
+        conds = [v for _, v in items[key].quantities]
         assert math.isinf(conds[-1]) or conds[-1] / conds[0] >= 3.0
     report(6, f"(lambda_min {lam[64]:.2e} -> {lam[256]:.2e}, unstable)")
 

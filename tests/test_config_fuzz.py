@@ -1,7 +1,7 @@
 """Config fuzz: every input path exits 0, 2, 3 or 4.
 
-Valid configs of every command, in the layouts the records' ``to_json``
-write, get one section or leaf at a time replaced by an odd JSON value, or
+Valid configs of every command, in the one spelling that README documents,
+get one section or leaf at a time replaced by an odd JSON value, or
 deleted.  Each mutant runs through ``cli.main`` with warnings as errors, in
 one child process under a 3 GiB address-space limit, so that no mutant can
 depend on the host's memory.  The asserts: no exception escapes, the exit
@@ -21,7 +21,6 @@ import pytest
 
 from framebench.frames import VectorFamily
 from framebench.localization import LocalizationProfile, WeightSpec
-from framebench.sampling import Generator, SamplingSet, bspline_eval
 
 #: The odd JSON values each section or leaf is replaced by in turn.
 ODD = [None, True, False, "", "x", 0, -1, 2**63, 2**70, 1e308, -1e308, 5e-324,
@@ -70,8 +69,9 @@ def base_configs(folder):
     path.write_text(json.dumps(family))
     schur = LocalizationProfile(kind="schur", weight=WeightSpec(
         form="subexponential", rate=0.3, power=0.5)).to_json()
-    hat = Generator(kind="tabulated", samples=bspline_eval(1, np.arange(-2.0, 2.5, 0.5)),
-                    step=0.5, decay_s=2.0).to_json()
+    hat = {"kind": "tabulated",
+           "grid": {"samples": [[v, 0.0] for v in (0.0, 0.0, 0.0, 0.5, 1.0, 0.5, 0.0, 0.0, 0.0)],
+                    "step": 0.5, "decay_s": 2.0}}
     return [
         ("analyze", {"family": family, "profile": LocalizationProfile().to_json()}),
         ("analyze", {"family": str(path), "profile": schur}),
@@ -79,15 +79,16 @@ def base_configs(folder):
         ("battery", {"family": {"kind": "perturbed-onb", "epsilon": 0.3, "seed": 1},
                      "profile": LocalizationProfile(kind="schur").to_json(),
                      "ladder": [4, 8, 16]}),
-        ("sampling", {"generator": Generator().to_json(),
-                      "delta_rule": SamplingSet.constant(0.2).to_json(),
+        ("sampling", {"generator": {"kind": "bspline", "degree": 3},
+                      "delta_rule": {"kind": "constant", "value": 0.2},
                       "ladder": [16, 32]}),
         ("sampling", {"generator": hat,
-                      "delta_rule": SamplingSet.seeded_uniform(0.2, seed=3).to_json(),
+                      "delta_rule": {"kind": "seeded-uniform", "bound": 0.2, "seed": 3},
                       "ladder": [16, 32]}),
-        ("sampling", {"generator": Generator(degree=1).to_json(),
-                      "delta_rule": SamplingSet.from_deltas(
-                          0.1 * np.sin(np.arange(32)), bound=0.1).to_json(),
+        ("sampling", {"generator": {"kind": "bspline", "degree": 1},
+                      "delta_rule": {"kind": "explicit",
+                                     "deltas": (0.1 * np.sin(np.arange(32))).tolist(),
+                                     "bound": 0.1},
                       "ladder": [16, 32]}),
         ("fixtures", {"sizes": [4, 8]}),
     ]

@@ -51,17 +51,18 @@ def test_battery_harmonic_counterexample_fails_uniformity():
     rep = run_battery(counterexample_family, PROFILE, LADDER)
     assert rep.consistent
     assert all(w.verdict == "fail" for w in rep.witnesses)
-    # directly computed witnesses carry the closed-form ladder values
-    for _n, v in rep.witness(1).quantities:
+    # directly computed witnesses carry the closed-form ladder values;
+    # witnesses[i - 1] is witness i
+    for _n, v in rep.witnesses[0].quantities:
         assert np.isclose(v, 1.0 / _n**2, rtol=1e-10)
-    for _n, v in rep.witness(8).quantities:
+    for _n, v in rep.witnesses[7].quantities:
         assert np.isclose(v, float(_n**2), rtol=1e-9)
-    for _n, v in rep.witness(10).quantities:
+    for _n, v in rep.witnesses[9].quantities:
         assert np.isclose(v, 1.0 / _n**2, rtol=1e-10)
     # injectivity holds pointwise even though the uniform proxy fails
-    assert "pointwise injectivity holds" in rep.witness(4).proxy_note
-    assert "pointwise injectivity holds" in rep.witness(6).proxy_note
-    for _n, v in rep.witness(4).quantities:
+    assert "pointwise injectivity holds" in rep.witnesses[3].proxy_note
+    assert "pointwise injectivity holds" in rep.witnesses[5].proxy_note
+    for _n, v in rep.witnesses[3].quantities:
         assert np.isclose(v, 1.0 / _n, rtol=1e-12)
 
 
@@ -71,7 +72,7 @@ def test_battery_perturbed_onb_neumann_bound():
                       PROFILE, LADDER)
     assert rep.consistent
     assert all(w.verdict == "pass" for w in rep.witnesses)
-    for _n, v in rep.witness(1).quantities:
+    for _n, v in rep.witnesses[0].quantities:
         assert v >= (1 - eps) ** 2 - 1e-12
 
 
@@ -113,7 +114,7 @@ def test_battery_non_orthogonal_reference_matches_plain_path():
         assert np.allclose(got, expected, rtol=1e-12, atol=0.0), size
     # the reference side is real work here: coordinate and companion
     # condition numbers no longer coincide as they do over an ONB
-    assert rep.witness(2).quantities != rep.witness(8).quantities
+    assert rep.witnesses[1].quantities != rep.witnesses[7].quantities
 
 
 @given(st.floats(0.0, 2 * math.pi, exclude_max=True),
@@ -226,7 +227,7 @@ def test_battery_directly_computed_verdicts_agree():
     for gen in (onb_pair, counterexample_family,
                 lambda n: perturbed_onb_family(n, 0.3, seed=1)):
         rep = run_battery(gen, PROFILE, LADDER)
-        direct = {rep.witness(i).verdict for i in (1, 8, 9, 10)}
+        direct = {rep.witnesses[i - 1].verdict for i in (1, 8, 9, 10)}
         direct.discard("borderline")
         assert len(direct) <= 1
 
@@ -240,15 +241,15 @@ def test_battery_borderline_band():
         return VectorFamily(np.diag(d)), VectorFamily.onb(n)
 
     rep = run_battery(gen, PROFILE, LADDER)
-    assert rep.witness(1).verdict == "borderline"
-    assert rep.witness(8).verdict == "borderline"
-    assert rep.witness(4).verdict == "pass"  # probe gain tiny but above band
+    assert rep.witnesses[0].verdict == "borderline"
+    assert rep.witnesses[7].verdict == "borderline"
+    assert rep.witnesses[3].verdict == "pass"  # probe gain tiny but above band
     assert rep.consistent  # borderline entries are excluded
 
 
 def test_battery_monotone_first_witness_for_nested_generator():
     rep = run_battery(counterexample_family, PROFILE, LADDER)
-    vals = [v for _, v in rep.witness(1).quantities]
+    vals = [v for _, v in rep.witnesses[0].quantities]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
@@ -281,17 +282,48 @@ def test_battery_precondition_localization():
                                f"ladder verdict 'growth-detected', norms {norms}")
 
 
-def test_battery_subnormal_reference_eigenvalue_is_a_numerical_failure():
-    # below every float tol the reference passes, and 1 / w leaves the float
-    # range: a NumericalFailureError (exit 3), with no overflow warning
-    def gen(n):
-        d = np.ones(n)
-        d[1] = 1e-161
-        return VectorFamily.onb(n), VectorFamily(np.diag(d))
+def _scaled(n, *head):
+    """diag(head..., 1, ..., 1) of size n."""
+    d = np.ones(n)
+    d[:len(head)] = head
+    return np.diag(d)
 
+
+def _rotated(n):
+    """The identity of size n with its leading 2 x 2 block turned by pi / 4."""
+    r = np.eye(n)
+    r[:2, :2] = np.sqrt(0.5) * np.array([[1.0, -1.0], [1.0, 1.0]])
+    return r
+
+
+@pytest.mark.parametrize("psi, phi, tol, what", [
+    # below every float tol the reference passes, and 1 / w leaves the
+    # float range
+    (lambda n: np.eye(n), lambda n: _scaled(n, 1.0, 1e-161), 1e-323,
+     "reference inverse"),
+    # phi^-1 S_psi phi: the rank-one S_psi = 1e304 n ones meets the 1e6 of
+    # phi^-1 along e_1
+    (lambda n: 1e152 * np.ones((n, n)), lambda n: _scaled(n, 1e150, 1e-6), 1e-14,
+     "coordinate matrix"),
+    # phi^-1 S_psi^-1 phi: S_psi^-1 is about 1e300 and turned, and phi has
+    # condition number 1e9
+    (lambda n: 1e-150 * _scaled(n, 1.0, 2.0), lambda n: _rotated(n) @ _scaled(n, 1e-5, 1e4),
+     1e-14, "coordinate inverse"),
+    # B^H B = phi^H S_psi phi = 1e400 I
+    (lambda n: 1e100 * np.eye(n), lambda n: 1e100 * np.eye(n), 1e-14, "companion Gram"),
+    # (B^H B)^-1 = 1e320 I: its eigenvalues 1e-320 are subnormal but equal,
+    # so no singular flag stops the inverse
+    (lambda n: 1e-60 * np.eye(n), lambda n: 1e-100 * np.eye(n), 1e-300,
+     "companion Gram inverse"),
+], ids=["reference-inverse", "coordinate-matrix", "coordinate-inverse", "companion-gram",
+        "companion-gram-inverse"])
+def test_battery_overflow_is_a_numerical_failure(psi, phi, tol, what):
+    # finite families whose step product leaves the float range: a
+    # NumericalFailureError (exit 3) that names it, with no overflow warning
     with pytest.raises(NumericalFailureError,
-                       match="^reference inverse entries overflow the float range$"):
-        run_battery(gen, PROFILE, LADDER, tol=1e-323)
+                       match=f"^{what} entries overflow the float range$"):
+        run_battery(lambda n: (VectorFamily(psi(n)), VectorFamily(phi(n))), PROFILE,
+                    TruncationLadder((4, 8)), tol=tol)
 
 
 def test_battery_json_structure():
@@ -352,8 +384,8 @@ def test_battery_witness_table_pinned():
         (10, "gain", "fail", "dual companion attains a positive lower Riesz bound",
          "smallest eigenvalue of the companion Gram"),
     ]
-    assert rep.witness(5).quantities == rep.witness(4).quantities
-    assert rep.witness(7).quantities == rep.witness(6).quantities
+    assert rep.witnesses[4].quantities == rep.witnesses[3].quantities
+    assert rep.witnesses[6].quantities == rep.witnesses[5].quantities
 
 
 def test_battery_json_singular_flag_serialization():

@@ -45,6 +45,8 @@ from oracles import (autocorrelation_gram, condition_p, hermitian_power, samplin
 CUBIC = Generator(kind="bspline", degree=3)
 BOX = Generator(kind="bspline", degree=0)
 HAT = Generator(kind="bspline", degree=1)
+INTEGERS = SamplingSet(rule="constant", value=0.0)
+HALF_INTEGERS = SamplingSet(rule="constant", value=0.5)
 
 
 def convolved_box_oracle(degree, t, step=1e-4):
@@ -134,12 +136,12 @@ def test_tabulated_samples_shape():
 # --------------------------------------------------------------------------
 
 def test_sampling_matrix_box_identity():
-    p = sampling_matrix(BOX, SamplingSet.constant(0.0), 6)
+    p = sampling_matrix(BOX, INTEGERS, 6)
     assert np.array_equal(p.real, np.eye(6))
 
 
 def test_sampling_matrix_cubic_integer_stencil():
-    p = sampling_matrix(CUBIC, SamplingSet.constant(0.0), 9)
+    p = sampling_matrix(CUBIC, INTEGERS, 9)
     row = p[4].real
     expected = np.zeros(9)
     expected[3:6] = [1 / 6, 2 / 3, 1 / 6]
@@ -147,7 +149,7 @@ def test_sampling_matrix_cubic_integer_stencil():
 
 
 def test_sampling_matrix_cubic_half_integer_stencil():
-    p = sampling_matrix(CUBIC, SamplingSet.constant(0.5), 9)
+    p = sampling_matrix(CUBIC, HALF_INTEGERS, 9)
     row = p[4].real
     expected = np.zeros(9)
     expected[3:7] = [1 / 48, 23 / 48, 23 / 48, 1 / 48]
@@ -155,35 +157,37 @@ def test_sampling_matrix_cubic_half_integer_stencil():
 
 
 def test_sampling_matrix_interior_toeplitz_for_constant_shift():
-    p = sampling_matrix(CUBIC, SamplingSet.constant(0.25), 12)
+    p = sampling_matrix(CUBIC, SamplingSet(rule="constant", value=0.25), 12)
     for i in range(3, 8):
         for j in range(3, 8):
             assert p[i, j] == p[i + 1, j + 1]
-    g = autocorrelation_gram(CUBIC, SamplingSet.constant(0.25), 12)
+    g = autocorrelation_gram(CUBIC, SamplingSet(rule="constant", value=0.25), 12)
     for i in range(3, 8):
         for j in range(3, 8):
             assert np.isclose(g[i, j], g[i + 1, j + 1], rtol=1e-14)
 
 
 def test_generator_json_roundtrip():
-    assert Generator.from_json(CUBIC.to_json()) == CUBIC
-    x = (np.arange(21) - 10) * 0.5
-    tab = Generator(kind="tabulated", samples=(1.0 + np.abs(x)) ** -3.0,
-                    step=0.5, decay_s=2.5)
-    again = Generator.from_json(tab.to_json())
-    assert again.kind == "tabulated"
-    assert np.array_equal(again.samples, tab.samples)
-    assert again.step == tab.step and again.decay_s == tab.decay_s
-    assert "grid" in tab.to_json()
+    # the one config spelling, as README documents it
+    assert Generator.from_json({"kind": "bspline", "degree": 3}) == CUBIC
+    samples = (1.0 + np.abs((np.arange(21) - 10) * 0.5)) ** -3.0
+    tab = Generator.from_json(json.loads(json.dumps({"kind": "tabulated", "grid": {
+        "samples": [[v, 0.0] for v in samples.tolist()], "step": 0.5, "decay_s": 2.5}})))
+    assert tab.kind == "tabulated"
+    assert tab.samples.dtype == np.float64 and np.array_equal(tab.samples, samples)
+    assert tab.step == 0.5 and tab.decay_s == 2.5
 
 
-@pytest.mark.parametrize("x", [
-    SamplingSet.constant(-0.25),
-    SamplingSet.seeded_uniform(0.2, seed=7),
-    SamplingSet.from_deltas(0.3 * np.sin(np.arange(9))),
+@pytest.mark.parametrize("obj, x", [
+    ({"kind": "constant", "value": -0.25}, SamplingSet(rule="constant", value=-0.25)),
+    ({"kind": "seeded-uniform", "bound": 0.2, "seed": 7},
+     SamplingSet(rule="seeded-uniform", bound=0.2, seed=7)),
+    ({"kind": "explicit", "deltas": (0.3 * np.sin(np.arange(9))).tolist()},
+     SamplingSet(rule="explicit", explicit=0.3 * np.sin(np.arange(9)))),
 ], ids=["constant", "seeded-uniform", "explicit"])
-def test_sampling_set_json_roundtrip(x):
-    again = SamplingSet.from_json(json.loads(json.dumps(x.to_json())))
+def test_sampling_set_json_roundtrip(obj, x):
+    # the one config spelling, as README documents it
+    again = SamplingSet.from_json(json.loads(json.dumps(obj)))
     # field by field: ``explicit`` is an array, and the implied bound of the
     # constant and explicit rules must come back as the same float
     for name, value in vars(x).items():
@@ -193,34 +197,36 @@ def test_sampling_set_json_roundtrip(x):
 
 def test_sampling_set_validation():
     with pytest.raises(PerturbationViolationError):
-        SamplingSet.from_deltas([0.0, 0.5, 0.0], bound=0.2).points(3)
+        SamplingSet(rule="explicit", explicit=[0.0, 0.5, 0.0], bound=0.2).points(3)
     with pytest.raises(NotSeparatedError):
-        SamplingSet.from_deltas([0.5, -0.5, 0.0]).points(3)
+        SamplingSet(rule="explicit", explicit=[0.5, -0.5, 0.0]).points(3)
     with pytest.raises(PerturbationViolationError):
-        SamplingSet.from_deltas([0.1, 0.1]).points(5)  # wrong window length
+        SamplingSet(rule="explicit", explicit=[0.1, 0.1]).points(5)  # wrong window length
     # only an absent bound defaults to max |delta|
-    assert SamplingSet.from_deltas([0.0, -0.3, 0.1]).bound == 0.3
-    assert SamplingSet.from_deltas([0.0, 0.0, 0.0], bound=0.0).points(3).tolist() == [
-        -1.0, 0.0, 1.0]
+    assert SamplingSet(rule="explicit", explicit=[0.0, -0.3, 0.1]).bound == 0.3
+    assert SamplingSet(rule="explicit", explicit=[0.0, 0.0, 0.0],
+                       bound=0.0).points(3).tolist() == [-1.0, 0.0, 1.0]
     with pytest.raises(PerturbationViolationError):
-        SamplingSet.from_deltas([0.0, 0.3, 0.0], bound=0.0).points(3)
+        SamplingSet(rule="explicit", explicit=[0.0, 0.3, 0.0], bound=0.0).points(3)
     for bad in (-0.3, math.nan, math.inf):
         with pytest.raises(ValueError):
-            SamplingSet.from_deltas([0.0, 0.3, 0.0], bound=bad)
+            SamplingSet(rule="explicit", explicit=[0.0, 0.3, 0.0], bound=bad)
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: SamplingSet.constant(math.inf), "'value' must be finite"),
-    (lambda: SamplingSet.constant(math.nan), "'value' must be finite"),
+    (lambda: SamplingSet(rule="constant", value=math.inf), "'value' must be finite"),
+    (lambda: SamplingSet(rule="constant", value=math.nan), "'value' must be finite"),
     (lambda: SamplingSet.seeded_uniform(0.2, seed=-1), "'seed' must be >= 0"),
     (lambda: SamplingSet.seeded_uniform(0.2, seed=1.7), "'seed' must be an integer"),
     (lambda: SamplingSet.seeded_uniform(0.2, seed=True), "'seed' must be an integer"),
-    (lambda: SamplingSet.from_deltas([0.0, math.nan]), "'deltas' must be finite"),
+    (lambda: SamplingSet(rule="explicit", explicit=[0.0, math.nan]), "'deltas' must be finite"),
     # numbers are never parsed from strings or taken from bools
     (lambda: SamplingSet.seeded_uniform("0.2", 1), "'bound' must be a number"),
-    (lambda: SamplingSet.constant("0.5"), "'value' must be a number"),
-    (lambda: SamplingSet.from_deltas([0.1] * 4, bound=True), "'bound' must be a number"),
-    (lambda: SamplingSet.from_deltas([True, 0.1, 0.0]), "'deltas' must hold numbers only"),
+    (lambda: SamplingSet(rule="constant", value="0.5"), "'value' must be a number"),
+    (lambda: SamplingSet(rule="explicit", explicit=[0.1] * 4, bound=True),
+     "'bound' must be a number"),
+    (lambda: SamplingSet(rule="explicit", explicit=[True, 0.1, 0.0]),
+     "'deltas' must hold numbers only"),
     (lambda: Generator(kind="tabulated", samples=[0.0, 0.5, True, 0.5, 0.0]),
      "'samples' must hold numbers only"),
     (lambda: Generator.from_json({"kind": "tabulated", "grid": {
@@ -259,7 +265,7 @@ def test_unknown_tag_is_one_input_error(record, tag_field, from_json_key, tag):
 
 
 def test_seeded_uniform_deltas_nest_across_windows():
-    explicit = SamplingSet.from_deltas(0.3 * np.sin(np.arange(16)), bound=0.3)
+    explicit = SamplingSet(rule="explicit", explicit=0.3 * np.sin(np.arange(16)), bound=0.3)
     for s in (SamplingSet.seeded_uniform(0.3, seed=7), explicit):
         for n in (7, 8):
             small, big = s.deltas(n), s.deltas(16)
@@ -274,7 +280,7 @@ def test_seeded_uniform_deltas_nest_across_windows():
 # --------------------------------------------------------------------------
 
 def test_autocorrelation_box_identity():
-    g = autocorrelation_gram(BOX, SamplingSet.constant(0.0), 8)
+    g = autocorrelation_gram(BOX, INTEGERS, 8)
     assert np.array_equal(g.real, np.eye(8))
 
 
@@ -285,7 +291,7 @@ def test_autocorrelation_equals_normal_matrix_exactly():
 
 
 def test_autocorrelation_cubic_stencil_self_convolution():
-    g = autocorrelation_gram(CUBIC, SamplingSet.constant(0.0), 12)
+    g = autocorrelation_gram(CUBIC, INTEGERS, 12)
     stencil = np.array([1 / 6, 2 / 3, 1 / 6])
     expected_row = np.convolve(stencil, stencil[::-1])  # (1/36, 2/9, 1/2, 2/9, 1/36)
     assert np.allclose(expected_row, [1 / 36, 2 / 9, 1 / 2, 2 / 9, 1 / 36],
@@ -418,21 +424,23 @@ LADDER = TruncationLadder((32, 64, 128, 256))
 
 
 def test_verdict_cubic_unperturbed_stable():
-    rep = stable_sampling_verdict(CUBIC, SamplingSet.constant(0.0), LADDER)
+    rep = stable_sampling_verdict(CUBIC, INTEGERS, LADDER)
+    items = {it.id: it for it in rep.items}
     assert rep.stable and rep.consistent
     target = symbol_min_squared(3, 0.0)
     assert np.isclose(target, 1 / 9, atol=1e-8)
-    lam = [v for _, v in rep.item("e").quantities]
+    lam = [v for _, v in items["e"].quantities]
     assert all(b <= a + 1e-15 for a, b in zip(lam, lam[1:]))  # decreasing
     assert abs(lam[-1] - target) <= 0.02 * target
-    assert {rep.item(k).verdict for k in "acde"} == {"pass"}
-    assert rep.item("b").verdict == "pass"
-    assert "duality-derived" in rep.item("b").proxy_note
+    assert {items[k].verdict for k in "acde"} == {"pass"}
+    assert items["b"].verdict == "pass"
+    assert "duality-derived" in items["b"].proxy_note
 
 
 def test_sampling_item_table_pinned():
     # every field of every item but its quantities, cubic B-spline, no shift
-    rep = stable_sampling_verdict(CUBIC, SamplingSet.constant(0.0), LADDER)
+    rep = stable_sampling_verdict(CUBIC, INTEGERS, LADDER)
+    items = {it.id: it for it in rep.items}
     got = [(c["id"], it.kind, c["verdict"], c["quote"], c["proxy_note"])
            for it, c in zip(rep.items, rep.to_json()["items"])]
     assert got == [
@@ -455,19 +463,20 @@ def test_sampling_item_table_pinned():
          "autocorrelation Gram stays invertible in the 2-norm",
          "interior smallest eigenvalue"),
     ]
-    assert rep.item("b").quantities == rep.item("e").quantities
-    assert rep.item("d").quantities == rep.item("c").quantities
+    assert items["b"].quantities == items["e"].quantities
+    assert items["d"].quantities == items["c"].quantities
 
 
 def test_verdict_cubic_half_shift_unstable():
-    rep = stable_sampling_verdict(CUBIC, SamplingSet.constant(0.5), LADDER)
+    rep = stable_sampling_verdict(CUBIC, HALF_INTEGERS, LADDER)
+    items = {it.id: it for it in rep.items}
     assert not rep.stable and rep.consistent
     assert symbol_min_squared(3, 0.5) <= 1e-8
-    lam = [v for _, v in rep.item("e").quantities]
+    lam = [v for _, v in items["e"].quantities]
     assert lam[-1] <= 1e-3
     assert lam[0] / lam[-1] >= 3.0
-    assert {rep.item(k).verdict for k in "acde"} == {"fail"}
-    conds = [v for _, v in rep.item("c").quantities]
+    assert {items[k].verdict for k in "acde"} == {"fail"}
+    conds = [v for _, v in items["c"].quantities]
     assert math.isinf(conds[-1]) or conds[-1] / conds[0] >= 3.0
 
 
@@ -481,7 +490,7 @@ def test_verdict_box_small_perturbations_stable():
 
 
 def test_verdict_direct_bounds_bracket_symbol_ratio():
-    rep = stable_sampling_verdict(CUBIC, SamplingSet.constant(0.0), LADDER)
+    rep = stable_sampling_verdict(CUBIC, INTEGERS, LADDER)
     # oracle: pointwise ratio of the two symbols on a dense frequency grid
     theta = np.linspace(0.0, 2.0 * np.pi, 40001)
     rs = np.arange(-5, 6)
@@ -498,10 +507,11 @@ def test_verdict_direct_bounds_bracket_symbol_ratio():
 
 
 @pytest.mark.parametrize("x", [SamplingSet.seeded_uniform(0.2, seed=3),
-                               SamplingSet.constant(0.5)])
+                               HALF_INTEGERS])
 def test_verdict_items_cde_match_plain_path(x):
     ladder = TruncationLadder((32, 64, 128))
     rep = stable_sampling_verdict(CUBIC, x, ladder)
+    items = {it.id: it for it in rep.items}
     for idx, size in enumerate(ladder.sizes):
         interior = slice(rep.trim, size - rep.trim)
         # the complex128 dense oracle this gate was set against: at n = 128,
@@ -509,7 +519,7 @@ def test_verdict_items_cde_match_plain_path(x):
         gi = autocorrelation_gram(CUBIC, x, size)[interior, interior].astype(np.complex128)
         expected = [condition_p(gi, 1), condition_p(gi, math.inf),
                     max(float(linalg.hermitian_eig(gi)[0][0]), 0.0)]
-        got = [rep.item(k).quantities[idx][1] for k in "cde"]
+        got = [items[k].quantities[idx][1] for k in "cde"]
         assert np.allclose(got, expected, rtol=1e-12, atol=0.0), size
 
 
@@ -547,11 +557,11 @@ ORACLE_GENERATORS = {
 ORACLE_LADDER = TruncationLadder((24, 40, 64))
 
 delta_rules = st.one_of(
-    st.sampled_from([SamplingSet.constant(0.0), SamplingSet.constant(0.5)]),
+    st.sampled_from([INTEGERS, HALF_INTEGERS]),
     st.builds(SamplingSet.seeded_uniform, st.floats(0.0, 0.45),
               st.integers(0, 2**31 - 1)),
-    st.builds(lambda bound, seed: SamplingSet.from_deltas(
-        np.random.default_rng(seed).uniform(-bound, bound, 64)),
+    st.builds(lambda bound, seed: SamplingSet(
+        rule="explicit", explicit=np.random.default_rng(seed).uniform(-bound, bound, 64)),
         st.floats(0.0, 0.45), st.integers(0, 2**31 - 1)),
 )
 
@@ -561,9 +571,10 @@ delta_rules = st.one_of(
 def test_banded_verdict_matches_dense_oracle(name, x):
     g = ORACLE_GENERATORS[name]
     rep = stable_sampling_verdict(g, x, ORACLE_LADDER)
+    items = {it.id: it for it in rep.items}
     expected = dense_witnesses(g, x, ORACLE_LADDER, rep.trim)
     for idx, (size, lo, hi) in enumerate(rep.direct_bounds):
-        got = (lo, hi) + tuple(rep.item(k).quantities[idx][1] for k in "cde")
+        got = (lo, hi) + tuple(items[k].quantities[idx][1] for k in "cde")
         # equal infinities pass: the singular flag must agree exactly
         assert np.allclose(got, expected[idx], rtol=1e-10, atol=0.0), (size, got)
     for k, col in zip("acde", (0, 2, 3, 4)):
@@ -571,7 +582,7 @@ def test_banded_verdict_matches_dense_oracle(name, x):
         kind = "gain" if k in "ae" else "condition"
         oracle = Witness.from_ladder(k, "", "", ORACLE_LADDER.sizes, values, kind,
                                      frames.TOL_FRAME)
-        assert rep.item(k).verdict == oracle.verdict, k
+        assert items[k].verdict == oracle.verdict, k
 
 
 @pytest.mark.parametrize("name", ["tabulated-hat", "tabulated-decay", "tabulated-complex"])
@@ -730,7 +741,7 @@ def test_verdict_band_work_budget_long_ladder(monkeypatch):
     # vector and most jumps certify nothing: each costs at most its two
     # trial points (369 factorizations, 370 plain)
     ladder = TruncationLadder((2048, 4096, 8192))
-    x = SamplingSet.constant(0.2)
+    x = SamplingSet(rule="constant", value=0.2)
     rep, factorizations, solves, jumps, _ = band_work(monkeypatch, CUBIC, x, ladder)
     assert solves == [(size - 2 * rep.trim, 1) for size in ladder.sizes]
     assert factorizations <= plain_factorizations(monkeypatch, CUBIC, x, ladder) + 2 * jumps
@@ -768,7 +779,7 @@ def test_near_critical_report_values_are_pinned():
     # bracket.  The values are pinned so that a change of bracket rule, of
     # LAPACK or of BLAS shows up as a move here.  ref is lambda_min of the
     # same pencils bisected with an 80-bit long-double band Cholesky.
-    rep = stable_sampling_verdict(Generator(degree=5), SamplingSet.constant(0.49),
+    rep = stable_sampling_verdict(Generator(degree=5), SamplingSet(rule="constant", value=0.49),
                                   BUDGET_LADDER)
     pinned = [(128, 0.006906792879342156, 0.9999999999988365, 6.148492567689678e-05),
               (256, 0.0031224508142654846, 0.9999999999999845, 2.7703437476406245e-05),
@@ -783,14 +794,17 @@ def test_near_critical_report_values_are_pinned():
 #: Points that are not in increasing order: delta = +0.7 at even and -0.7 at
 #: odd positions, plus noise below 0.2, puts each even-position point to the
 #: right of the next one.
-UNSORTED = SamplingSet.from_deltas(0.7 * (-1.0) ** np.arange(128)
-                                   + np.random.default_rng(0).uniform(-0.2, 0.2, 128))
+UNSORTED = SamplingSet(rule="explicit",
+                       explicit=0.7 * (-1.0) ** np.arange(128)
+                       + np.random.default_rng(0).uniform(-0.2, 0.2, 128))
 CHECKERBOARD_SETS = {
-    **{f"constant-{c}": SamplingSet.constant(c) for c in (0.0, 0.2, 0.45, 0.49, 0.5)},
+    **{f"constant-{c}": SamplingSet(rule="constant", value=c)
+       for c in (0.0, 0.2, 0.45, 0.49, 0.5)},
     "seeded-0.3": SamplingSet.seeded_uniform(0.3, seed=1),
     "seeded-0.45": SamplingSet.seeded_uniform(0.45, seed=2),
     "explicit-unsorted": UNSORTED,
-    "explicit-1.4": SamplingSet.from_deltas(np.random.default_rng(4).uniform(-1.4, 1.4, 128)),
+    "explicit-1.4": SamplingSet(rule="explicit",
+                                explicit=np.random.default_rng(4).uniform(-1.4, 1.4, 128)),
 }
 
 
@@ -876,8 +890,10 @@ def test_verdict_tabulated_decay_fixture_stable(tmp_path):
         assert rep.stable and rep.consistent, seed
     cfg, out = tmp_path / "cfg.json", tmp_path / "rep.json"
     cfg.write_text(json.dumps({
-        "generator": decay.to_json(),
-        "delta_rule": SamplingSet.seeded_uniform(0.2, seed=0).to_json(),
+        "generator": {"kind": "tabulated", "grid": {
+            "samples": [[v, 0.0] for v in decay.samples.tolist()],
+            "step": 0.5, "decay_s": 2.5}},
+        "delta_rule": {"kind": "seeded-uniform", "bound": 0.2, "seed": 0},
         "ladder": list(ladder.sizes)}), encoding="utf-8")
     assert cli.main(["sampling", "--config", str(cfg), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
@@ -886,7 +902,7 @@ def test_verdict_tabulated_decay_fixture_stable(tmp_path):
 
 def test_verdict_trim_guard():
     with pytest.raises(LadderTooShortError):
-        stable_sampling_verdict(CUBIC, SamplingSet.constant(0.0),
+        stable_sampling_verdict(CUBIC, INTEGERS,
                                 TruncationLadder((4, 8)))
 
 
@@ -895,10 +911,10 @@ def test_generator_suitability_gate():
     # below tol = 1
     ladder = TruncationLadder((32, 64))
     with pytest.raises(GeneratorUnsuitableError) as failure:
-        stable_sampling_verdict(CUBIC, SamplingSet.constant(0.0), ladder, tol=1.0)
+        stable_sampling_verdict(CUBIC, INTEGERS, ladder, tol=1.0)
     assert str(failure.value) == ("integer shifts fail the Riesz check: symbol minimum "
                                   "5.397e-02 <= 1")
-    rep = stable_sampling_verdict(CUBIC, SamplingSet.constant(0.0), ladder)
+    rep = stable_sampling_verdict(CUBIC, INTEGERS, ladder)
     assert rep.generator_continuous is True
 
 
@@ -965,7 +981,7 @@ def test_riesz_gate_rejects_generators_whose_sections_pass(degree, tol, sizes, m
     section = shift_gram(g, sizes[-1] - 2 * math.ceil(g.support_radius))
     assert np.linalg.eigvalsh(section)[0] > tol
     with pytest.raises(GeneratorUnsuitableError) as failure:
-        stable_sampling_verdict(g, SamplingSet.constant(0.0), TruncationLadder(sizes), tol=tol)
+        stable_sampling_verdict(g, INTEGERS, TruncationLadder(sizes), tol=tol)
     assert str(failure.value) == f"integer shifts fail the Riesz check: {message}"
 
 
@@ -974,12 +990,12 @@ def test_riesz_gate_states_the_interval_it_cannot_decide():
     # band allows (M = 64) and its minimum 1/3: no verdict, exit 4
     g = ORACLE_GENERATORS["tabulated-hat"]
     with pytest.raises(GeneratorUnsuitableError) as failure:
-        stable_sampling_verdict(g, SamplingSet.constant(0.0), TruncationLadder((16, 32)),
+        stable_sampling_verdict(g, INTEGERS, TruncationLadder((16, 32)),
                                 tol=0.333)
     assert str(failure.value) == ("integer shifts fail the Riesz check: symbol minimum in "
                                   "[3.329e-01, 3.333e-01], not certified above 0.333")
     # a longer ladder leaves room for a finer grid, which decides
-    rep = stable_sampling_verdict(g, SamplingSet.constant(0.0), TruncationLadder((64, 128)),
+    rep = stable_sampling_verdict(g, INTEGERS, TruncationLadder((64, 128)),
                                   tol=0.333)
     assert rep.generator_continuous
 
@@ -1010,19 +1026,19 @@ def _clustered_deltas():
     d = np.zeros(32)
     k = np.arange(-2, 3)
     d[16 + k] = -k + 1e-5 * k
-    return SamplingSet.from_deltas(d)
+    return SamplingSet(rule="explicit", explicit=d)
 
 
 @pytest.mark.parametrize("samples, x, what", [
     # the shift Gram integrates |g|^2: 1e320
-    (1e160 * HAT5, SamplingSet.constant(0.0), "shift Gram entries"),
+    (1e160 * HAT5, INTEGERS, "shift Gram entries"),
     # the shift Gram stays below 3.5 s^2 < 1.8e308; G[0, 0] sums five
     # samples of about s^2 = 4e307 each
     (math.sqrt(4e307) * HAT5, _clustered_deltas(), "autocorrelation Gram entries"),
     # the shift row stays below 7.5e306, but the symbol's certified lower
     # bound subtracts pi^2 sum_m m^2 |a_m| / M^2 from pi^2 sum_m m^2 |a_m| =
     # 3.1e308
-    (math.sqrt(1e307) * (1.0 + np.abs(_HALF13)) ** -2.0, SamplingSet.constant(0.0),
+    (math.sqrt(1e307) * (1.0 + np.abs(_HALF13)) ** -2.0, INTEGERS,
      "shift Gram symbol bounds"),
 ], ids=["shift-row", "gram-band", "symbol"])
 def test_overflowing_gram_is_a_numerical_failure(monkeypatch, samples, x, what):
@@ -1049,8 +1065,30 @@ def test_riesz_gate_runs_before_the_gram_band_is_built(monkeypatch):
     assert calls == []
 
 
+def test_clustered_points_take_the_singular_flag_through_the_cli(tmp_path):
+    # five points within 2e-5 of 0 make the hat's G singular at every size:
+    # items c and d take the singular flag, written "singular" in the JSON
+    # report and in the witness CSV
+    cfg, out = tmp_path / "cfg.json", tmp_path / "rep.json"
+    cfg.write_text(json.dumps({
+        "generator": {"kind": "bspline", "degree": 1},
+        "delta_rule": {"kind": "explicit", "deltas": _clustered_deltas().explicit.tolist()},
+        "ladder": [16, 32]}), encoding="utf-8")
+    assert cli.main(["sampling", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text(encoding="utf-8"))
+    assert rep["stable"] is False and rep["consistent"] is True
+    zero, singular = [[16, 0.0], [32, 0.0]], [[16, "singular"], [32, "singular"]]
+    assert [(it["id"], it["verdict"], it["quantities"]) for it in rep["items"]] == [
+        ("a", "fail", zero), ("b", "fail", zero), ("c", "fail", singular),
+        ("d", "fail", singular), ("e", "fail", zero)]
+    assert (tmp_path / "rep.csv").read_text(encoding="utf-8") == (
+        "size,item_a,item_b,item_c,item_d,item_e\n"
+        "16,0.0,0.0,singular,singular,0.0\n"
+        "32,0.0,0.0,singular,singular,0.0\n")
+
+
 def test_sampling_report_json_and_csv():
-    rep = stable_sampling_verdict(CUBIC, SamplingSet.constant(0.5),
+    rep = stable_sampling_verdict(CUBIC, HALF_INTEGERS,
                                   TruncationLadder((32, 64)))
     js = rep.to_json()
     assert js["stable"] is False
@@ -1061,7 +1099,7 @@ def test_sampling_report_json_and_csv():
     assert len(lines) == 3
     # the singular flag of a condition witness is math.inf; the JSON item and
     # the same cell of the witness CSV both write it as "singular"
-    c = rep.item("c")
+    c = rep.items[2]
     flagged = replace(c, quantities=(c.quantities[0], (64, math.inf)))
     rep = replace(rep, items=tuple(flagged if it is c else it for it in rep.items))
     assert rep.to_json()["items"][2]["quantities"] == [[32, c.quantities[0][1]],
