@@ -24,7 +24,7 @@ print("Gram == identity:", np.allclose(fb.gram(onb), np.eye(n)))
 print()
 print("== a Riesz basis: identity plus a contraction ==")
 e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-e *= 0.4 / fb.pnorm_operator(e, 2)
+e *= 0.4 / fb.pnorm_operator(e)
 phi = fb.VectorFamily(np.eye(n) + e, label="riesz-basis")
 bounds = fb.frame_bounds(phi)
 print(f"frame bounds: lower={bounds.lower:.4f}, upper={bounds.upper:.4f}")
@@ -43,7 +43,7 @@ print()
 print("== orthonormalization by a frame-operator power ==")
 ortho = fb.VectorFamily((v * np.power(w, -0.5)) @ v.conj().T @ phi.coeffs)
 print("Gram of S^-1/2 phi == identity:",
-      fb.pnorm_operator(fb.gram(ortho) - np.eye(n), 2) < 1e-10)
+      fb.pnorm_operator(fb.gram(ortho) - np.eye(n)) < 1e-10)
 
 print()
 print("== coordinate p-norms against the dual ==")

@@ -55,8 +55,8 @@ unit = WeightSpec(form="subexponential", rate=0.0)
 rng = np.random.default_rng(1)
 a = rng.standard_normal((8, 8))
 print("unit weight equals max of operator 1-/inf-norms:",
-      fb.schur_norm(a, unit) == max(fb.pnorm_operator(a, 1),
-                                    fb.pnorm_operator(a, np.inf)))
+      fb.schur_norm(a, unit) == max(fb.linalg.line_sums(a.T).max(),
+                                    fb.linalg.line_sums(a).max()))
 
 print()
 print("== solidity: masking entries can only shrink the norms ==")

@@ -18,7 +18,7 @@ n = 8
 
 print("== duality on a well-behaved pair ==")
 e = rng.standard_normal((n, n))
-e *= 0.4 / fb.pnorm_operator(e, 2)
+e *= 0.4 / fb.pnorm_operator(e)
 phi = fb.VectorFamily(np.eye(n) + e, label="reference")
 psi = fb.VectorFamily(rng.standard_normal((n, n)), label="test-family")
 rep = duality_verdict(psi, rdual(psi, phi), fb.frames.TOL_FRAME)

@@ -4,9 +4,9 @@ Submodules
 ----------
 linalg
     Dense kernels (dtype rule of ``fields``): Hermitian eigenpairs and the
-    inverse square root from them, row p-norms (``line_norms``) and the
-    operator p-norms built on them, the 1-/max-norm condition pair from a
-    given inverse, gain probes, band kernels.
+    inverse square root from them, absolute row sums (``line_sums``) and
+    the 1-/max-norm condition pair built on them from a given inverse, the
+    max-norm gain probe, the operator 2-norm, band kernels.
 frames
     Vector families against an ambient ONB, Gram matrices, the frame
     operator, frame/Riesz bounds.

@@ -49,7 +49,6 @@ B^H B (values only).
 """
 
 from dataclasses import dataclass
-import math
 from typing import Callable, Tuple
 
 import numpy as np
@@ -175,10 +174,10 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
             lambda: finite("coordinate inverse entries", lambda: (left / lam_psi) @ right))
 
         cross = frames.cross_gram(psi, phi)
-        gain4 = linalg.gain_probe(cross, math.inf)
+        gain4 = linalg.gain_probe(cross)
         cross_conj = cross.conj()
         gain6 = linalg.gain_probe(finite("companion synthesis coordinate entries", np.matmul,
-                                         linalg.inverse_sqrt(w, v), cross_conj), math.inf)
+                                         linalg.inverse_sqrt(w, v), cross_conj))
 
         g_conj = finite("companion Gram entries", np.matmul, cross_conj.T, cross)  # B^H B
         lam_g = linalg.hermitian_eigvals(g_conj)  # also checks g_conj
@@ -238,17 +237,18 @@ def perturbed_onb_family(size: int, epsilon: float = 0.3, seed: int = 0,
                          ) -> Tuple[VectorFamily, VectorFamily]:
     """A well-conditioned test pair: psi = I + E with spectral norm of E fixed.
 
-    E is a dense seeded Gaussian perturbation rescaled to 2-norm
-    ``epsilon`` < 1 (no SVD: see ``linalg.pnorm_operator``), so the frame
-    bound stays above (1 - epsilon)^2 at every size.  E has no off-diagonal
-    decay, so psi is *not* mutually localized with the reference: the
-    Jaffard norm of its cross Gram grows with the size, and so do the
-    1-norm and max-norm witnesses (2, 3, 8, 9), roughly like sqrt(size).
-    All ten battery conditions pass only on short ladders such as (8, 16,
-    32, 64); on (16, ..., 512) the battery is no longer consistent.
+    E is a dense seeded Gaussian perturbation rescaled to operator 2-norm
+    ``epsilon`` < 1 by ``linalg.pnorm_operator`` (its largest singular
+    value, no SVD), so the frame bound stays above (1 - epsilon)^2 at every
+    size.  E has no off-diagonal decay, so psi is *not* mutually localized
+    with the reference: the Jaffard norm of its cross Gram grows with the
+    size, and so do the 1-norm and max-norm witnesses (2, 3, 8, 9), roughly
+    like sqrt(size).  All ten battery conditions pass only on short ladders
+    such as (8, 16, 32, 64); on (16, ..., 512) the battery is no longer
+    consistent.
     """
     rng = np.random.default_rng(seed)
     e = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    e *= epsilon / linalg.pnorm_operator(e, 2)
+    e *= epsilon / linalg.pnorm_operator(e)
     psi = VectorFamily(np.eye(size) + e, label="perturbed-onb")
     return psi, VectorFamily.onb(size, label="reference-onb")

@@ -102,10 +102,8 @@ def require_tagged(obj: dict, kinds: dict, what: str, default: str, key="kind", 
 
 
 def require_sizes(field: str, sizes) -> tuple:
-    """``sizes`` as a tuple of Python ints if it is a list, tuple or 1-D array
-    of integers (no bool) below 2^63, else a ``ValueError`` naming the field."""
-    if isinstance(sizes, np.ndarray) and sizes.ndim == 1:
-        sizes = sizes.tolist()
+    """``sizes`` as a tuple of Python ints if it is a list or tuple of
+    integers (no bool) below 2^63, else a ``ValueError`` naming the field."""
     if not (isinstance(sizes, (list, tuple)) and all(map(is_integer, sizes))):
         raise ValueError(f"bad {field} {sizes!r}: expected a list of integers")
     if any(s >= 2**63 for s in sizes):

@@ -2,16 +2,17 @@
 
 All functions operate on plain row-major ``numpy`` arrays of the dtype rule
 of ``fields`` and are pure: no shared state, safe to call concurrently.
-Operator p-norms are restricted to p in {1, 2, inf}; those three are what
-every invertibility and gain diagnostic in the package needs.
+Each dense norm kernel computes the one norm its callers use: absolute row
+sums for the 1-/max-norm condition pair, the max-norm coordinate gain
+probe, and the operator 2-norm.
 ``inverse_sqrt`` builds A^-1/2 from the eigenpairs of ``hermitian_eig``;
 the caller decides, against its own tolerance, that A is definite.
 
 Every sum of absolute values along a row or a column goes through one
-kernel, ``line_norms``: it reduces each row of a C-contiguous copy of |A|,
-and a column is a row of the transpose.  ``pnorm_operator(A, 1)`` and
-``pnorm_operator(A.conj().T, inf)`` therefore add exactly the same floats
-in exactly the same order, and the duality identity holds bit for bit.
+kernel, ``line_sums``: it reduces each row of a C-contiguous copy of |A|,
+and a column is a row of the transpose.  The column sums of A and the row
+sums of A^H therefore add exactly the same floats in exactly the same
+order, so ||A||_1 = ||A^H||_inf holds bit for bit.
 
 Hermitian band matrices (the sampling Grams) have their own kernels, which
 never form the dense matrix: ``band_norm``, ``band_definite``,
@@ -71,14 +72,6 @@ TOL_EIG = 1e-10     # relative: eigen-reconstruction and unitarity residuals
 TOL_HERM = 1e-12    # relative to max |A|: asymmetry allowed before symmetrizing
 TOL_SING = 1e-12    # relative to the spectral norm: singularity flag threshold
 TOL_CALC = 1e-8     # relative: composed-operation consistency (sqrt squared, ...)
-
-#: Admissible operator-norm indices.
-NORM_INDICES = (1, 2, math.inf)
-
-
-def _check_norm_index(p):
-    if p not in NORM_INDICES:
-        raise ValueError(f"norm index must be 1, 2 or inf, got {p!r}")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -149,44 +142,34 @@ def hermitian_eigvals(a) -> np.ndarray:
                    _require_hermitian(as_matrix(a)))
 
 
-def line_norms(a, p) -> np.ndarray:
-    """The p-norm of every row of a 2-D array, p in {1, 2, inf}.
+def line_sums(a) -> np.ndarray:
+    """The absolute row sums of a 2-D array.
 
     |a| is written out C-contiguous before each row is reduced along the
     last axis, so a row's additions happen in the same order whatever the
-    strides of ``a``; column norms are ``line_norms(a.T, p)``.
+    strides of ``a``; column sums are ``line_sums(a.T)``.  A sum past the
+    float range is a ``NumericalFailureError``.
     """
-    _check_norm_index(p)
     m = np.abs(np.asarray(a), order="C")
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    if p == 1:
-        return np.add.reduce(m, axis=1)
-    if p == 2:
-        return np.sqrt(np.add.reduce(m * m, axis=1))
-    return np.max(m, axis=1, initial=0.0)  # an empty row has norm 0
+    return _finite("absolute row sums", np.add.reduce, m, 1)
 
 
-def pnorm_operator(a, p) -> float:
-    """Operator p-norm for p in {1, 2, inf}.
-
-    p=1 is the maximum absolute column sum (columns summed in row-index
-    order), p=inf the maximum absolute row sum, p=2 the largest singular
-    value: sqrt(lambda_max) of the smaller Gram of A / max|a_ij|, no SVD.
-    """
-    _check_norm_index(p)
+def pnorm_operator(a) -> float:
+    """Operator 2-norm, the largest singular value: sqrt(lambda_max) of the
+    smaller Gram of A / max|a_ij|, no SVD."""
     m = as_matrix(a)
-    if p == 2:  # entries of modulus <= 1 cannot overflow the Gram; 0 has norm 0
-        scale = float(np.max(np.abs(m))) or 1.0
-        m = m / scale
-        g = m.conj().T @ m if m.shape[0] >= m.shape[1] else m @ m.conj().T
-        return scale * math.sqrt(float(np.linalg.eigvalsh(g)[-1]))
-    return _max_line_sum(m.T if p == 1 else m)
+    # entries of modulus <= 1 cannot overflow the Gram; 0 has norm 0
+    scale = float(np.max(np.abs(m))) or 1.0
+    m = m / scale
+    g = m.conj().T @ m if m.shape[0] >= m.shape[1] else m @ m.conj().T
+    return scale * math.sqrt(float(np.linalg.eigvalsh(g)[-1]))
 
 
 def _max_line_sum(m: np.ndarray) -> float:
     """The largest absolute row sum of ``m``: ||m||_inf, and ||m.T||_1."""
-    return float(np.max(line_norms(m, 1)))
+    return float(np.max(line_sums(m)))
 
 
 def is_singular(singular_values) -> bool:
@@ -477,14 +460,12 @@ def band_condition(ab, checkerboard: bool = False) -> float:
         rhs = np.zeros((n - start, w), dtype=factor.dtype, order="F")
         rhs[np.arange(w), np.arange(w)] = 1.0
         block = solve(start, rhs)
-        sums[start:start + w] += line_norms(block.T, 1)
-        sums[start + w:] += line_norms(block[w:], 1)
+        sums[start:start + w] += line_sums(block.T)
+        sums[start + w:] += line_sums(block[w:])
     return band_norm(ab) * float(np.max(sums))
 
 
-def gain_probe(a, p) -> float:
-    """Upper bound on the smallest p-norm gain, p in {1, inf}, from probing
-    with the coordinate unit vectors: min_j ||A e_j||_p."""
-    if p not in (1, math.inf):
-        raise ValueError(f"gain probe norm index must be 1 or inf, got {p!r}")
-    return float(np.min(line_norms(as_matrix(a).T, p)))
+def gain_probe(a) -> float:
+    """Upper bound on the smallest max-norm gain, from probing with the
+    coordinate unit vectors: min_j ||A e_j||_inf = min_j max_i |a_ij|."""
+    return float(np.min(np.max(np.abs(as_matrix(a)), axis=0)))

@@ -152,14 +152,14 @@ def jaffard_norm(a, s: float) -> float:
 def schur_norm(a, weight: WeightSpec) -> float:
     """Weighted Schur norm: max of weighted row-sum sup and column-sum sup.
 
-    The weighted moduli are summed by ``linalg.line_norms``, the kernel
-    behind the operator 1-/inf-norms, so with the constant weight 1 this
-    equals max(pnorm_operator(a, 1), pnorm_operator(a, inf)) bit for bit.
+    The weighted moduli are summed by ``linalg.line_sums``, the kernel
+    behind the battery's 1-/max-norms, so with the constant weight 1 this
+    equals max(||A||_1, ||A||_inf) as ``linalg.condition_1_inf`` sums them,
+    bit for bit.
     """
     field = _WEIGHT_FORMS[weight.form][0][0]
     mw = _weighted_moduli(a, weight, f"{field!r} = {getattr(weight, field):g}")
-    return float(max(np.max(linalg.line_norms(mw, 1)),
-                     np.max(linalg.line_norms(mw.T, 1))))
+    return float(max(np.max(linalg.line_sums(mw)), np.max(linalg.line_sums(mw.T))))
 
 
 def ladder_verdict(norms) -> str:

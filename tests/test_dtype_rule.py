@@ -61,8 +61,9 @@ _DECAY = np.random.default_rng(3).standard_normal((16, 12))
 KERNELS = {
     "hermitian_eig": (lambda a: linalg.hermitian_eig(a)[0], _A),
     "hermitian_eigvals": (linalg.hermitian_eigvals, _A),
-    "pnorm_operator": (lambda a: [linalg.pnorm_operator(a, p)
-                                  for p in linalg.NORM_INDICES], _A),
+    "pnorm_operator": (lambda a: [linalg.pnorm_operator(a)], _A),
+    "line_sums": (linalg.line_sums, _DECAY),
+    "gain_probe": (lambda a: [linalg.gain_probe(a)], _DECAY),
     "band_min_eig": (lambda ab: [linalg.band_min_eig(ab), -linalg.band_min_eig(-ab)], _AB),
     "band_condition-block": (lambda ab: [linalg.band_condition(ab)], _TP),
     "band_condition-checkerboard": (

@@ -25,7 +25,7 @@ from framebench.errors import (
 from framebench.frames import TruncationLadder, VectorFamily
 from framebench.ladder import Witness
 from framebench.localization import LocalizationProfile
-from oracles import canonical_dual, condition_p
+from oracles import canonical_dual, condition_p, hermitian_power
 
 PROFILE = LocalizationProfile(kind="jaffard", s=2.0)
 LADDER = TruncationLadder((8, 16, 32, 64))
@@ -95,8 +95,8 @@ def plain_witnesses(psi, phi):
     dual = canonical_dual(phi)
     coord = dual.coeffs.conj().T @ frames.frame_operator(psi) @ phi.coeffs
     g_omega = frames.gram(omega)
-    gain4 = linalg.gain_probe(frames.cross_gram(psi, phi), math.inf)
-    gain6 = linalg.gain_probe(frames.cross_gram(dual, omega), math.inf)
+    gain4 = linalg.gain_probe(frames.cross_gram(psi, phi))
+    gain6 = linalg.gain_probe(frames.cross_gram(dual, omega))
     return [frames.riesz_bounds(psi).lower,  # psi is square: same spectrum as S_psi
             condition_p(coord, 1), condition_p(coord, math.inf),
             gain4, gain4, gain6, gain6,
@@ -296,34 +296,45 @@ def _rotated(n):
     return r
 
 
-@pytest.mark.parametrize("psi, phi, tol, what", [
+def _hadamard_root(n):
+    """(c (1.5 sqrt(n) I + H_n))^1/2, H_n the Sylvester Hadamard matrix, with
+    c putting its frame operator's largest eigenvalue, 2.5 c sqrt(n), at
+    0.9e308; the first row sum of |S_psi| is c (n + 1.5 sqrt(n))."""
+    root = hermitian_power(1.5 * math.sqrt(n) * np.eye(n) + sla.hadamard(n), 0.5)
+    return math.sqrt(0.9e308 / (2.5 * math.sqrt(n))) * root
+
+
+@pytest.mark.parametrize("psi, phi, tol, sizes, what", [
     # below every float tol the reference passes, and 1 / w leaves the
     # float range
-    (lambda n: np.eye(n), lambda n: _scaled(n, 1.0, 1e-161), 1e-323,
-     "reference inverse"),
+    (lambda n: np.eye(n), lambda n: _scaled(n, 1.0, 1e-161), 1e-323, (4, 8),
+     "reference inverse entries"),
     # phi^-1 S_psi phi: the rank-one S_psi = 1e304 n ones meets the 1e6 of
     # phi^-1 along e_1
-    (lambda n: 1e152 * np.ones((n, n)), lambda n: _scaled(n, 1e150, 1e-6), 1e-14,
-     "coordinate matrix"),
+    (lambda n: 1e152 * np.ones((n, n)), lambda n: _scaled(n, 1e150, 1e-6), 1e-14, (4, 8),
+     "coordinate matrix entries"),
     # phi^-1 S_psi^-1 phi: S_psi^-1 is about 1e300 and turned, and phi has
     # condition number 1e9
     (lambda n: 1e-150 * _scaled(n, 1.0, 2.0), lambda n: _rotated(n) @ _scaled(n, 1e-5, 1e4),
-     1e-14, "coordinate inverse"),
+     1e-14, (4, 8), "coordinate inverse entries"),
     # B^H B = phi^H S_psi phi = 1e400 I
-    (lambda n: 1e100 * np.eye(n), lambda n: 1e100 * np.eye(n), 1e-14, "companion Gram"),
+    (lambda n: 1e100 * np.eye(n), lambda n: 1e100 * np.eye(n), 1e-14, (4, 8),
+     "companion Gram entries"),
     # (B^H B)^-1 = 1e320 I: its eigenvalues 1e-320 are subnormal but equal,
     # so no singular flag stops the inverse
-    (lambda n: 1e-60 * np.eye(n), lambda n: 1e-100 * np.eye(n), 1e-300,
-     "companion Gram inverse"),
+    (lambda n: 1e-60 * np.eye(n), lambda n: 1e-100 * np.eye(n), 1e-300, (4, 8),
+     "companion Gram inverse entries"),
+    # every entry of the coordinate matrix S_psi is finite, but its first
+    # row sum is 2.6e308 at n = 32, where witness 2 takes ||S_psi||_1
+    (_hadamard_root, np.eye, 1e-14, (32, 64), "absolute row sums"),
 ], ids=["reference-inverse", "coordinate-matrix", "coordinate-inverse", "companion-gram",
-        "companion-gram-inverse"])
-def test_battery_overflow_is_a_numerical_failure(psi, phi, tol, what):
+        "companion-gram-inverse", "coordinate-row-sums"])
+def test_battery_overflow_is_a_numerical_failure(psi, phi, tol, sizes, what):
     # finite families whose step product leaves the float range: a
     # NumericalFailureError (exit 3) that names it, with no overflow warning
-    with pytest.raises(NumericalFailureError,
-                       match=f"^{what} entries overflow the float range$"):
+    with pytest.raises(NumericalFailureError, match=f"^{what} overflow the float range$"):
         run_battery(lambda n: (VectorFamily(psi(n)), VectorFamily(phi(n))), PROFILE,
-                    TruncationLadder((4, 8)), tol=tol)
+                    TruncationLadder(sizes), tol=tol)
 
 
 def test_battery_json_structure():

@@ -25,7 +25,7 @@ def random_family(n, m, seed, spread=1.0):
 def riesz_basis(n, seed, eps=0.4):
     rng = np.random.default_rng(seed)
     e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    e *= eps / linalg.pnorm_operator(e, 2)
+    e *= eps / linalg.pnorm_operator(e)
     return VectorFamily(np.eye(n) + e, label=f"riesz{seed}")
 
 
@@ -205,7 +205,7 @@ def test_power_transform_scaled_onb():
 def test_power_transform_orthonormalizes_riesz_basis(seed):
     phi = riesz_basis(6, seed)
     out = power(phi, -0.5)
-    assert linalg.pnorm_operator(frames.gram(out) - np.eye(6), 2) <= 1e-8
+    assert linalg.pnorm_operator(frames.gram(out) - np.eye(6)) <= 1e-8
 
 
 # --------------------------------------------------------------------------
@@ -220,13 +220,13 @@ def test_truncation_ladder_validation():
     with pytest.raises(LadderTooShortError):
         TruncationLadder((0, 4))
     assert tuple(TruncationLadder((4, 8))) == (4, 8)
-    # sizes are never rounded or coerced: a float, a bool and a string are
-    # each a ValueError naming the field, in the one wording of the size
-    # rule that the CLI ladder shares; numpy integers are integers
-    for sizes in ((8.7, 16.2), (True, 8), ("8", "16")):
+    # sizes are never rounded or coerced: a float, a bool, a string and an
+    # array are each a ValueError naming the field, in the one wording of
+    # the size rule that the CLI ladder shares; numpy integers are integers
+    for sizes in ((8.7, 16.2), (True, 8), ("8", "16"), np.array([4, 8])):
         with pytest.raises(ValueError, match=r"^bad sizes .*: expected a list of integers$"):
             TruncationLadder(sizes)
-    ladder = TruncationLadder(np.array([4, 8]))
+    ladder = TruncationLadder((np.int64(4), np.int64(8)))
     assert ladder.sizes == (4, 8) and all(type(s) is int for s in ladder.sizes)
 
 

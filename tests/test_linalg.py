@@ -1,8 +1,9 @@
-"""Kernel tests: eigenpairs, inverse square root, p-norms, condition, gain probe.
+"""Kernel tests: eigenpairs, inverse square root, row sums, 2-norm,
+condition, gain probe.
 
 Derived expectations come from independent oracles implemented here:
 characteristic-polynomial bisection, closed-form Toeplitz eigenvalues, a
-mesh search over the 1-norm sphere, and the plain gallop-and-bisect of a
+mesh search over the max-norm sphere, and the plain gallop-and-bisect of a
 band pencil's smallest eigenvalue, which ``band_min_eig`` shortens with its
 Rayleigh-quotient jump.
 """
@@ -103,9 +104,9 @@ def test_eig_matches_charpoly_bisection(seed):
 def test_eig_reconstruction_and_unitarity(seed):
     a = random_hermitian(12, seed)
     w, v = linalg.hermitian_eig(a)
-    scale = max(linalg.pnorm_operator(a, 2), 1.0)
+    scale = max(linalg.pnorm_operator(a), 1.0)
     rebuilt = (v * w) @ v.conj().T
-    assert linalg.pnorm_operator(rebuilt - a, 2) <= linalg.TOL_EIG * scale
+    assert linalg.pnorm_operator(rebuilt - a) <= linalg.TOL_EIG * scale
     gram = v.conj().T @ v
     assert np.max(np.abs(gram - np.eye(12))) <= linalg.TOL_EIG
 
@@ -147,30 +148,39 @@ def test_power_identity_and_scalar():
 def test_power_sqrt_squares_back():
     a = random_spd(6, 3)
     root = linalg.inverse_sqrt(*linalg.hermitian_eig(a))
-    err = linalg.pnorm_operator(root @ root @ a - np.eye(6), 2)
+    err = linalg.pnorm_operator(root @ root @ a - np.eye(6))
     assert err <= linalg.TOL_CALC
 
 
 # --------------------------------------------------------------------------
-# pnorm_operator
+# line_sums and pnorm_operator
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("p", [1, 2, math.inf])
+#: The three operator norms the package takes, by index: ||A||_1 and
+#: ||A||_inf as the largest column and row sum of ``line_sums``, and the
+#: 2-norm of ``pnorm_operator``.
+NORMS = {1: lambda a: float(np.max(linalg.line_sums(a.T))),
+         2: linalg.pnorm_operator,
+         math.inf: lambda a: float(np.max(linalg.line_sums(a)))}
+
+
+@pytest.mark.parametrize("p", NORMS)
 def test_pnorm_identity(p):
-    assert linalg.pnorm_operator(np.eye(5), p) == 1.0
+    assert NORMS[p](np.eye(5)) == 1.0
 
 
 def test_pnorm_column_row_sums():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert linalg.pnorm_operator(a, 1) == 6.0
-    assert linalg.pnorm_operator(a, math.inf) == 7.0
+    assert linalg.line_sums(a.T).tolist() == [4.0, 6.0]
+    assert linalg.line_sums(a).tolist() == [3.0, 7.0]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_pnorm_duality_exact(seed):
+    # the column sums of A are the row sums of A^H: ||A||_1 = ||A^H||_inf
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    assert linalg.pnorm_operator(a, 1) == linalg.pnorm_operator(a.conj().T, math.inf)
+    assert np.array_equal(linalg.line_sums(a.T), linalg.line_sums(a.conj().T))
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -179,14 +189,14 @@ def test_pnorm_duality_property(seed):
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(1, 10)), int(rng.integers(1, 10))
     a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    assert linalg.pnorm_operator(a, 1) == linalg.pnorm_operator(a.conj().T, math.inf)
+    assert np.array_equal(linalg.line_sums(a.T), linalg.line_sums(a.conj().T))
 
 
 def test_pnorm_two_matches_abs_eigenvalue_for_hermitian():
     a = random_hermitian(9, 21)
     w, _ = linalg.hermitian_eig(a)
     top = float(np.max(np.abs(w)))
-    assert abs(linalg.pnorm_operator(a, 2) - top) <= linalg.TOL_EIG * max(top, 1.0)
+    assert abs(linalg.pnorm_operator(a) - top) <= linalg.TOL_EIG * max(top, 1.0)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["unit", "huge"])
@@ -206,7 +216,7 @@ def test_pnorm_two_matches_svd(shape, rank, scale):
         a = np.zeros(shape)
     a = a * scale
     top = float(np.linalg.svd(a, compute_uv=False)[0])
-    got = linalg.pnorm_operator(a, 2)
+    got = linalg.pnorm_operator(a)
     assert math.isfinite(got)
     assert abs(got - top) <= 1e-13 * top
 
@@ -260,7 +270,7 @@ def test_dense_kernels_use_numpy_lapack_only(monkeypatch, p):
         monkeypatch.setattr(sla, name, forbidden)
     a = random_spd(6, 3)
     assert linalg.hermitian_eigvals(a)[0] > 0.0
-    assert linalg.pnorm_operator(a, p) > 0.0
+    assert NORMS[p](a) > 0.0
 
 
 def test_condition_1_inf_inverts_only_off_the_flag():
@@ -282,50 +292,21 @@ def test_condition_1_inf_inverts_only_off_the_flag():
 # gain_probe
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("p", [1, math.inf])
-def test_gain_identity(p):
-    assert linalg.gain_probe(np.eye(5), p) == 1.0
+def test_gain_identity():
+    assert linalg.gain_probe(np.eye(5)) == 1.0
 
 
-def l1_sphere_mesh(dim, steps):
-    """All sign-symmetric grid points with exact unit 1-norm."""
-    points = []
-
-    def rec(prefix, remaining, coords_left):
-        if coords_left == 1:
-            points.append(prefix + [remaining])
-            return
-        for take in range(remaining + 1):
-            rec(prefix + [take], remaining - take, coords_left - 1)
-
-    rec([], steps, dim)
-    mesh = []
-    for pt in points:
-        base = np.array(pt, dtype=float) / steps
-        for signs in range(2 ** dim):
-            vec = base.copy()
-            for i in range(dim):
-                if signs >> i & 1:
-                    vec[i] = -vec[i]
-            mesh.append(vec)
-    return np.array(mesh)
-
-
-def test_gain_one_norm_bracketed_by_mesh_search():
-    # the mesh holds every e_j, so the probe min_j ||A e_j||_1 bounds the
-    # mesh minimum of the 1-norm gain from above
+def test_gain_max_norm_bracketed_by_mesh_search():
+    # a mesh on the unit max-norm sphere (coordinates in {-1, -5/6, ..., 1},
+    # one of modulus 1) holds every e_j, so the probe min_j ||A e_j||_inf
+    # bounds the mesh minimum of the max-norm gain from above
     rng = np.random.default_rng(42)
     a = rng.standard_normal((4, 4))
-    mesh = l1_sphere_mesh(4, 12)
-    mesh_min = min(float(np.sum(np.abs(a @ x))) for x in mesh)
-    assert mesh_min <= linalg.gain_probe(a, 1) + 1e-12
-
-
-def test_norm_index_validation():
-    with pytest.raises(ValueError):
-        linalg.pnorm_operator(np.eye(2), 3)
-    with pytest.raises(ValueError):
-        linalg.gain_probe(np.eye(2), "fro")
+    grid = np.arange(-6, 7) / 6
+    mesh = np.array(list(itertools.product(grid, repeat=4)))
+    mesh = mesh[np.max(np.abs(mesh), axis=1) == 1.0]
+    mesh_min = float(np.min(np.max(np.abs(mesh @ a.T), axis=1)))
+    assert mesh_min <= linalg.gain_probe(a)
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +353,7 @@ def test_band_kernels_match_dense(monkeypatch, n, bandwidth, seed, block):
                 <= 1e-13 * gen_scale)
         assert (abs(-linalg.band_min_eig(-a_band, b_band, neg_upper) - gen[-1])
                 <= 1e-13 * gen_scale)
-    assert linalg.band_norm(b_band) == pytest.approx(linalg.pnorm_operator(b, 1), rel=1e-14)
+    assert linalg.band_norm(b_band) == pytest.approx(np.linalg.norm(b, 1), rel=1e-14)
     expected = condition_p(b, 1)
     assert linalg.band_condition(b_band) == pytest.approx(expected, rel=1e-12)
 

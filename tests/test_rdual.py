@@ -21,7 +21,7 @@ LADDER = TruncationLadder((8, 16, 32, 64))
 def riesz_basis(n, seed, eps=0.4):
     rng = np.random.default_rng(seed)
     e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    e *= eps / linalg.pnorm_operator(e, 2)
+    e *= eps / linalg.pnorm_operator(e)
     return VectorFamily(np.eye(n) + e, label=f"riesz{seed}")
 
 
@@ -231,4 +231,4 @@ def test_factorization_identity_complex_pairs(seed):
     quarter = power(phi, -0.25)
     lhs = frames.cross_gram(omega, phi)
     rhs = frames.cross_gram(psi, phi).T @ frames.gram(quarter)
-    assert linalg.pnorm_operator(lhs - rhs, 2) <= 1e-8
+    assert linalg.pnorm_operator(lhs - rhs) <= 1e-8
