@@ -273,8 +273,8 @@ def _tolerance(text: str) -> float:
 
 
 def _seed(text: str) -> int:
-    """A ``--seed`` value: a non-negative integer, the seed rule of ``fields``."""
-    if not text.isdecimal():
+    """A ``--seed`` value: ASCII digits, the seed rule of ``fields``."""
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
 

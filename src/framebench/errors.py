@@ -1,7 +1,9 @@
 """Exception types raised by the computational modules.
 
-Every contract violation gets its own class so callers can tell input
-problems, precondition failures and genuine numerical breakdowns apart.  Each
+Every contract violation gets its own class, raised once, where the violating
+input or matrix is built (not again by the kernels that take it as given),
+so callers can tell input problems, precondition failures and genuine
+numerical breakdowns apart.  Each
 class states its command-line exit status once, as ``exit_code``: 2 input
 error, 3 numerical failure, 4 precondition failure (the default).
 
@@ -29,10 +31,6 @@ class NonSquareError(FramebenchError):
 
 class NonHermitianError(FramebenchError):
     """Hermitian symmetry violated beyond the tolerance relative to the entries."""
-
-
-class NotPositiveDefiniteError(FramebenchError):
-    """A matrix that must be positive definite is not: the B of a band pencil."""
 
 
 class NumericalFailureError(FramebenchError):

@@ -17,8 +17,9 @@ order, so ||A||_1 = ||A^H||_inf holds bit for bit.
 Hermitian band matrices (the sampling Grams) have their own kernels, which
 never form the dense matrix: ``band_norm``, ``band_definite``,
 ``band_min_eig`` and ``band_condition``.  The last three call banded LAPACK
-(``pbtrf`` and ``pbtrs``) from scipy's compiled LAPACK module.  A bisection
-allocates one work array for A - sigma B, and starts from an upper bound
+(``pbtrf`` and ``pbtrs``) from scipy's compiled LAPACK module; a pencil's
+B is the caller's decision (``band_definite``).  A bisection allocates one
+work array for A - sigma B, and starts from an upper bound
 that a caller may sharpen: by Courant-Fischer, the smallest eigenvalue of a
 principal section bounds the whole matrix's from above.  Once its bracket
 is narrow, it reuses a factor it has just computed for two inverse-iteration
@@ -52,6 +53,7 @@ import importlib.machinery
 import importlib.util
 import itertools
 import math
+import operator
 import os
 import sys
 import threading
@@ -60,12 +62,7 @@ from typing import Tuple
 import numpy as np
 
 from . import fields
-from .errors import (
-    NonSquareError,
-    NonHermitianError,
-    NotPositiveDefiniteError,
-    NumericalFailureError,
-)
+from .errors import NonSquareError, NonHermitianError, NumericalFailureError
 
 # Tolerance budget, chosen so double-precision dense solvers pass on n <= 4096.
 TOL_EIG = 1e-10     # relative: eigen-reconstruction and unitarity residuals
@@ -172,26 +169,18 @@ def _max_line_sum(m: np.ndarray) -> float:
     return float(np.max(line_sums(m)))
 
 
-def is_singular(singular_values) -> bool:
-    """The singular flag: sigma_min <= TOL_SING * sigma_max.
-
-    ``singular_values`` may come in any order; a Hermitian matrix may pass
-    its eigenvalues, whose moduli are its singular values.
-    """
-    sv = np.abs(np.asarray(singular_values, dtype=float))
-    return bool(sv.min() <= TOL_SING * sv.max())
-
-
 def condition_1_inf(m: np.ndarray, singular_values, inverse) -> Tuple[float, float]:
     """||A||_1 ||A^-1||_1 and ||A||_inf ||A^-1||_inf, or ``(inf, inf)``.
 
     ``m`` is square and finite, unchecked here: the battery built it.
-    ``singular_values`` give the singular flag (see ``is_singular``); on it
-    both numbers are ``math.inf``.  Off it, ``inverse()`` returns A^-1
-    (validated) and is called only then: the battery builds it in closed
-    form, from an eigendecomposition, never by an LU.
+    On the singular flag sigma_min <= TOL_SING * sigma_max, from
+    ``singular_values`` in any order (or a Hermitian A's eigenvalues), both
+    are ``math.inf``.  Off it, ``inverse()`` returns A^-1 (validated) and is
+    called only then: the battery builds it in closed form, from an
+    eigendecomposition, never by an LU.
     """
-    if is_singular(singular_values):
+    sv = np.abs(np.asarray(singular_values, dtype=float))
+    if sv.min() <= TOL_SING * sv.max():
         return math.inf, math.inf
     inv = as_matrix(inverse())
     return (_max_line_sum(m.T) * _max_line_sum(inv.T),
@@ -214,11 +203,11 @@ def condition_1_inf(m: np.ndarray, singular_values, inverse) -> Tuple[float, flo
 BAND_SOLVE_BLOCK = 64
 
 #: Relative steps r of ``band_min_eig``'s bracket search, u - r |u| below its
-#: upper bound u, then r = 4, 16, ...  On the benchmark's sampling pool it
-#: makes 222.6 ``pbtrf`` calls per verdict, against 221.4 for (2^-40, 2^-20,
-#: 1), 227.9 for (2^-32, 1) and 294.1 for (1,); without the jump
-#: (``BAND_JUMP_AT``) the four made 399.5, 400.6, 421 and 502.5.  A quarter
-#: of the hints are exact.
+#: upper bound u, then r = 4, 16, ...  On the benchmark's sampling pool the
+#: verdict makes 219.6 ``pbtrf`` calls (396.5 without the jump,
+#: ``BAND_JUMP_AT``).  At commit 1b49b05, where these made 222.6 and 399.5,
+#: (2^-40, 2^-20, 1) made 221.4, (2^-32, 1) 227.9 and (1,) 294.1, and 400.6,
+#: 421 and 502.5 without the jump.  A quarter of the hints are exact.
 BAND_GALLOP = (2.0 ** -42, 2.0 ** -32, 2.0 ** -16, 1.0)
 
 #: ``band_min_eig`` takes its Rayleigh-quotient jump at the first bisection
@@ -228,8 +217,8 @@ BAND_GALLOP = (2.0 ** -42, 2.0 ** -32, 2.0 ** -16, 1.0)
 #: spectrum is clustered.  The jump's two factorizations certify a bracket
 #: ``BAND_JUMP_WIDTH`` |rho| wide, which the bisection closes to adjacent
 #: floats in 2-3 more steps, where the plain one takes about 30.  On the
-#: benchmark's sampling pool the rule makes 222.6 ``pbtrf`` and 18 jump
-#: ``pbtrs`` calls per verdict, against 399.5 ``pbtrf`` without it.  A
+#: benchmark's sampling pool the verdict makes 219.6 ``pbtrf`` and 18 jump
+#: ``pbtrs`` calls, against 396.5 ``pbtrf`` without it.  At commit 1b49b05 a
 #: 2^-16 jump with 3 solves moved the near-critical degree-5 pencil's
 #: lambda_min by 1.2e-12; these constants leave it bit for bit where the
 #: plain bisection puts it.
@@ -306,13 +295,14 @@ def band_definite(a) -> bool:
 def band_min_eig(a, b=None, upper=None) -> float:
     """Smallest eigenvalue of the Hermitian band pencil (A, B), B = I if None.
 
-    B must be positive definite (one factorization checks it,
-    ``NotPositiveDefiniteError``).  A - sigma B is positive definite exactly
+    B is positive definite, unchecked here: the sampling verdict certified
+    it.  A - sigma B is positive definite exactly
     when sigma lies below the eigenvalue (Sylvester's law of inertia), so
     each banded Cholesky factorization of it tells on which side sigma lies.
     From u, the smaller of the hint ``upper`` and min_j a_jj / b_jj (a unit
     vector's Rayleigh quotient, an upper bound), the trial points
-    u - r |u|, r from ``BAND_GALLOP``, gallop down to the first that factors
+    u - r |u|, r from ``BAND_GALLOP``, then each width 4 times the last,
+    gallop down to the first that factors
     (up, to the first that fails, if u itself factors); that bracket is
     bisected until its midpoint equals an end, and the smallest sigma found
     at which the factorization fails is returned.
@@ -339,9 +329,7 @@ def band_min_eig(a, b=None, upper=None) -> float:
     """
     a = np.asfortranarray(np.asarray_chkfinite(a))
     upper = math.inf if upper is None else fields.require_finite("upper", upper)
-    if b is not None and not band_definite(b):
-        raise NotPositiveDefiniteError("pencil needs a positive definite B")
-    b = None if b is None else np.asfortranarray(b)
+    b = None if b is None else np.asfortranarray(np.asarray_chkfinite(b))
     work = np.empty(a.shape, dtype=np.result_type(a, 1.0 if b is None else b, 1.0), order="F")
     pbtrf = _band_lapack("pbtrf", work)
 
@@ -377,8 +365,9 @@ def band_min_eig(a, b=None, upper=None) -> float:
         return 0.0
     below = definite(top)
     edge = top
-    for step in itertools.chain(BAND_GALLOP, (4.0 ** k for k in itertools.count(1))):
-        sigma = top + step * scale if below else top - step * scale
+    for width in itertools.chain((step * scale for step in BAND_GALLOP), itertools.accumulate(
+            itertools.repeat(4.0), operator.mul, initial=4.0 * scale)):
+        sigma = top + width if below else top - width
         if not math.isfinite(sigma):
             raise NumericalFailureError("no eigenvalue bracket inside the float range")
         if definite(sigma) != below:

@@ -25,8 +25,9 @@ windows of a ladder nest, so the bands are built once, for the largest
 window, and by Courant-Fischer each bisection after the first size starts
 from its predecessor's result; each ends with a Rayleigh-quotient jump, so
 a benchmark verdict (cubic, |delta| <= 0.2, ladder 128, 256, 512) makes
-about 222 factorizations, not 400; the Riesz check of the integer shifts,
-on their symbol, makes none.  The exact inverse norm costs one banded
+219.6 factorizations (the benchmark's pool mean), not 396.5: the symbol
+gate makes none, one certifies the shift Gram for every size, and one per
+size decides the singular flag.  The exact inverse norm costs one banded
 factorization plus, for a B-spline (whose Gram is totally positive, so its
 inverse has checkerboard signs), one solve of n rows, and for a tabulated
 generator solves of about n^2 / 2 right-hand-side rows.  No dense n x n
@@ -591,20 +592,20 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
     shifts' lower Riesz bound, at or below every shift-Gram section's
     lambda_min) gates the generator: unless it is certified above ``tol``
     the shifts are no Riesz basis (``GeneratorUnsuitableError``).  A
-    B-spline's is decided by its degree, before its shift row is built.  By
+    B-spline's is decided by its degree, before its shift row is built; then
+    one factorization of the largest interior shift Gram (so, by Cauchy
+    interlacing, of every pencil's B, its leading section) must succeed.  By
     Courant-Fischer, lambda_min of G and of the pencil only fall along the
     ladder and lambda_max of the pencil only rises, so each size's three
-    bisections take the previous size's results as ``upper`` hints.
-    lambda_max of G, which only the singular flag needs, is bisected only
-    when the flag is not already false by lambda_max <= ||G||_1.
+    bisections take the previous size's results as ``upper`` hints.  The
+    singular flag is one factorization per size; lambda_max(G) is not needed.
     """
     trim = int(math.ceil(g.support_radius)) + int(math.ceil(x.bound))
-    for size in ladder:
-        if size - 2 * trim < 2:
-            raise LadderTooShortError(
-                f"window {size} leaves fewer than 2 interior indices after trimming "
-                f"ceil({g.support_radius:g}) + ceil({x.bound:g}) per side: the "
-                "generator's support radius and the delta rule's bound")
+    if ladder.sizes[0] - 2 * trim < 2:  # the sizes increase: the smallest decides
+        raise LadderTooShortError(
+            f"window {ladder.sizes[0]} leaves fewer than 2 interior indices after trimming "
+            f"ceil({g.support_radius:g}) + ceil({x.bound:g}) per side: the "
+            "generator's support radius and the delta rule's bound")
     largest = ladder.sizes[-1]
     pts = x.points(largest)
     width = math.ceil(g.support_radius + x.bound)
@@ -624,6 +625,10 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
     band_rows = max(_band_rows(row[:len(g_all)]), _band_rows(g_all))
     g_all = g_all[:band_rows]
     shift_all = np.repeat(row[:band_rows, None], largest - 2 * trim, axis=1)
+    if not linalg.band_definite(shift_all):  # every pencil's B is its leading section
+        raise GeneratorUnsuitableError(
+            "integer shifts fail the Riesz check: their Gram section of order "
+            f"{shift_all.shape[1]} is not numerically positive definite")
 
     # beta(t - k) is the B-spline on the unit-spaced knots from
     # k - (d + 1) / 2 to k + (d + 1) / 2 (d the degree), so for points
@@ -651,14 +656,12 @@ def stable_sampling_verdict(g: Generator, x: SamplingSet,
                  linalg.band_min_eig(-gi, shift, upper=hints[2]))
         lam_min = max(hints[0], 0.0)
         # G is positive semidefinite, so its singular values are its
-        # eigenvalues and the singular flag compares the extremal two.
-        # lambda_max <= ||G||_1, so lambda_max is bisected only when
-        # lam_min <= TOL_SING ||G||_1; above that the flag is false.
-        if (lam_min > linalg.TOL_SING * linalg.band_norm(gi)
-                or not linalg.is_singular((lam_min, -linalg.band_min_eig(-gi)))):
-            cond = linalg.band_condition(gi, checkerboard=checkerboard)
-        else:
-            cond = math.inf
+        # eigenvalues, and the singular flag lam_min <= TOL_SING lambda_max(G)
+        # holds exactly when lam_min I - TOL_SING G is not positive definite.
+        flag = -linalg.TOL_SING * gi
+        flag[0] += lam_min
+        cond = (linalg.band_condition(gi, checkerboard=checkerboard)
+                if linalg.band_definite(flag) else math.inf)
         lo, hi = max(hints[1], 0.0), -hints[2]
         rows.append((lo, lam_min, cond, cond, lam_min))
         bounds_ladder.append((size, lo, hi))

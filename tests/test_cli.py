@@ -365,6 +365,11 @@ def explicit_rule(deltas, **bound):
      "argument --seed: must be a non-negative integer, got '-1'"),
     ("battery", {**BATTERY, "family": {"kind": "perturbed-onb"}}, ["--seed", "-1"],
      "argument --seed: must be a non-negative integer, got '-1'"),
+    # one spelling: ASCII digits only, as in a JSON integer
+    ("battery", BATTERY, ["--seed", "\uff13"],
+     "argument --seed: must be a non-negative integer, got '\uff13'"),
+    ("battery", BATTERY, ["--seed", "\u0663"],
+     "argument --seed: must be a non-negative integer, got '\u0663'"),
     ("battery", BATTERY, ["--seed", "1.5"],
      "argument --seed: must be a non-negative integer, got '1.5'"),
     # a tagged section reads its tag before any other field, so an unknown
@@ -416,6 +421,7 @@ def explicit_rule(deltas, **bound):
         "top-level-bound", "tabulated-without-grid", "samples-flat-reals",
         "weight-scale", "rdual-member-count", "rdual-ambient-dim",
         "sampling-window-without-interior", "seed-negative", "seed-negative-perturbed-onb",
+        "seed-fullwidth-digit", "seed-arabic-indic-digit",
         "seed-float", "family-kind-random-with-epsilon", "profile-kind-bogus-with-x",
         "weight-form-gaussian-with-sigma", "weight-form-list", "rdual-empty-psi-path",
         "analyze-empty-family-path"])

@@ -10,6 +10,7 @@ Rayleigh-quotient jump.
 
 import itertools
 import math
+import operator
 from pathlib import Path
 import re
 
@@ -22,7 +23,6 @@ from framebench import linalg
 from framebench.errors import (
     NonHermitianError,
     NonSquareError,
-    NotPositiveDefiniteError,
     NumericalFailureError,
 )
 from oracles import condition_p
@@ -373,9 +373,10 @@ def test_band_condition_checkerboard_path_matches_dense(n):
 
 
 def test_band_kernels_reject_indefinite_matrices():
+    # band_min_eig trusts its B (the sampling verdict certifies it), but
+    # band_condition needs its band definite and says so
     a_band, _ = random_band(12, 2, 5, shift=0.0)
-    with pytest.raises(NotPositiveDefiniteError):
-        linalg.band_min_eig(a_band, a_band)
+    assert not linalg.band_definite(a_band)
     with pytest.raises(NumericalFailureError):
         linalg.band_condition(a_band)
 
@@ -410,6 +411,17 @@ def test_band_min_eig_rejects_non_finite_input(bad):
             linalg.band_min_eig(*args)
     with pytest.raises(ValueError, match="infs or NaNs"):
         linalg.band_definite(bad_ab)
+
+
+def test_band_min_eig_gallops_past_four_to_the_512():
+    # eigenvalues 0.5 +- 1e10 below an upper bound of 1e-300: the gallop's
+    # width must grow past 4^512 * 1e-300, which 4.0 ** 512 cannot hold, so
+    # each width is the last one times 4, exact until sigma leaves the range
+    ab = np.array([[1e-300, 1.0], [1e10, 0.0]])
+    lam = np.linalg.eigvalsh(np.array([[1e-300, 1e10], [1e10, 1.0]]))[0]
+    got = linalg.band_min_eig(ab)
+    assert got == pytest.approx(lam, rel=1e-15)
+    assert got == plain_band_min_eig(ab)
 
 
 @pytest.mark.parametrize("shift, definite", [(-1e-12, True), (0.0, False), (1e-12, False)])
@@ -451,8 +463,6 @@ def plain_band_min_eig(a, b=None, upper=None):
     """The oracle of ``band_min_eig``: the same gallop from the same upper
     bound, then a plain bisection to adjacent floats, with no jump."""
     a = np.asfortranarray(a)
-    if b is not None and not linalg.band_definite(b):
-        raise NotPositiveDefiniteError("pencil needs a positive definite B")
     work = np.empty(a.shape, dtype=np.result_type(a, 1.0 if b is None else b, 1.0), order="F")
     pbtrf = linalg._band_lapack("pbtrf", work)
 
@@ -471,8 +481,10 @@ def plain_band_min_eig(a, b=None, upper=None):
         return 0.0
     below = definite(top)
     edge = top
-    for step in itertools.chain(linalg.BAND_GALLOP, (4.0 ** k for k in itertools.count(1))):
-        sigma = top + step * scale if below else top - step * scale
+    for width in itertools.chain((step * scale for step in linalg.BAND_GALLOP),
+                                 itertools.accumulate(itertools.repeat(4.0), operator.mul,
+                                                      initial=4.0 * scale)):
+        sigma = top + width if below else top - width
         if definite(sigma) != below:
             break
         edge = sigma

@@ -648,32 +648,44 @@ def band_work(monkeypatch, g, x, ladder):
 
     Per call it makes 9 bisections, 3 per size: lambda_min(G) and the two
     pencil ends, each warm-started from the previous size.  The gate on the
-    generator's symbol makes none, and lambda_max(G) is not needed off the
-    singular threshold.  A bisection jumps at most once, with
-    ``BAND_JUMP_SOLVES`` solves for one vector each."""
+    generator's symbol makes none.  Before the first bisection, exactly one
+    factorization certifies the shift Gram of the largest interior order,
+    whose leading sections are every pencil's B, so no bisection factors
+    its B; after each size's bisections, one ``band_definite`` call of that
+    size's order decides the singular flag, and lambda_max(G) is never
+    bisected.  A bisection jumps at most once, with ``BAND_JUMP_SOLVES``
+    solves for one vector each."""
     calls = []
     monkeypatch.setattr(linalg, "band_min_eig",
                         recorded(calls, "band_min_eig", linalg.band_min_eig))
     band_lapack = linalg._band_lapack
+    kernels = ("band_min_eig", "band_condition", "band_definite")
 
     def recorded_band_lapack(name, a):
         fn = band_lapack(name, a)
-        if name == "pbtrf":
-            return recorded(calls, name, fn, lambda ab, **kw: ab.shape)
-        frame = sys._getframe(1)  # the kernel that solves: band_min_eig or band_condition
-        while frame.f_code.co_name not in ("band_min_eig", "band_condition"):
+        frame, stack = sys._getframe(1), []  # the band kernels calling, innermost first
+        while frame is not None:
+            if frame.f_code.co_name in kernels:
+                stack.append(frame.f_code.co_name)
             frame = frame.f_back
-        return recorded(calls, f"pbtrs:{frame.f_code.co_name}", fn,
+        if name == "pbtrf":
+            return recorded(calls, name, fn, lambda ab, **kw: (ab.shape, tuple(stack)))
+        return recorded(calls, f"pbtrs:{stack[0]}", fn,
                         lambda ab, rhs, **kw: (len(ab), rhs.shape))
 
     monkeypatch.setattr(linalg, "_band_lapack", recorded_band_lapack)
     rep = stable_sampling_verdict(g, x, ladder)
     assert rep.stable and rep.consistent
     assert sum(name == "band_min_eig" for name, _ in calls) == 9
-    bands, jumps = [], []
+    assert [name for name, _ in calls[:calls.index(("band_min_eig", 1))]] == ["pbtrf"]
+    bands, jumps, definite = [], [], []
     for name, amount in calls:
         if name == "pbtrf":
-            bands.append(amount)
+            shape, stack = amount
+            bands.append(shape)
+            if stack[0] == "band_definite":
+                assert "band_min_eig" not in stack  # no bisection factors its B
+                definite.append((len(jumps), shape[1]))
         elif name == "band_min_eig":
             jumps.append([])
         else:
@@ -681,6 +693,8 @@ def band_work(monkeypatch, g, x, ladder):
             if name == "pbtrs:band_min_eig":
                 jumps[-1].append(amount[1])
                 assert amount[1] == (bands[-1][1],)
+    orders = [size - 2 * rep.trim for size in ladder.sizes]
+    assert definite == [(0, orders[-1])] + [(3 * k, n) for k, n in enumerate(orders, 1)]
     assert all(len(solves) in (0, linalg.BAND_JUMP_SOLVES) for solves in jumps)
     return (rep, sum(name == "pbtrf" for name, _ in calls),
             [amount[1] for name, amount in calls if name == "pbtrs:band_condition"],
@@ -718,10 +732,11 @@ def test_verdict_band_work_budget(monkeypatch):
     # eigenvalues, and each ends with a Rayleigh-quotient jump: no jump costs
     # more than its two trial points, and where the bottom of the spectrum
     # is separated, as here, the jumps cut the plain bisections'
-    # factorizations by 40% and more (421 -> 241).  Every band is stored
+    # factorizations by 40% and more (418 -> 238).  Every band is stored
     # through its last nonzero diagonal: P[l, k] = beta(x_l - k) vanishes at
     # |x_l - k| >= 2, so G and the shift Gram have bandwidth 3, not
-    # 2 ceil(2 + 0.2) = 6.
+    # 2 ceil(2 + 0.2) = 6.  ``band_work`` checks the one certification of
+    # the shift Gram and the one flag factorization per size.
     rep, factorizations, solves, jumps, bands = band_work(monkeypatch, CUBIC, BUDGET_SET,
                                                           BUDGET_LADDER)
     assert solves == [(size - 2 * rep.trim, 1) for size in BUDGET_LADDER.sizes]
@@ -739,7 +754,7 @@ def test_verdict_band_work_budget_long_ladder(monkeypatch):
     # not.  A constant shift makes G Toeplitz, whose lowest eigenvalues
     # crowd together as n grows, so inverse iteration barely turns its
     # vector and most jumps certify nothing: each costs at most its two
-    # trial points (369 factorizations, 370 plain)
+    # trial points (366 factorizations, 367 plain)
     ladder = TruncationLadder((2048, 4096, 8192))
     x = SamplingSet(rule="constant", value=0.2)
     rep, factorizations, solves, jumps, _ = band_work(monkeypatch, CUBIC, x, ladder)
@@ -1017,6 +1032,25 @@ def test_large_degree_exits_4_before_any_shift_row(tmp_path, monkeypatch, capsys
             in capsys.readouterr().err)
 
 
+def test_shift_gram_is_certified_once_before_any_bisection(tmp_path, monkeypatch, capsys):
+    # t_44 = 4.5e-18 passes the symbol gate at tol 1e-18, but the shift
+    # Gram's rounding errors are larger than its lambda_min: the one
+    # factorization of its largest interior section (256 - 2 * 23) fails,
+    # and no pencil is ever bisected with that B
+    calls = []
+    monkeypatch.setattr(linalg, "band_min_eig",
+                        recorded(calls, "band_min_eig", linalg.band_min_eig))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"generator": {"kind": "bspline", "degree": 44},
+                               "ladder": [128, 256]}), encoding="utf-8")
+    code = cli.main(["sampling", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--tol-frame", "1e-18"])
+    assert (code, calls) == (4, [])
+    assert capsys.readouterr().err == (
+        "precondition failure: integer shifts fail the Riesz check: their Gram section of "
+        "order 210 is not numerically positive definite\n")
+
+
 HAT5 = np.array([0.0, 0.5, 1.0, 0.5, 0.0])
 
 
@@ -1085,6 +1119,50 @@ def test_clustered_points_take_the_singular_flag_through_the_cli(tmp_path):
         "size,item_a,item_b,item_c,item_d,item_e\n"
         "16,0.0,0.0,singular,singular,0.0\n"
         "32,0.0,0.0,singular,singular,0.0\n")
+
+
+def band_dense(ab):
+    """The dense Hermitian matrix that a lower band stores."""
+    n = ab.shape[1]
+    dense = np.diag(ab[0].real).astype(ab.dtype)
+    for d in range(1, len(ab)):
+        dense += np.diag(ab[d, :n - d], -d) + np.diag(np.conj(ab[d, :n - d]), d)
+    return dense
+
+
+@st.composite
+def semidefinite_bands(draw):
+    """A positive semidefinite band: the clustered hat's interior G, singular
+    but for rounding (``_clustered_deltas``), or a random real or complex
+    band shifted to a smallest eigenvalue in [0, 1]."""
+    if draw(st.booleans()):
+        g, x = Generator(degree=1), _clustered_deltas()
+        trim = math.ceil(g.support_radius) + math.ceil(x.bound)
+        return sampling._interior_gram_band(g, x.points(draw(st.sampled_from((16, 32)))),
+                                            math.ceil(g.support_radius + x.bound), trim)
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(0, min(5, n - 1))) + 1, n)
+    ab = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ab = ab.real.copy() if draw(st.booleans()) else ab
+    ab[0] = ab[0].real
+    ab[0] -= np.linalg.eigvalsh(band_dense(ab))[0] - draw(st.floats(0.0, 1.0))
+    return ab
+
+
+@given(semidefinite_bands(), st.one_of(st.just(0.0), st.floats(0.5, 1.5)))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_singular_flag_is_one_factorization(gram, ratio):
+    # the verdict's singular flag: lam <= TOL_SING lambda_max(G) exactly when
+    # lam I - TOL_SING G is not positive definite, up to the rounding of
+    # the factorization and of the dense eigensolve next to the threshold
+    threshold = linalg.TOL_SING * np.linalg.eigvalsh(band_dense(gram))[-1]
+    lam = ratio * threshold
+    if abs(lam - threshold) <= 1e-10 * abs(threshold):
+        return
+    flag = -linalg.TOL_SING * gram
+    flag[0] += lam
+    assert linalg.band_definite(flag) is (not lam <= threshold)
 
 
 def test_sampling_report_json_and_csv():
