@@ -63,12 +63,3 @@ print("== solidity: masking entries can only shrink the norms ==")
 mask = rng.random((8, 8)) < 0.5
 print("jaffard:", fb.jaffard_norm(a * mask, 2.0) <= fb.jaffard_norm(a, 2.0),
       " schur:", fb.schur_norm(a * mask, w) <= fb.schur_norm(a, w))
-
-print()
-print("== fitting a decay exponent from off-diagonal maxima ==")
-# the cubic's shift Gram is Toeplitz: row m holds the degree-7 B-spline at m
-lag = np.abs(np.subtract.outer(np.arange(64), np.arange(64)))
-cubic_gram = fb.bspline_eval(7, lag)
-print(f"cubic-spline shift Gram: fitted exponent "
-      f"{fb.fit_decay_exponent(cubic_gram):.1f} (compact support decays "
-      "faster than any polynomial)")

@@ -11,8 +11,8 @@ frames
     Vector families against an ambient ONB, Gram matrices, the frame
     operator, frame/Riesz bounds.
 localization
-    Off-diagonal decay norms (polynomial sup norm, weighted Schur norm),
-    the decay-exponent fit and the ladder verdict on per-size norms.
+    Off-diagonal decay norms (polynomial sup norm, weighted Schur norm)
+    and the ladder verdict on per-size norms.
 rdual
     Riesz-dual sequences and the frame-vs-Riesz duality verdict.
 ladder
@@ -55,7 +55,6 @@ from .linalg import hermitian_eig, pnorm_operator
 from .localization import (
     LocalizationProfile,
     WeightSpec,
-    fit_decay_exponent,
     jaffard_norm,
     schur_norm,
 )

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import (__version__, equivalence, fields, frames, linalg, localization, rdual,
                sampling)
-from .errors import FramebenchError, InputError, InsufficientDataError
+from .errors import FramebenchError, InputError
 from .ladder import LADDER_DECAY_FACTOR
 
 EXIT_OK = 0
@@ -64,8 +64,6 @@ def _meta(config: dict, args) -> dict:
             config, sort_keys=True, separators=(",", ":")).encode()).hexdigest(),
         "tolerances": {
             "tol_frame": args.tol_frame,
-            "tol_eig": linalg.TOL_EIG,
-            "tol_calc": linalg.TOL_CALC,
             "tol_sing": linalg.TOL_SING,
             "tol_growth": localization.TOL_GROWTH,
             "ladder_decay_factor": LADDER_DECAY_FACTOR,
@@ -149,10 +147,6 @@ def cmd_analyze(config, args):
     g = frames.gram(fam)
     fb = frames.frame_bounds(fam)
     rb = frames.riesz_bounds(fam)
-    try:
-        decay_fit = localization.fit_decay_exponent(g)
-    except InsufficientDataError:
-        decay_fit = None
     return {args.out: {
         "label": fam.label,
         "ambient_dim": fam.ambient_dim,
@@ -166,7 +160,6 @@ def cmd_analyze(config, args):
         "jaffard_norm_s2": localization.jaffard_norm(g, 2.0),
         "schur_norm_unit_weight": localization.schur_norm(
             g, localization.WeightSpec(form="subexponential", rate=0.0)),
-        "decay_fit": decay_fit,
     }}
 
 

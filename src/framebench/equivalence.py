@@ -25,20 +25,20 @@ closed), so the proxy is *uniformity across the ladder*, decided by the
 rules of :mod:`framebench.ladder`.  This interpretive decision is printed in
 every report.
 
-Every matrix above is a congruence or a similarity of S_psi by the square
-reference phi, so one ladder step needs only the spectra of the reference
-Gram G_phi = phi^H phi = W w W^H (formed once, by the reference check) and
-of S_psi = U Lambda U^H.  With B = ``cross_gram(psi, phi)`` and phi^-1 =
-G_phi^-1 phi^H = (W / w) (phi W)^H (the adjoint of the canonical dual):
+psi and phi enter only through one pair per size: the cross Gram
+B = ``cross_gram(psi, phi)`` = psi^H phi and G = G_phi = phi^H phi, with the
+eigenpairs (w, v) of G that the reference check returns.  B^H B =
+phi^H S_psi phi is the companion Gram G_omega up to complex conjugation,
+which keeps moduli and spectrum.  With R = G^-1/2 = ``inverse_sqrt(w, v)``
+and R B^H B R = Q Lambda Q^H (phi R is unitary: Lambda is S_psi's spectrum):
 
-* coord = phi^-1 S_psi phi = (phi^-1 U) Lambda (U^H phi), and its inverse
-  is (phi^-1 U) Lambda^-1 (U^H phi) (witnesses 2 and 3);
-* the companion Gram G_omega = conj(B^H B) has the moduli and spectrum of
-  B^H B = phi^H S_psi phi, whose inverse is (phi^-1 U) Lambda^-1
-  (phi^-1 U)^H (witnesses 8, 9 and 10);
-* the companion synthesis coordinate matrix is dual^H omega =
-  phi^-1 S_phi^-1/2 phi conj(B) = G_phi^-1/2 conj(B) by the polar
-  decomposition of phi (witnesses 6 and 7).
+* witness 1 is Lambda[0], and coord = phi^-1 S_psi phi = G^-1 B^H B =
+  (R Q) Lambda (R Q)^H G; its inverse has Lambda^-1 in the middle
+  (witnesses 2 and 3);
+* witness 4 probes B, and witness 6 the companion synthesis coordinate
+  matrix dual^H omega = R conj(B), by the polar decomposition of phi;
+* (B^H B)^-1 = (R Q) Lambda^-1 (R Q)^H (witnesses 8 and 9), and witness
+  10 is the smallest eigenvalue of B^H B.
 
 The companion itself (``rdual.rdual``) is never formed, and no step
 makes an SVD or an LU inverse.  The singular flag of witnesses 2 and 3
@@ -62,8 +62,8 @@ from .localization import LocalizationProfile
 PROXY_DISCLAIMER = (
     "closed-range statements are vacuous at any single truncation; the "
     f"battery fails a witness that degrades by more than a factor of "
-    f"{LADDER_DECAY_FACTOR:g} across the ladder and calls that the "
-    "closed-range proxy"
+    f"{LADDER_DECAY_FACTOR:g} from the first to the last size and calls "
+    "that the closed-range proxy"
 )
 
 #: id -> (kind, statement, proxy note) of each battery witness.
@@ -128,13 +128,12 @@ class EquivalenceReport:
 def _reference_steps(family_gen, profile, ladder, tol):
     """Check the reference phi at every size (``rdual``'s Riesz-basis and
     index-set checks), then the localization of the G_phi that check formed
-    along the ladder; return ``(psi, phi, w, v)``, (w, v) the eigenpairs of
-    G_phi, per size."""
-    steps, norms = [], []
+    along the ladder; return ``(B, G_phi, w, v)`` of each size."""
+    checked, norms = [], []
     for size in ladder:
         psi, phi = family_gen(size)
         g, w, v = rdual._check_rdual_inputs(psi, phi, tol)
-        steps.append((psi, phi, w, v))
+        checked.append((psi, phi, g, w, v))
         norms.append(profile.norm(g))
     verdict = localization.ladder_verdict(norms)
     if verdict != localization.VERDICT_LOCALIZED:
@@ -142,7 +141,32 @@ def _reference_steps(family_gen, profile, ladder, tol):
             "reference family failed its localization evidence check: "
             f"ladder verdict {verdict!r}, norms {norms}"
         )
-    return steps
+    return [(frames.cross_gram(psi, phi), g, w, v) for psi, phi, g, w, v in checked]
+
+
+def _pair_row(b, g, w, v) -> tuple:
+    """The ten witness values of one size, from B, G = G_phi and its
+    eigenpairs (w, v) alone, by the closed forms of the module docstring."""
+    finite = linalg._finite
+    r = linalg.inverse_sqrt(w, v)  # R = G^-1/2
+    bhb = finite("companion Gram entries", np.matmul, b.conj().T, b)
+    lam, q = linalg.hermitian_eig(finite("whitened companion Gram entries",
+                                         lambda: r @ bhb @ r))
+    # Each product below may leave the float range, but not left = R Q, at most
+    # ||R||_2 = w[0]^-1/2 (near 1e162), nor right = Q^H G^1/2, at most ||G||_2^1/2.
+    left = r @ q
+    right = left.conj().T @ g
+    cond2, cond3 = linalg.condition_1_inf(
+        finite("coordinate matrix entries", lambda: (left * lam) @ right), lam,
+        lambda: finite("coordinate inverse entries", lambda: (left / lam) @ right))
+    gain4 = linalg.gain_probe(b)
+    gain6 = linalg.gain_probe(finite("companion synthesis coordinate entries",
+                                     np.matmul, r, b.conj()))
+    lam_g = linalg.hermitian_eigvals(bhb)  # also checks bhb
+    cond8, cond9 = linalg.condition_1_inf(bhb, lam_g, lambda: finite(
+        "companion Gram inverse entries", lambda: (left / lam) @ left.conj().T))
+    return (max(float(lam[0]), 0.0), cond2, cond3, gain4, gain4,
+            gain6, gain6, cond8, cond9, max(float(lam_g[0]), 0.0))
 
 
 def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
@@ -157,35 +181,11 @@ def run_battery(family_gen: Callable[[int], Tuple[VectorFamily, VectorFamily]],
     localization-evidence check at every size, otherwise
     ``PreconditionEvidenceError`` is raised (``NotRieszBasisError`` is one).
     All of this is checked before any witness is computed.  Each ladder step
-    appends one row of the ten values; column ``id`` of the rows, with the
-    kind, statement and note of ``_WITNESSES[id]``, makes witness ``id``.
+    makes one row of the ten values from its pair (B, G_phi); column ``id``
+    of the rows, with the kind, statement and note of ``_WITNESSES[id]``,
+    makes witness ``id``.
     """
-    rows, finite = [], linalg._finite
-    for psi, phi, w, v in _reference_steps(family_gen, profile, ladder, tol):
-        ref_inv = finite(  # dual^H = phi^-1; 1 / w overflows for a subnormal w
-            "reference inverse entries", lambda: (v / w) @ (phi.coeffs @ v).conj().T)
-
-        # Each product below may leave the float range, but not left = phi^-1 U:
-        # its entries are at most ||phi^-1||_2 = w[0]^-1/2, near 1e154 at worst.
-        lam_psi, u = linalg.hermitian_eig(frames.frame_operator(psi))
-        left, right = ref_inv @ u, u.conj().T @ phi.coeffs
-        cond2, cond3 = linalg.condition_1_inf(
-            finite("coordinate matrix entries", lambda: (left * lam_psi) @ right), lam_psi,
-            lambda: finite("coordinate inverse entries", lambda: (left / lam_psi) @ right))
-
-        cross = frames.cross_gram(psi, phi)
-        gain4 = linalg.gain_probe(cross)
-        cross_conj = cross.conj()
-        gain6 = linalg.gain_probe(finite("companion synthesis coordinate entries", np.matmul,
-                                         linalg.inverse_sqrt(w, v), cross_conj))
-
-        g_conj = finite("companion Gram entries", np.matmul, cross_conj.T, cross)  # B^H B
-        lam_g = linalg.hermitian_eigvals(g_conj)  # also checks g_conj
-        cond8, cond9 = linalg.condition_1_inf(g_conj, lam_g, lambda: finite(
-            "companion Gram inverse entries", lambda: (left / lam_psi) @ left.conj().T))
-        rows.append((max(float(lam_psi[0]), 0.0), cond2, cond3, gain4, gain4,
-                     gain6, gain6, cond8, cond9, max(float(lam_g[0]), 0.0)))
-
+    rows = [_pair_row(*step) for step in _reference_steps(family_gen, profile, ladder, tol)]
     witnesses = []
     for (cid, (kind, statement, note)), values in zip(_WITNESSES.items(), zip(*rows)):
         if cid in (4, 6):  # the gain probes; 5 and 7 are their duality twins

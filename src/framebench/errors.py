@@ -54,10 +54,6 @@ class BadExponentError(InputError):
     """Polynomial-decay exponent outside the admissible range."""
 
 
-class InsufficientDataError(FramebenchError):
-    """Too few nonzero off-diagonal offsets to fit a decay exponent."""
-
-
 class PerturbationViolationError(FramebenchError):
     """A sampling point strays further from its integer than the stated bound."""
 

@@ -19,14 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields, linalg
-from .errors import BadExponentError, InsufficientDataError
+from .errors import BadExponentError
 
 #: Ladder norms whose max/min ratio stays below 1 + TOL_GROWTH count as flat.
 TOL_GROWTH = 0.05
-
-#: Cap for fitted decay exponents; |log| of the smallest positive double, the
-#: steepest slope measurable from nonzero entries.
-MAX_DECAY_EXPONENT = 745.0
 
 VERDICT_LOCALIZED = "localized"
 VERDICT_GROWTH = "growth-detected"
@@ -174,26 +170,3 @@ def ladder_verdict(norms) -> str:
     if values[0] > 0.0 and values[-1] > (1.0 + TOL_GROWTH) * values[0]:
         return VERDICT_GROWTH
     return VERDICT_INCONCLUSIVE
-
-
-def fit_decay_exponent(a) -> float:
-    """Least-squares decay exponent of off-diagonal maxima.
-
-    Fits log(max_{|k-l|=r} |A_{k,l}|) against -log(1+r) over offsets r >= 1
-    with a nonzero maximum; needs at least three such offsets.  Superfast
-    decay (entries vanishing beyond a band) simply drops the zero offsets,
-    and the result is clipped to ``MAX_DECAY_EXPONENT``.
-    """
-    m = np.abs(linalg.as_matrix(a))
-    off = _offsets(*m.shape)
-    peaks = np.zeros(off.max(initial=0) + 1)
-    np.maximum.at(peaks, off.ravel(), m.ravel())  # flat indices: numpy's fast path
-    rs = np.flatnonzero(peaks[1:] > 0) + 1
-    if rs.size < 3:
-        raise InsufficientDataError(
-            f"need >= 3 off-diagonal offsets with nonzero maxima, found {rs.size}"
-        )
-    x = -np.log1p(rs.astype(float))
-    y = np.log(peaks[rs])
-    slope = float(np.polyfit(x, y, 1)[0])
-    return float(np.clip(slope, -MAX_DECAY_EXPONENT, MAX_DECAY_EXPONENT))

@@ -562,8 +562,8 @@ _ITEMS = {
 
 PROXY_DISCLAIMER = (
     "edge effects are trimmed (interior submatrices); a witness degrading by "
-    f"more than a factor of {LADDER_DECAY_FACTOR:g} across the window ladder "
-    "fails its uniformity proxy"
+    f"more than a factor of {LADDER_DECAY_FACTOR:g} from the first to the last "
+    "size fails its uniformity proxy"
 )
 
 

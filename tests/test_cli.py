@@ -889,8 +889,8 @@ def test_every_public_library_function_serves_a_command(tmp_path):
 
 
 def test_only_analyze_makes_a_least_squares_fit(tmp_path, monkeypatch):
-    # localization looks np.polyfit up at call time; its one fit is the
-    # decay_fit of analyze, and no other command pays for one
+    # no report prints a fitted decay exponent, so no command, analyze
+    # included, pays for a least-squares fit
     calls = []
     polyfit = np.polyfit
     monkeypatch.setattr(np, "polyfit", lambda *a, **k: calls.append(1) or polyfit(*a, **k))
@@ -900,7 +900,6 @@ def test_only_analyze_makes_a_least_squares_fit(tmp_path, monkeypatch):
     for i, (command, config) in enumerate(runs):
         cfg = tmp_path / f"cfg{i}.json"
         write_json(cfg, config)
-        calls.clear()
         assert cli.main([command, "--config", str(cfg),
                          "--out", str(tmp_path / f"out{i}.json")]) == 0
-        assert len(calls) == (command == "analyze"), (command, config)
+    assert calls == []

@@ -25,7 +25,9 @@ from framebench.errors import (
 from framebench.frames import TruncationLadder, VectorFamily
 from framebench.ladder import Witness
 from framebench.localization import LocalizationProfile
-from oracles import canonical_dual, condition_p, hermitian_power
+from framebench.sampling import Generator, SamplingSet, stable_sampling_verdict
+from oracles import (canonical_dual, condition_p, hermitian_power, sampling_matrix,
+                     shift_gram)
 
 PROFILE = LocalizationProfile(kind="jaffard", s=2.0)
 LADDER = TruncationLadder((8, 16, 32, 64))
@@ -141,23 +143,26 @@ def relative_error(got, expected):
 @pytest.mark.parametrize("fixture", ["toeplitz", "counterexample"])
 def test_battery_closed_form_identities(fixture, n):
     psi, phi = toeplitz_pair(n)
-    ref_inv = canonical_dual(phi).coeffs.conj().T
+    dual = canonical_dual(phi)
     if fixture == "counterexample":  # psi_k = (1/k) (dual reference)_k
-        psi = VectorFamily(ref_inv.conj().T / np.arange(1, n + 1))
+        psi = VectorFamily(dual.coeffs / np.arange(1, n + 1))
+    ref_inv = dual.coeffs.conj().T
     assert relative_error(ref_inv @ phi.coeffs, np.eye(n)) <= 1e-12
-    s_psi = frames.frame_operator(psi)
-    lam, u = np.linalg.eigh(s_psi)
-    left, right = ref_inv @ u, u.conj().T @ phi.coeffs
-    # the companion Gram without the companion
-    b = frames.cross_gram(psi, phi)
-    g_omega = (b.conj().T @ b).conj()
-    assert relative_error(g_omega, frames.gram(rdual.rdual(psi, phi))) <= 1e-12
-    # both inverses from the spectrum of S_psi
-    coord = ref_inv @ s_psi @ phi.coeffs
+    # the pair (B, G_phi), R = G_phi^-1/2 and the whitened spectrum
+    b, g = frames.cross_gram(psi, phi), frames.gram(phi)
+    bhb, r = b.conj().T @ b, hermitian_power(g, -0.5)
+    lam, q = np.linalg.eigh(r @ bhb @ r)
+    left = r @ q
+    right = left.conj().T @ g
+    # the companion Gram and its synthesis coordinates without the companion
+    omega = rdual.rdual(psi, phi)
+    assert relative_error(bhb.conj(), frames.gram(omega)) <= 1e-12
+    assert relative_error(r @ b.conj(), frames.cross_gram(dual, omega)) <= 1e-12
+    # coord, its inverse and (B^H B)^-1 from the whitened spectrum
+    coord = ref_inv @ frames.frame_operator(psi) @ phi.coeffs
     assert relative_error((left * lam) @ right, coord) <= 1e-12
     assert relative_error((left / lam) @ right, np.linalg.inv(coord)) <= 1e-12
-    assert relative_error(((left / lam) @ left.conj().T).conj(),
-                          np.linalg.inv(g_omega)) <= 1e-12
+    assert relative_error((left / lam) @ left.conj().T, np.linalg.inv(bhb)) <= 1e-12
 
 
 def test_battery_member_count_mismatch_raises():
@@ -197,11 +202,11 @@ def test_battery_factorization_budget(monkeypatch):
                 PROFILE, ladder)
     # per size, the fixture's 2-norm rescale (eigenvalues of a Gram of E, no
     # SVD) and three Hermitian eigensolves: eigh of the reference Gram G_phi,
-    # formed once (the reference check, its localization norm, the dual
-    # phi^-1 and G_phi^-1/2), and of S_psi (witness 1, and Lambda^-1 for both
-    # inverses); the eigenvalues of the companion Gram (witness 10 and the
-    # singular flag of 8 and 9).  No SVD, no inverse, and no dense
-    # scipy.linalg call.
+    # formed once (the reference check, its localization norm and
+    # R = G_phi^-1/2), and of the whitened product R B^H B R (witness 1, and
+    # Lambda^-1 for both inverses); the eigenvalues of the companion Gram
+    # B^H B (witness 10 and the singular flag of 8 and 9).  No SVD, no
+    # inverse, and no dense scipy.linalg call.
     n = len(ladder.sizes)
     assert factorizations == Counter({"family_gen": n, "eigh": 2 * n,
                                       "eigvalsh": 2 * n, "frames.gram": n})
@@ -304,22 +309,33 @@ def _hadamard_root(n):
     return math.sqrt(0.9e308 / (2.5 * math.sqrt(n))) * root
 
 
+def _crossed(n, c):
+    """The identity of size n with its leading 2 x 2 block [[0, 1], [c, 0]]."""
+    m = np.eye(n)
+    m[:2, :2] = [[0.0, 1.0], [c, 0.0]]
+    return m
+
+
 @pytest.mark.parametrize("psi, phi, tol, sizes, what", [
-    # below every float tol the reference passes, and 1 / w leaves the
-    # float range
-    (lambda n: np.eye(n), lambda n: _scaled(n, 1.0, 1e-161), 1e-323, (4, 8),
-     "reference inverse entries"),
+    # B^H B = phi^H S_psi phi = 1e400 I
+    (lambda n: 1e100 * np.eye(n), lambda n: 1e100 * np.eye(n), 1e-14, (4, 8),
+     "companion Gram entries"),
+    # B^H B = 1e120 I, but R = G_phi^-1/2 = 1e100 I makes R B^H B R = 1e320 I
+    (lambda n: 1e160 * np.eye(n), lambda n: 1e-100 * np.eye(n), 1e-300, (4, 8),
+     "whitened companion Gram entries"),
     # phi^-1 S_psi phi: the rank-one S_psi = 1e304 n ones meets the 1e6 of
-    # phi^-1 along e_1
-    (lambda n: 1e152 * np.ones((n, n)), lambda n: _scaled(n, 1e150, 1e-6), 1e-14, (4, 8),
+    # phi^-1 along e_1, while B^H B and R B^H B R stay below 1e306
+    (lambda n: 1e152 * np.ones((n, n)), lambda n: _scaled(n, 1.0, 1e-6), 1e-14, (4, 8),
      "coordinate matrix entries"),
     # phi^-1 S_psi^-1 phi: S_psi^-1 is about 1e300 and turned, and phi has
     # condition number 1e9
     (lambda n: 1e-150 * _scaled(n, 1.0, 2.0), lambda n: _rotated(n) @ _scaled(n, 1e-5, 1e4),
      1e-14, (4, 8), "coordinate inverse entries"),
-    # B^H B = phi^H S_psi phi = 1e400 I
-    (lambda n: 1e100 * np.eye(n), lambda n: 1e100 * np.eye(n), 1e-14, (4, 8),
-     "companion Gram entries"),
+    # R conj(B): B's entry B_01 = conj(psi_10) = 1e150 lies in row 0, which
+    # R = diag(1e160, 1, ...) scales by 1e160; S_psi = diag(1, 1e300, 1, ...)
+    # is diagonal, and its singular flag skips the coordinate inverse
+    (lambda n: _crossed(n, 1e150), lambda n: _scaled(n, 1e-160), 1e-323, (4, 8),
+     "companion synthesis coordinate entries"),
     # (B^H B)^-1 = 1e320 I: its eigenvalues 1e-320 are subnormal but equal,
     # so no singular flag stops the inverse
     (lambda n: 1e-60 * np.eye(n), lambda n: 1e-100 * np.eye(n), 1e-300, (4, 8),
@@ -327,14 +343,29 @@ def _hadamard_root(n):
     # every entry of the coordinate matrix S_psi is finite, but its first
     # row sum is 2.6e308 at n = 32, where witness 2 takes ||S_psi||_1
     (_hadamard_root, np.eye, 1e-14, (32, 64), "absolute row sums"),
-], ids=["reference-inverse", "coordinate-matrix", "coordinate-inverse", "companion-gram",
-        "companion-gram-inverse", "coordinate-row-sums"])
+], ids=["companion-gram", "whitened-companion-gram", "coordinate-matrix",
+        "coordinate-inverse", "companion-synthesis", "companion-gram-inverse",
+        "coordinate-row-sums"])
 def test_battery_overflow_is_a_numerical_failure(psi, phi, tol, sizes, what):
     # finite families whose step product leaves the float range: a
-    # NumericalFailureError (exit 3) that names it, with no overflow warning
+    # NumericalFailureError (exit 3) that names it, with no overflow warning;
+    # the rows follow the order in which the step forms its products
     with pytest.raises(NumericalFailureError, match=f"^{what} overflow the float range$"):
         run_battery(lambda n: (VectorFamily(psi(n)), VectorFamily(phi(n))), PROFILE,
                     TruncationLadder(sizes), tol=tol)
+
+
+def test_battery_subnormal_reference_bound_is_a_passing_input():
+    # phi = diag(1, 1e-161, 1, ...) passes below every float tol with its
+    # subnormal lower Riesz bound 1e-322; the step forms no phi^-1, and
+    # R = G_phi^-1/2 stays below 1e162, so nothing leaves the float range
+    rep = run_battery(lambda n: (VectorFamily.onb(n), VectorFamily(_scaled(n, 1.0, 1e-161))),
+                      PROFILE, TruncationLadder((4, 8)), tol=1e-323)
+    conditions = rep.to_json()["conditions"]
+    for c in conditions[:3]:  # psi = I: B^H B = G_phi, and R G_phi R = I
+        assert [v for _, v in c["quantities"]] == [1.0, 1.0]
+    for c in conditions[7:9]:  # B^H B = diag(1, 1e-322, 1, ...)
+        assert [v for _, v in c["quantities"]] == ["singular", "singular"]
 
 
 def test_battery_json_structure():
@@ -441,3 +472,29 @@ def test_counterexample_expected_table():
     assert exp["frame_lower"] == 1 / 16
     assert exp["companion_gram_diagonal"] == [1.0, 0.25, 1 / 9, 1 / 16]
     assert exp["condition_2norm"] == 16.0
+
+
+# --------------------------------------------------------------------------
+# a sampling verdict is a pair (B, G) too
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("degree, bound, seed", [(3, 0.2, 0), (1, 0.3, 5), (5, 0.45, 2)])
+def test_pair_step_reads_sampling_items_a_c_and_e(degree, bound, seed):
+    # Q = P[:, interior] of the dense sampling matrix and the shift Gram A
+    # of the interior order make a pair (Q, A).  The square factor R of
+    # Q = U R has R^H R = Q^H Q, the interior autocorrelation Gram, so the
+    # pair step's witnesses 1, 8 and 10 of (R, A) are the pencil's
+    # lambda_min (item a), the 1-norm condition (item c) and lambda_min
+    # (item e) of the sampling verdict.
+    g = Generator(kind="bspline", degree=degree)
+    x = SamplingSet.seeded_uniform(bound, seed=seed)
+    ladder = TruncationLadder((32, 64, 128))
+    rep = stable_sampling_verdict(g, x, ladder)
+    items = {it.id: it for it in rep.items}
+    for idx, n in enumerate(ladder.sizes):
+        q = sampling_matrix(g, x, n)[:, rep.trim:n - rep.trim]
+        a = shift_gram(g, n - 2 * rep.trim)
+        row = equivalence._pair_row(np.linalg.qr(q, mode="r"), a, *linalg.hermitian_eig(a))
+        for wid, key in ((1, "a"), (8, "c"), (10, "e")):
+            expected = items[key].quantities[idx][1]
+            assert abs(row[wid - 1] - expected) <= 1e-12 * expected, (n, wid)

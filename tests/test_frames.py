@@ -186,7 +186,7 @@ def test_canonical_dual_reconstructs(seed):
 def test_canonical_dual_involution():
     psi = riesz_basis(5, 8)
     again = canonical_dual(canonical_dual(psi))
-    assert np.max(np.abs(again.coeffs - psi.coeffs)) <= linalg.TOL_CALC
+    assert np.max(np.abs(again.coeffs - psi.coeffs)) <= 1e-8
 
 
 def test_power_transform_onb_fixed_point():

@@ -1,4 +1,4 @@
-"""Localization tests: decay norms, solidity, ladders, exponent fitting."""
+"""Localization tests: decay norms, solidity and ladders."""
 
 import json
 import math
@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framebench import linalg, localization, sampling
-from framebench.errors import BadExponentError, InsufficientDataError
+from framebench import linalg, sampling
+from framebench.errors import BadExponentError
 from framebench.frames import TruncationLadder, VectorFamily
 from framebench.localization import (
     LocalizationProfile,
     WeightSpec,
-    fit_decay_exponent,
     jaffard_norm,
     schur_norm,
 )
-from oracles import mutual_localization, shift_gram
+from oracles import mutual_localization
 
 UNIT_WEIGHT = WeightSpec(form="subexponential", rate=0.0)
 
@@ -270,43 +269,3 @@ def test_mutual_localization_detects_slow_decay():
     norms, verdict = mutual_localization(gen, PROFILE, LADDER)
     assert np.allclose(norms, np.sqrt(LADDER.sizes), rtol=1e-12)
     assert verdict == "growth-detected"
-
-
-# --------------------------------------------------------------------------
-# decay-exponent fitting
-# --------------------------------------------------------------------------
-
-def test_fit_exact_power_law():
-    a = (1.0 + offsets(16)) ** -3.0
-    assert abs(fit_decay_exponent(a) - 3.0) <= 1e-9
-
-
-def test_fit_identity_insufficient():
-    with pytest.raises(InsufficientDataError):
-        fit_decay_exponent(np.eye(8))
-
-
-def test_fit_cubic_bspline_shift_gram():
-    g = shift_gram(sampling.Generator(kind="bspline", degree=3), 64)
-    fitted = fit_decay_exponent(g)
-    assert fitted >= 3.0
-    assert fitted <= localization.MAX_DECAY_EXPONENT
-
-
-def naive_decay_exponent(a):
-    m = np.abs(a)
-    off = np.abs(np.subtract.outer(np.arange(m.shape[0]), np.arange(m.shape[1])))
-    rs = [r for r in range(1, int(off.max()) + 1) if m[off == r].max() > 0]
-    ys = [m[off == r].max() for r in rs]
-    slope = np.polyfit(-np.log1p(np.asarray(rs, dtype=float)), np.log(ys), 1)[0]
-    return float(np.clip(slope, -localization.MAX_DECAY_EXPONENT,
-                         localization.MAX_DECAY_EXPONENT))
-
-
-def test_fit_matches_per_offset_loop_on_rectangular_complex():
-    rng = np.random.default_rng(11)
-    off = np.abs(np.subtract.outer(np.arange(37), np.arange(90)))
-    a = ((rng.standard_normal(off.shape) + 1j * rng.standard_normal(off.shape))
-         * (1.0 + off) ** -2.5 * (off <= 60))  # offsets 61..89 have no entries
-    assert fit_decay_exponent(a) == naive_decay_exponent(a)
-    assert fit_decay_exponent(a.T) == naive_decay_exponent(a.T)
